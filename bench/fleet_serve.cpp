@@ -137,12 +137,16 @@ int main() {
 
   const std::vector<serve::TenantClass> tenants =
       serve::default_tenant_classes(3);
-  const auto bucketed_service = [&registry](int model, int64_t batch) {
-    return registry.model(model).modeled_service_s(batch);
-  };
-  const auto baseline_service = [&registry](int model, int64_t batch) {
-    return registry.model(model).baseline_service_s(batch);
-  };
+  const auto bucketed_service =
+      [&registry](const std::vector<serve::FleetRequest>& batch) {
+        return registry.model(batch.front().model)
+            .modeled_service_s(static_cast<int64_t>(batch.size()));
+      };
+  const auto baseline_service =
+      [&registry](const std::vector<serve::FleetRequest>& batch) {
+        return registry.model(batch.front().model)
+            .baseline_service_s(static_cast<int64_t>(batch.size()));
+      };
 
   // Load sweep on the bucket-rich model, no deadlines: the two legs replay
   // identical traces, so the ratios isolate the plan-per-bucket effect.

@@ -3,7 +3,10 @@
 //
 // Each model is scheduled once by the engine; per-request modeled service
 // times are drawn from the plan's noisy latency distribution (one shared
-// draw vector, so every sweep cell replays identical work). The sequential
+// draw vector, so every sweep cell replays identical work). The runtime
+// under test is the single-model server — the virtual-time twin
+// simulate_fleet with one tenant and max_batch 1, where EDF under the
+// uniform deadline is FIFO. The sequential
 // baseline is the single-engine loop — one request in service at a time,
 // back to back — and the sweep replays the same open-loop Poisson traces
 // against 1/2/4/8 worker replicas at 0.5x/1.0x/2.0x of the pool's
@@ -39,8 +42,18 @@ struct Cell {
   int workers = 0;
   double offered_x = 0.0;  // multiple of the pool's saturation rate
   double offered_qps = 0.0;
-  serve::ServeStats stats;
+  serve::FleetSimStats stats;
 };
+
+// One tenant, no coalescing: the single-model server's configuration.
+serve::FleetSimConfig single_model(int workers, double deadline_s) {
+  serve::FleetSimConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = 128;
+  cfg.max_batch = 1;
+  cfg.tenants = {serve::TenantClass{"default", 1.0, deadline_s}};
+  return cfg;
+}
 
 std::string cell_json(const Cell& c) {
   char buf[512];
@@ -50,8 +63,8 @@ std::string cell_json(const Cell& c) {
       "\"throughput_qps\":%.2f,\"p50_s\":%.6f,\"p99_s\":%.6f,"
       "\"shed_rate\":%.4f,\"reject_rate\":%.4f,\"busy_frac\":%.4f}",
       c.workers, c.offered_x, c.offered_qps, c.stats.throughput_qps,
-      c.stats.sojourn.p50, c.stats.sojourn.p99, c.stats.admission.shed_rate(),
-      c.stats.admission.reject_rate(), c.stats.worker_busy_frac);
+      c.stats.sojourn.p50, c.stats.sojourn.p99, c.stats.total.shed_rate(),
+      c.stats.total.reject_rate(), c.stats.worker_busy_frac);
   return buf;
 }
 
@@ -80,7 +93,11 @@ int main() {
     }
     const double mean_service_s = total_s / kRequests;
     const double sequential_qps = kRequests / total_s;
-    const auto service_of = [&service](size_t i) { return service[i]; };
+    // Each request replays its own draw: ids are trace indices.
+    const auto service_of =
+        [&service](const std::vector<serve::FleetRequest>& batch) {
+          return service[batch.front().id];
+        };
     const double deadline_s = 10.0 * mean_service_s;
 
     bench::header("serve load sweep: " + name);
@@ -99,24 +116,21 @@ int main() {
         c.workers = workers;
         c.offered_x = load;
         c.offered_qps = load * saturation_qps;
-        serve::ServeSimConfig cfg;
-        cfg.workers = workers;
-        cfg.queue_capacity = 128;
-        cfg.deadline_s = deadline_s;
         Rng rng(1234);  // same arrival stream shape per cell rate
-        c.stats = serve::simulate_serving(
-            serve::poisson_trace(c.offered_qps, kRequests, rng), service_of,
-            cfg);
+        c.stats = serve::simulate_fleet(
+            serve::single_model_requests(
+                serve::poisson_trace(c.offered_qps, kRequests, rng)),
+            service_of, single_model(workers, deadline_s));
         std::printf("%8d %9.1fx %12.1f %12.1f %10.3f %7.2f%% %7.2f%%\n",
                     workers, load, c.offered_qps, c.stats.throughput_qps,
                     c.stats.sojourn.p99 * 1e3,
-                    100.0 * c.stats.admission.shed_rate(),
-                    100.0 * c.stats.admission.reject_rate());
+                    100.0 * c.stats.total.shed_rate(),
+                    100.0 * c.stats.total.reject_rate());
         if (workers == 4 && load == 2.0) {
           speedup_4w = c.stats.throughput_qps / sequential_qps;
         }
         if (workers == 4 && load == 0.5) {
-          nominal_shed_4w = c.stats.admission.shed_rate();
+          nominal_shed_4w = c.stats.total.shed_rate();
         }
         cells.push_back(c);
       }
@@ -126,22 +140,19 @@ int main() {
     worst_nominal_shed = std::max(worst_nominal_shed, nominal_shed_4w);
 
     // Flash crowd: quiet 0.5x / burst 3x of a 4-worker pool, deadline on.
-    serve::ServeSimConfig burst_cfg;
-    burst_cfg.workers = 4;
-    burst_cfg.queue_capacity = 128;
-    burst_cfg.deadline_s = deadline_s;
     Rng burst_rng(99);
     const double sat4 = 4.0 / mean_service_s;
     const std::vector<double> burst_arrivals = serve::bursty_trace(
         0.5 * sat4, 3.0 * sat4, 100.0 * mean_service_s, 0.4, kRequests,
         burst_rng);
-    const serve::ServeStats burst =
-        serve::simulate_serving(burst_arrivals, service_of, burst_cfg);
+    const serve::FleetSimStats burst =
+        serve::simulate_fleet(serve::single_model_requests(burst_arrivals),
+                              service_of, single_model(4, deadline_s));
     std::printf(
         "bursty (0.5x/3x flash crowd, 4 workers): %.1f qps, shed %.2f%%, "
         "reject %.2f%%, p99 %.3f ms\n",
-        burst.throughput_qps, 100.0 * burst.admission.shed_rate(),
-        100.0 * burst.admission.reject_rate(), burst.sojourn.p99 * 1e3);
+        burst.throughput_qps, 100.0 * burst.total.shed_rate(),
+        100.0 * burst.total.reject_rate(), burst.sojourn.p99 * 1e3);
 
     std::string sweep_json;
     for (const Cell& c : cells) {
@@ -160,7 +171,7 @@ int main() {
                   "\"burst\":{\"offered_qps\":%.2f,\"throughput_qps\":%.2f,"
                   "\"shed_rate\":%.4f,\"reject_rate\":%.4f,\"p99_s\":%.6f}",
                   serve::offered_qps(burst_arrivals), burst.throughput_qps,
-                  burst.admission.shed_rate(), burst.admission.reject_rate(),
+                  burst.total.shed_rate(), burst.total.reject_rate(),
                   burst.sojourn.p99);
     if (!models_json.empty()) models_json += ",";
     models_json += std::string(head) + "\"sweep\":[" + sweep_json + "]," +

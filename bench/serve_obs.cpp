@@ -8,18 +8,20 @@
 //  1. record() microbench — wall-clock ns per event with recording enabled
 //     vs disabled (the disabled path is the early-out branch, i.e. the
 //     floor a skeptic would compare against).
-//  2. real serving leg — a live DuetServer run twice, recorder on vs off,
+//  2. real serving leg — a live single-model server (FleetServer over a
+//     one-model registry, max_batch 1) run twice, recorder on vs off,
 //     reporting windowed wall p99 from the SLO monitor. Informational:
 //     wall numbers depend on the build machine and scheduler noise, so
 //     they are published but not gated. This leg also measures the actual
 //     flight events emitted per completed request.
 //  3. virtual-time gate — the measured per-event cost times the measured
 //     events-per-request is folded into the modeled service times of the
-//     serving simulator, and the same Poisson trace is replayed with and
-//     without that inflation. Virtual time makes the baseline p99 exactly
-//     reproducible on any machine; the only machine-dependent input is the
-//     (tens of nanoseconds) measured record cost, so the p99 ratio gate is
-//     stable in CI.
+//     serving twin (simulate_fleet, single-model configuration), and the
+//     same Poisson trace is replayed with and without that inflation.
+//     Virtual time makes the baseline p99 exactly reproducible on any
+//     machine; the only machine-dependent input is the (tens of
+//     nanoseconds) measured record cost, so the p99 ratio gate is stable
+//     in CI.
 //
 // Runs argument-free; prints the table and writes BENCH_8.json to the
 // current directory (CI uploads it as an artifact and gates on it).
@@ -36,7 +38,7 @@
 
 #include "bench_util.hpp"
 #include "models/model_zoo.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/simulator.hpp"
 #include "serve/workload.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -80,22 +82,28 @@ ServeLeg run_serving(const std::string& name, bool recorder_on) {
   recorder.set_recording_enabled(recorder_on);
   const uint64_t recorded_before = recorder.recorded();
 
-  serve::ServeOptions sopts;
-  sopts.workers = 2;
-  sopts.queue_capacity = 64;
-  serve::DuetServer server(models::build_by_name(name), sopts);
+  serve::ModelRegistryOptions ropts;
+  ropts.max_batch = 1;
+  serve::ModelRegistry registry(ropts);
+  registry.register_model(
+      name, [&name](int64_t) { return models::build_by_name(name); });
+  serve::FleetOptions fopts;
+  fopts.workers = 2;
+  fopts.queue_capacity = 64;
+  serve::FleetServer server(registry, fopts);
 
   Rng rng(7);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
   // Closed-loop waves: the queue never outgrows one wave, so the measured
   // p99 reflects service latency rather than a deep-queue drain, and no
   // request is rejected at admission.
   ServeLeg leg;
   for (int base = 0; base < kServeRequests; base += kServeWave) {
-    std::vector<std::future<serve::Response>> futures;
+    std::vector<std::future<serve::FleetResponse>> futures;
     futures.reserve(kServeWave);
     for (int i = 0; i < kServeWave; ++i) {
-      futures.push_back(server.submit(feeds));
+      futures.push_back(server.submit(0, 0, feeds));
     }
     for (auto& f : futures) {
       leg.completed += f.get().status == serve::RequestStatus::kOk ? 1 : 0;
@@ -163,18 +171,30 @@ int main() {
     const double mean_service_s = total_s / kSimRequests;
     const double overhead_s = events_per_request * ns_on * 1e-9;
 
-    serve::ServeSimConfig cfg;
+    serve::FleetSimConfig cfg;
     cfg.workers = 4;
     cfg.queue_capacity = 128;
-    cfg.deadline_s = 10.0 * mean_service_s;
+    cfg.max_batch = 1;
+    cfg.tenants = {
+        serve::TenantClass{"default", 1.0, 10.0 * mean_service_s}};
     const double offered_qps = 0.8 * cfg.workers / mean_service_s;
     Rng rng(1234);
-    const std::vector<double> arrivals =
-        serve::poisson_trace(offered_qps, kSimRequests, rng);
-    const serve::ServeStats base = serve::simulate_serving(
-        arrivals, [&service](size_t i) { return service[i]; }, cfg);
-    const serve::ServeStats inflated = serve::simulate_serving(
-        arrivals, [&](size_t i) { return service[i] + overhead_s; }, cfg);
+    const std::vector<serve::FleetSimRequest> requests =
+        serve::single_model_requests(
+            serve::poisson_trace(offered_qps, kSimRequests, rng));
+    // Request ids are trace indices: each replays its own draw.
+    const serve::FleetSimStats base = serve::simulate_fleet(
+        requests,
+        [&service](const std::vector<serve::FleetRequest>& batch) {
+          return service[batch.front().id];
+        },
+        cfg);
+    const serve::FleetSimStats inflated = serve::simulate_fleet(
+        requests,
+        [&](const std::vector<serve::FleetRequest>& batch) {
+          return service[batch.front().id] + overhead_s;
+        },
+        cfg);
     const double ratio =
         base.sojourn.p99 > 0.0 ? inflated.sojourn.p99 / base.sojourn.p99 : 1.0;
     std::printf(

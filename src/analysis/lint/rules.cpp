@@ -128,20 +128,20 @@ std::vector<RuleInfo> build_catalogue() {
        "src/serve/recalibration.cpp"},
       {"swap-arena-alias", kWarning,
        "retired-snapshot output slots do not alias the swapped-in plan's slots",
-       "src/serve/server.cpp"},
+       "src/serve/model_registry.cpp"},
       // --- serve-protocol model checker (analysis/model_check/) ------------
       {"mc-conservation", kError,
        "at quiescence, offered == completed + shed + rejected",
        "src/serve/admission.hpp"},
       {"mc-queue-accounting", kError,
        "try_push is tri-state-correct: accepted iff actually enqueued",
-       "src/serve/request_queue.hpp"},
+       "src/serve/fleet_policy.cpp"},
       {"mc-lost-wakeup", kError,
        "no consumer blocks forever across drain/shutdown",
-       "src/serve/request_queue.hpp"},
+       "src/serve/fleet.cpp"},
       {"mc-snapshot-retired", kError,
        "no worker executes a plan snapshot retired by swap + grace",
-       "src/serve/server.cpp"},
+       "src/serve/model_registry.cpp"},
       {"mc-depth-bound", kWarning,
        "the interleaving exploration ran to quiescence within the depth bound",
        "src/analysis/model_check/explorer.cpp"},

@@ -1,23 +1,31 @@
 #pragma once
 
 // Small-scope abstraction of the serving runtime's concurrency protocol
-// (ISSUE 6 tentpole, part 2). The real components — BoundedQueue's tri-state
-// try_push / blocking pop (serve/request_queue.hpp), AdmissionCounters
-// (serve/admission.hpp), and DuetServer's worker loop + plan swap
-// (serve/server.cpp) — are modeled as a handful of interleavable atomic
-// steps per thread, small enough for exhaustive exploration:
+// (ISSUE 6 tentpole, part 2). The shipped protocol is FleetServer's
+// (serve/fleet.cpp): submit() admits into the bounded FleetQueue
+// (serve/fleet_policy.cpp — push accepts iff it enqueued, refuses at
+// capacity), workers block on the queue condition variable and pick
+// (shed an expired request, or snapshot the model's plan and run it),
+// ResidentModel::apply_placement publishes a new plan snapshot
+// (serve/model_registry.cpp) while executions holding the old one finish
+// on it, and drain() stops admission and waits for every accepted request
+// to resolve. The abstraction models a single-model server (one tenant,
+// max_batch 1, so a pick takes the queue head) as a handful of
+// interleavable atomic steps per thread, small enough for exhaustive
+// exploration:
 //
-//   producers  submit(): offered++  ->  try_push -> accepted++/rejected++
-//   consumers  worker_loop(): pop -> shed | (snapshot plan, run, release)
-//   swapper    swap_plan(): version++ ; retire old once its refcount drains
-//   closer     drain(): close() at any point (races with submits)
+//   producers  submit(): offered++  ->  push -> accepted++/rejected++
+//   consumers  worker_loop(): pick -> shed | (snapshot plan, run, release)
+//   swapper    apply_placement(): version++ ; retire old once unreferenced
+//   closer     drain(): stop admission at any point (races with submits)
 //
 // The explorer (model_check/explorer.hpp) drives this machine through every
 // interleaving (bounded, sleep-set pruned) and checks four invariants:
 //
 //   mc-conservation     offered == completed + shed + rejected at quiescence
 //   mc-queue-accounting accepted == enqueued == dequeued + queue length,
-//                       length never exceeds capacity (try_push tri-state)
+//                       length never exceeds capacity (push refuses at
+//                       capacity or while draining, never drops)
 //   mc-lost-wakeup      no thread blocks forever across drain/shutdown
 //   mc-snapshot-retired no worker runs a plan retired by swap + grace
 //
@@ -35,11 +43,11 @@ enum class Variant : uint8_t {
   // offered++ as separate load and store — the lost-update bug an atomic
   // fetch_add exists to prevent. Breaks conservation.
   kNonAtomicCounter,
-  // try_push reports kAccepted on a full queue without enqueueing — the
+  // push reports accepted on a full queue without enqueueing — the
   // caller's request silently vanishes. Breaks queue accounting.
   kSilentDropOnFull,
-  // pop's wait predicate ignores closed — a consumer that finds the queue
-  // empty after close() sleeps forever. Breaks drain/shutdown.
+  // the worker's wait predicate ignores draining — a consumer that finds
+  // the queue empty after drain() sleeps forever. Breaks drain/shutdown.
   kMissedCloseWakeup,
   // A worker snapshots the plan without taking a reference — the swapper's
   // grace period sees no holders and retires the plan under the worker.
@@ -69,7 +77,7 @@ struct ProtocolState {
   uint8_t rejected = 0;
   uint8_t shed = 0;
   uint8_t completed = 0;
-  uint8_t enqueued = 0;   // ghost: successful try_push count
+  uint8_t enqueued = 0;   // ghost: successful push count
   uint8_t dequeued = 0;   // ghost: successful pop count
   uint8_t version = 0;    // current plan version
   uint8_t retired = 0;    // bitmask over versions

@@ -62,6 +62,7 @@ class DuetEngine {
   const DuetReport& report() const { return report_; }
   const ExecutionPlan& plan() const { return plan_; }
   DevicePair& devices() { return devices_; }
+  const DevicePair& devices() const { return devices_; }
 
   // One inference: numeric outputs + modeled latency + timeline.
   ExecutionResult infer(const std::map<NodeId, Tensor>& feeds,

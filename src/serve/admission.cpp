@@ -30,13 +30,4 @@ AdmissionCounters::Snapshot AdmissionCounters::snapshot() const {
   return s;
 }
 
-void AdmissionCounters::reset() {
-  offered.store(0, std::memory_order_relaxed);
-  accepted.store(0, std::memory_order_relaxed);
-  rejected.store(0, std::memory_order_relaxed);
-  shed.store(0, std::memory_order_relaxed);
-  completed.store(0, std::memory_order_relaxed);
-  completed_late.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace duet::serve

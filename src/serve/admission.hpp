@@ -1,9 +1,8 @@
 #pragma once
 
-// Admission control and load shedding for the serving runtime. Two cheap,
-// deterministic policies shared verbatim by the real-threaded server and
-// the virtual-time simulator (so the simulator's shed/reject accounting is
-// the ground truth the real server is tested against):
+// Admission accounting for the serving runtime. FleetServer (fleet.hpp)
+// and its virtual-time twin simulate_fleet (simulator.hpp) apply the same
+// two policies, both implemented once in FleetQueue (fleet_policy.hpp):
 //
 //   * reject-on-full      — an arrival finding the bounded queue at
 //     capacity is refused immediately. Open-loop traffic cannot be made to
@@ -16,8 +15,7 @@
 //
 // Completed-but-late requests (started before the deadline, finished after)
 // are delivered and counted separately: the expensive part is already paid
-// by then, and the tail accounting in ServeStats makes the lateness
-// visible.
+// by then, and `completed_late` makes the lateness visible.
 
 #include <atomic>
 #include <cstdint>
@@ -25,8 +23,6 @@
 #include <vector>
 
 namespace duet::serve {
-
-enum class Verdict { kAdmit, kReject, kShed };
 
 // A tenant priority class for the multi-tenant fleet runtime (ISSUE 10).
 // `weight` is the tenant's weighted-fair-queueing share: over a contended
@@ -78,35 +74,6 @@ struct AdmissionCounters {
     }
   };
   Snapshot snapshot() const;
-  void reset();
-};
-
-class AdmissionController {
- public:
-  // `queue_capacity` bounds the number of waiting (not yet started)
-  // requests a new arrival may find.
-  explicit AdmissionController(size_t queue_capacity)
-      : queue_capacity_(queue_capacity) {}
-
-  size_t queue_capacity() const { return queue_capacity_; }
-
-  // Arrival-time decision: admit unless the queue is already full.
-  Verdict on_arrival(size_t queue_length) const {
-    return queue_length >= queue_capacity_ ? Verdict::kReject : Verdict::kAdmit;
-  }
-
-  // Start-of-service decision: shed when the deadline expired before the
-  // request could start. `deadline_s` <= 0 means no deadline.
-  bool should_shed(double now_s, double arrival_s, double deadline_s) const {
-    return deadline_s > 0.0 && now_s > arrival_s + deadline_s;
-  }
-
-  AdmissionCounters& counters() { return counters_; }
-  const AdmissionCounters& counters() const { return counters_; }
-
- private:
-  const size_t queue_capacity_;
-  AdmissionCounters counters_;
 };
 
 }  // namespace duet::serve

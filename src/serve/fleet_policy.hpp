@@ -4,8 +4,9 @@
 // tenant classes, earliest-deadline-first within each tenant, and same-model
 // request coalescing — one deterministic data structure shared verbatim by
 // the real-threaded FleetServer (serve/fleet.hpp) and the virtual-time
-// fleet simulator (serve/simulator.hpp), the same single-source-of-policy
-// contract admission.hpp set for reject/shed.
+// fleet simulator (serve/simulator.hpp). It is also the single source of
+// the admission policies (admission.hpp): reject-on-full in push(),
+// shed-on-deadline-miss in pick().
 //
 // WFQ: each tenant carries a virtual finish time. A pickup chooses the
 // backlogged tenant with the smallest virtual time (ties break on the

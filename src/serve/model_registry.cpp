@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/diagnostics.hpp"
+#include "analysis/plan_validator.hpp"
 #include "analysis/symbolic/crossover.hpp"
 #include "analysis/symbolic/sym_shape_inference.hpp"
 #include "common/error.hpp"
@@ -33,6 +35,10 @@ ResidentModel::ResidentModel(std::string name, BatchedGraphFactory factory,
       options_(options) {
   DUET_CHECK_GE(options_.max_batch, 1);
   engine_ = std::make_unique<DuetEngine>(factory_(1), options_.engine);
+  for (NodeId id : engine_->model().input_ids()) {
+    const Node& node = engine_->model().node(id);
+    inputs_.emplace(id, InputSpec{node.out_shape, node.out_dtype});
+  }
 
   // Bucket boundaries from the PR-7 certificates: scan the batch symbol over
   // the coalescing range on the same optimized/partitioned graph the
@@ -57,24 +63,29 @@ ResidentModel::ResidentModel(std::string name, BatchedGraphFactory factory,
 
   // One scheduler run per bucket at its representative batch. Bucket 0's
   // representative is batch 1, which is exactly the base engine.
+  baseline_placement_ = engine_->report().schedule.placement;
   placements_.reserve(buckets_.size());
   for (const BatchBucket& bucket : buckets_) {
     if (bucket.rep() == 1) {
-      placements_.push_back(engine_->report().schedule.placement);
+      placements_.push_back(baseline_placement_);
       continue;
     }
     DuetEngine bucket_engine(factory_(bucket.rep()), options_.engine);
     const Placement& placement = bucket_engine.report().schedule.placement;
-    DUET_CHECK_EQ(placement.size(),
-                  engine_->report().schedule.placement.size())
+    DUET_CHECK_EQ(placement.size(), baseline_placement_.size())
         << "factory(" << bucket.rep()
         << ") partitions differently from factory(1) for model " << name_;
     placements_.push_back(placement);
   }
+  // The base engine already built bucket 0's batch-1 plan: serve it from
+  // the first request on instead of building it again on a worker.
+  plans_.emplace(std::make_pair(int64_t{1}, true),
+                 std::make_shared<const ExecutionPlan>(engine_->plan()));
 }
 
-const Placement& ResidentModel::bucket_placement(size_t bucket) const {
+Placement ResidentModel::bucket_placement(size_t bucket) const {
   DUET_CHECK_LT(bucket, placements_.size());
+  std::lock_guard<std::mutex> lock(plans_mutex_);
   return placements_[bucket];
 }
 
@@ -82,71 +93,139 @@ size_t ResidentModel::bucket_of(int64_t batch) const {
   return bucket_for(buckets_, batch);
 }
 
+void ResidentModel::check_feeds(const std::map<NodeId, Tensor>& feeds) const {
+  DUET_CHECK_EQ(feeds.size(), inputs_.size())
+      << "request for model " << name_ << " binds the wrong number of inputs";
+  for (const auto& [id, tensor] : feeds) {
+    const auto it = inputs_.find(id);
+    DUET_CHECK(it != inputs_.end())
+        << "request for model " << name_ << " feeds unknown input node " << id;
+    DUET_CHECK(tensor.shape() == it->second.shape &&
+               tensor.dtype() == it->second.dtype)
+        << "request for model " << name_ << " feeds input node " << id
+        << " as " << tensor.shape().to_string() << " "
+        << dtype_name(tensor.dtype()) << ", expected "
+        << it->second.shape.to_string() << " "
+        << dtype_name(it->second.dtype);
+  }
+}
+
 std::shared_ptr<const ExecutionPlan> ResidentModel::plan_for_batch(
     int64_t batch) {
+  return plan_for(batch, /*bucketed=*/true).plan;
+}
+
+ServingPlan ResidentModel::serving_plan(int64_t batch) {
   return plan_for(batch, /*bucketed=*/true);
 }
 
 std::shared_ptr<const ExecutionPlan> ResidentModel::baseline_plan_for_batch(
     int64_t batch) {
-  return plan_for(batch, /*bucketed=*/false);
+  return plan_for(batch, /*bucketed=*/false).plan;
 }
 
-std::shared_ptr<const ExecutionPlan> ResidentModel::plan_for(int64_t batch,
-                                                             bool bucketed) {
-  DUET_CHECK_GE(batch, 1);
-  DUET_CHECK_LE(batch, options_.max_batch)
-      << "batch beyond the registry's coalescing range";
-  const std::pair<int64_t, bool> key{batch, bucketed};
-  {
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) return it->second;
-  }
+uint64_t ResidentModel::plan_version() const {
+  std::lock_guard<std::mutex> lock(plans_mutex_);
+  return plan_version_;
+}
 
-  // Build outside the lock (compiles are slow; the caches keep them warm),
-  // publish under it — the recalibration-swap pattern. A losing racer just
-  // adopts the winner's snapshot.
-  const Placement& placement =
-      bucketed ? placements_[bucket_of(batch)] : placements_.front();
+ExecutionPlan ResidentModel::build_plan(int64_t batch,
+                                        const Placement& placement) const {
   Graph graph = factory_(batch);
   Partition partition = partition_phased(graph, options_.engine.partition);
   DUET_CHECK_EQ(partition.subgraphs.size(), placement.size())
       << "batched partition diverged for model " << name_;
-  auto plan = std::make_shared<const ExecutionPlan>(
-      ExecutionPlan::build(graph, std::move(partition), placement,
-                           engine_->devices(), options_.engine.compile));
+  return ExecutionPlan::build(graph, std::move(partition), placement,
+                              engine_->devices(), options_.engine.compile);
+}
+
+ServingPlan ResidentModel::plan_for(int64_t batch, bool bucketed) {
+  DUET_CHECK_GE(batch, 1);
+  DUET_CHECK_LE(batch, options_.max_batch)
+      << "batch beyond the registry's coalescing range";
+  const std::pair<int64_t, bool> key{batch, bucketed};
+  const size_t bucket = bucket_of(batch);
+  Placement placement;
+  uint64_t version = 0;
+  {
+    std::lock_guard<std::mutex> lock(plans_mutex_);
+    const auto it = plans_.find(key);
+    if (it != plans_.end()) return {it->second, plan_version_, bucket};
+    placement = bucketed ? placements_[bucket] : baseline_placement_;
+    version = plan_version_;
+  }
+  // Build outside the lock (compiles are slow; the caches keep them warm),
+  // publish under it. A losing racer adopts the winner's snapshot. A build
+  // that raced a swap is handed out — it was current when asked for — but
+  // never published.
+  auto plan =
+      std::make_shared<const ExecutionPlan>(build_plan(batch, placement));
+  std::lock_guard<std::mutex> lock(plans_mutex_);
+  if (version != plan_version_) return {std::move(plan), version, bucket};
+  return {plans_.emplace(key, std::move(plan)).first->second, version, bucket};
+}
+
+uint64_t ResidentModel::apply_placement(const Placement& placement) {
+  DUET_CHECK_EQ(placement.size(), baseline_placement_.size())
+      << "placement does not match model " << name_;
+  if (verification_enabled()) {
+    verify_placement(placement, engine_->partition())
+        .throw_if_failed("placement swapped into \"" + name_ +
+                         "\" is invalid");
+  }
+  std::lock_guard<std::mutex> serialize(swap_mutex_);
+  const auto in_bucket0 = [this](const std::pair<int64_t, bool>& key) {
+    return key.second && bucket_of(key.first) == 0;
+  };
+  std::vector<int64_t> batches;
+  {
+    std::lock_guard<std::mutex> lock(plans_mutex_);
+    for (const auto& [key, plan] : plans_) {
+      if (in_bucket0(key)) batches.push_back(key.first);
+    }
+  }
+  std::vector<std::shared_ptr<const ExecutionPlan>> rebuilt;
+  rebuilt.reserve(batches.size());
+  for (int64_t batch : batches) {
+    rebuilt.push_back(
+        std::make_shared<const ExecutionPlan>(build_plan(batch, placement)));
+  }
 
   std::lock_guard<std::mutex> lock(plans_mutex_);
-  auto [it, inserted] = plans_.emplace(key, std::move(plan));
-  (void)inserted;
-  return it->second;
+  placements_.front() = placement;
+  ++plan_version_;
+  // Bucket-0 entries published under the old placement while the rebuild
+  // ran go too; they rebuild lazily under the new one.
+  const auto stale = [&](const auto& entry) { return in_bucket0(entry.first); };
+  std::erase_if(plans_, stale);
+  std::erase_if(service_cache_, stale);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    plans_.emplace(std::make_pair(batches[i], true), std::move(rebuilt[i]));
+  }
+  return plan_version_;
 }
 
 double ResidentModel::probe_service_s(int64_t batch, bool bucketed) {
   DUET_CHECK_GE(batch, 1);
   DUET_CHECK_LE(batch, options_.max_batch);
   const std::pair<int64_t, bool> key{batch, bucketed};
+  Placement placement;
+  uint64_t version = 0;
   {
     std::lock_guard<std::mutex> lock(plans_mutex_);
     const auto it = service_cache_.find(key);
     if (it != service_cache_.end()) return it->second;
+    placement = bucketed ? placements_[bucket_of(batch)] : baseline_placement_;
+    version = plan_version_;
   }
   // Throwaway plan: measured, never published. Racing probes duplicate a
-  // little work and agree on the (deterministic) answer.
-  const Placement& placement =
-      bucketed ? placements_[bucket_of(batch)] : placements_.front();
-  Graph graph = factory_(batch);
-  Partition partition = partition_phased(graph, options_.engine.partition);
-  DUET_CHECK_EQ(partition.subgraphs.size(), placement.size())
-      << "batched partition diverged for model " << name_;
-  const ExecutionPlan plan =
-      ExecutionPlan::build(graph, std::move(partition), placement,
-                           engine_->devices(), options_.engine.compile);
+  // little work and agree on the (deterministic) answer; one that raced a
+  // swap is not memoized.
+  const ExecutionPlan plan = build_plan(batch, placement);
   SimExecutor executor(engine_->devices());
   const double s = executor.run_latency_only(plan, /*with_noise=*/false);
   std::lock_guard<std::mutex> lock(plans_mutex_);
-  service_cache_.emplace(key, s);
+  if (version == plan_version_) service_cache_.emplace(key, s);
   return s;
 }
 

@@ -18,11 +18,16 @@
 //      calls for;
 //   3. lazily instantiates the concrete ExecutionPlan for each batch size a
 //      coalesced pickup actually forms, under the bucket's placement, and
-//      publishes it behind a shared_ptr snapshot exactly like the server's
-//      recalibration swap — readers never block on a build.
+//      publishes it behind a shared_ptr snapshot: build outside the lock,
+//      publish under it — readers never block on a build.
+//
+// Recalibration swaps bucket 0's placement (apply_placement): the bucket's
+// materialised plans are rebuilt the same build-then-publish way, and the
+// model's plan_version advances. Executions already holding a snapshot
+// finish on it.
 //
 // The registry is the shared, read-mostly substrate under FleetServer;
-// plan_for_batch / service estimates are thread-safe.
+// plan lookups, swaps and service estimates are thread-safe.
 
 #include <functional>
 #include <map>
@@ -69,6 +74,13 @@ struct RegistrationCacheDelta {
   }
 };
 
+// A plan snapshot plus what it was published as.
+struct ServingPlan {
+  std::shared_ptr<const ExecutionPlan> plan;
+  uint64_t version = 0;  // the model's plan generation at lookup
+  size_t bucket = 0;
+};
+
 struct RegistryCacheStats {
   std::vector<RegistrationCacheDelta> registrations;
   // Sums over all registrations.
@@ -99,16 +111,33 @@ class ResidentModel {
   const std::string& name() const { return name_; }
   const DuetEngine& engine() const { return *engine_; }
   const std::vector<BatchBucket>& buckets() const { return buckets_; }
-  const Placement& bucket_placement(size_t bucket) const;
+  // By value: apply_placement may replace bucket 0's concurrently.
+  Placement bucket_placement(size_t bucket) const;
   size_t bucket_of(int64_t batch) const;
   int64_t max_batch() const { return options_.max_batch; }
+
+  // Throws duet::Error unless `feeds` binds exactly the graph's inputs
+  // with their batch-1 shapes and dtypes (the signature is cached at
+  // construction).
+  void check_feeds(const std::map<NodeId, Tensor>& feeds) const;
 
   // The plan serving a batch-B coalesced execution: factory(B) compiled
   // under the placement of B's bucket. Built on first use, then shared.
   std::shared_ptr<const ExecutionPlan> plan_for_batch(int64_t batch);
-  // Same batch-B graph under the base (B=1) placement for every B — the
-  // single-plan baseline of the efficacy gate.
+  // plan_for_batch plus the plan generation and bucket, read atomically
+  // with the snapshot (what a serving worker records per response).
+  ServingPlan serving_plan(int64_t batch);
+  // Same batch-B graph under the registration-time base (B=1) placement
+  // for every B — the single-plan baseline of the efficacy gate. Swaps
+  // never move it.
   std::shared_ptr<const ExecutionPlan> baseline_plan_for_batch(int64_t batch);
+
+  // Publishes `placement` for bucket 0: rebuilds the bucket's materialised
+  // batch plans outside the lock, swaps the snapshots, drops the bucket's
+  // memoized service times and advances plan_version(). Returns the new
+  // version. Concurrent swaps serialize.
+  uint64_t apply_placement(const Placement& placement);
+  uint64_t plan_version() const;
 
   // Modeled service times the virtual-time fleet simulator replays
   // (deterministic, noise-free). Exact plans are measured only at each
@@ -122,8 +151,15 @@ class ResidentModel {
   double baseline_service_s(int64_t batch);
 
  private:
-  std::shared_ptr<const ExecutionPlan> plan_for(int64_t batch,
-                                                bool bucketed);
+  // One graph input a request must bind.
+  struct InputSpec {
+    Shape shape;
+    DType dtype = DType::kFloat32;
+  };
+
+  ServingPlan plan_for(int64_t batch, bool bucketed);
+  // factory(batch) compiled under `placement`.
+  ExecutionPlan build_plan(int64_t batch, const Placement& placement) const;
   // Exact modeled makespan at `batch`; builds a throwaway plan on a cache
   // miss and memoizes only the scalar.
   double probe_service_s(int64_t batch, bool bucketed);
@@ -134,15 +170,21 @@ class ResidentModel {
   ModelRegistryOptions options_;
   std::unique_ptr<DuetEngine> engine_;  // base, B=1
   std::vector<BatchBucket> buckets_;
-  std::vector<Placement> placements_;  // aligned with buckets_
+  Placement baseline_placement_;  // registration-time bucket-0 placement
+  std::map<NodeId, InputSpec> inputs_;
 
-  // Plan snapshots keyed by (batch, bucketed?), swapped like the server's
-  // recalibration snapshots: build outside the lock, publish under it.
-  std::mutex plans_mutex_;
+  // Everything below plans_mutex_ is guarded by it. Lookups build outside
+  // the lock and publish under it, unless a swap moved the version
+  // meanwhile.
+  mutable std::mutex plans_mutex_;
+  std::vector<Placement> placements_;  // aligned with buckets_
+  uint64_t plan_version_ = 1;
+  // Plan snapshots keyed by (batch, bucketed?).
   std::map<std::pair<int64_t, bool>, std::shared_ptr<const ExecutionPlan>>
       plans_;
   // Deterministic (noise-free) modeled makespans, same key.
   std::map<std::pair<int64_t, bool>, double> service_cache_;
+  std::mutex swap_mutex_;  // serializes apply_placement
 };
 
 class ModelRegistry {

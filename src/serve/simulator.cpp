@@ -1,7 +1,6 @@
 #include "serve/simulator.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <queue>
 
@@ -9,92 +8,18 @@
 
 namespace duet::serve {
 
-ServeStats simulate_serving(const std::vector<double>& arrivals,
-                            const std::function<double(size_t)>& service_s,
-                            const ServeSimConfig& config) {
-  DUET_CHECK_GT(config.workers, 0);
-  for (size_t i = 1; i < arrivals.size(); ++i) {
-    DUET_CHECK_GE(arrivals[i], arrivals[i - 1]) << "arrivals must be ascending";
-  }
-
-  AdmissionController admission(config.queue_capacity);
-  LatencyRecorder sojourn;
-  LatencyRecorder queue_wait;
-
-  // Earliest-free worker pool.
-  std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
-  for (int w = 0; w < config.workers; ++w) free_at.push(0.0);
-
-  std::deque<size_t> pending;  // accepted, not yet started (FIFO)
-  double last_completion = 0.0;
-  double busy_s = 0.0;
-  size_t max_depth = 0;
-
-  // Starts queued requests while the earliest-free worker frees no later
-  // than `horizon` (departures at a timestamp process before the arrival
-  // sharing it). A shed takes no worker time, so the loop keeps going.
-  const auto advance = [&](double horizon) {
-    while (!pending.empty()) {
-      const double free_t = free_at.top();
-      const size_t i = pending.front();
-      const double start_t = std::max(free_t, arrivals[i]);
-      if (start_t > horizon) break;
-      pending.pop_front();
-      if (admission.should_shed(start_t, arrivals[i], config.deadline_s)) {
-        admission.counters().shed.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      free_at.pop();
-      const double completion = start_t + service_s(i);
-      free_at.push(completion);
-      busy_s += completion - start_t;
-      last_completion = std::max(last_completion, completion);
-      queue_wait.add(start_t - arrivals[i]);
-      sojourn.add(completion - arrivals[i]);
-      admission.counters().completed.fetch_add(1, std::memory_order_relaxed);
-      if (config.deadline_s > 0.0 &&
-          completion > arrivals[i] + config.deadline_s) {
-        admission.counters().completed_late.fetch_add(1,
-                                                      std::memory_order_relaxed);
-      }
-    }
-  };
-
+std::vector<FleetSimRequest> single_model_requests(
+    const std::vector<double>& arrivals) {
+  std::vector<FleetSimRequest> requests(arrivals.size());
   for (size_t i = 0; i < arrivals.size(); ++i) {
-    advance(arrivals[i]);
-    admission.counters().offered.fetch_add(1, std::memory_order_relaxed);
-    if (admission.on_arrival(pending.size()) == Verdict::kReject) {
-      admission.counters().rejected.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    admission.counters().accepted.fetch_add(1, std::memory_order_relaxed);
-    pending.push_back(i);
-    max_depth = std::max(max_depth, pending.size());
+    requests[i].arrival_s = arrivals[i];
   }
-  advance(std::numeric_limits<double>::infinity());
-
-  ServeStats stats;
-  stats.admission = admission.counters().snapshot();
-  const double t0 = arrivals.empty() ? 0.0 : arrivals.front();
-  stats.makespan_s = std::max(last_completion - t0, 0.0);
-  stats.throughput_qps =
-      stats.makespan_s > 0.0
-          ? static_cast<double>(stats.admission.completed) / stats.makespan_s
-          : 0.0;
-  stats.sojourn = sojourn.summarize();
-  stats.queue_wait = queue_wait.summarize();
-  stats.worker_busy_frac =
-      stats.makespan_s > 0.0
-          ? busy_s / (static_cast<double>(config.workers) * stats.makespan_s)
-          : 0.0;
-  stats.max_queue_depth = max_depth;
-  return stats;
+  return requests;
 }
 
-FleetSimStats simulate_fleet(
-    const std::vector<FleetSimRequest>& requests,
-    const std::function<double(int model, int64_t batch)>& service_s,
-    const FleetSimConfig& config) {
+FleetSimStats simulate_fleet(const std::vector<FleetSimRequest>& requests,
+                             const FleetServiceFn& service_s,
+                             const FleetSimConfig& config) {
   DUET_CHECK_GT(config.workers, 0);
   DUET_CHECK_GE(config.max_batch, 1);
   for (size_t i = 1; i < requests.size(); ++i) {
@@ -119,15 +44,17 @@ FleetSimStats simulate_fleet(
   uint64_t batches = 0;
   uint64_t coalesced = 0;
   uint64_t served = 0;
-  uint64_t next_id = 1;
 
-  const auto admit = [&](const FleetSimRequest& r) {
+  // Admits trace entry `index`; its id is the index, so ids ascend in
+  // arrival order and service callbacks can key per-request draws on them.
+  const auto admit = [&](size_t index) {
+    const FleetSimRequest& r = requests[index];
     DUET_CHECK_GE(r.tenant, 0);
     DUET_CHECK_LT(static_cast<size_t>(r.tenant), tenants.size());
     AdmissionCounters& c = counters[r.tenant];
     c.offered.fetch_add(1, std::memory_order_relaxed);
     FleetRequest fr;
-    fr.id = next_id++;
+    fr.id = index;
     fr.tenant = r.tenant;
     fr.model = r.model;
     fr.arrival_s = r.arrival_s;
@@ -141,10 +68,10 @@ FleetSimStats simulate_fleet(
     max_depth = std::max(max_depth, queue.size());
   };
 
-  size_t i = 0;
+  size_t i = 0;  // next trace entry to arrive
   while (i < requests.size() || !queue.empty()) {
     if (queue.empty()) {
-      admit(requests[i++]);
+      admit(i++);
       continue;
     }
     const double free_t = free_at.top();
@@ -152,7 +79,7 @@ FleetSimStats simulate_fleet(
     // Every arrival up to the pickup instant is in the queue before the
     // policy chooses — picks never see a partial present.
     if (i < requests.size() && requests[i].arrival_s <= t_pick) {
-      admit(requests[i++]);
+      admit(i++);
       continue;
     }
 
@@ -163,7 +90,7 @@ FleetSimStats simulate_fleet(
     if (picked.batch.empty()) continue;
 
     const int64_t batch = static_cast<int64_t>(picked.batch.size());
-    const double service = service_s(picked.batch.front().model, batch);
+    const double service = service_s(picked.batch);
     const double completion = t_pick + service;
     free_at.pop();
     free_at.push(completion);

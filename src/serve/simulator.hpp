@@ -1,15 +1,22 @@
 #pragma once
 
-// Virtual-time serving simulator: a deterministic FIFO multi-worker queue
-// over the sim device pair. Each worker is an independent engine replica
-// (its own CPU-GPU pair), service time is the plan's modeled makespan, and
-// arrivals come from an open-loop trace (workload.hpp) — so throughput,
-// tail sojourn, shed rate, and reject rate under any offered load are exact,
-// reproducible numbers, the same way every benchmark in this repo reports
-// modeled time rather than wall clock of the build machine. The admission
-// and shedding decisions are the ones in admission.hpp, shared with the
-// real-threaded DuetServer (server.hpp), which is what the serving tests
-// validate against.
+// Virtual-time twin of FleetServer (fleet.hpp): a deterministic
+// multi-worker queue over the sim device pair. Each worker is an
+// independent engine replica, service time is the plan's modeled makespan,
+// and arrivals come from an open-loop trace (workload.hpp) — so throughput,
+// tail sojourn, shed rate and reject rate under any offered load are
+// exact, reproducible numbers, the same way every benchmark in this repo
+// reports modeled time rather than the wall clock of the build machine.
+//
+// Pickups use the FleetServer's policy object verbatim (FleetQueue,
+// fleet_policy.hpp): weighted fair queueing across tenants, EDF within,
+// same-model coalescing up to max_batch, reject-on-full and
+// shed-on-deadline-miss. A single-model server is the degenerate
+// configuration — one tenant, max_batch 1 — where EDF under a uniform
+// relative deadline is FIFO. Service time is per execution, which is what
+// makes the plan-per-bucket efficacy CI gate machine-independent: feed it
+// ResidentModel::modeled_service_s for the bucketed run and
+// baseline_service_s for the single-plan baseline and compare.
 
 #include <functional>
 #include <string>
@@ -21,46 +28,16 @@
 
 namespace duet::serve {
 
-struct ServeSimConfig {
-  int workers = 1;
-  size_t queue_capacity = 128;
-  // Per-request deadline measured from arrival; <= 0 disables shedding.
-  double deadline_s = 0.0;
-};
-
-struct ServeStats {
-  AdmissionCounters::Snapshot admission;
-  double makespan_s = 0.0;        // first arrival to last completion
-  double throughput_qps = 0.0;    // completed / makespan
-  SummaryStats sojourn;           // arrival -> completion, completed only
-  SummaryStats queue_wait;        // arrival -> start of service
-  double worker_busy_frac = 0.0;  // busy time / (workers * makespan)
-  size_t max_queue_depth = 0;
-};
-
-// Replays `arrivals` (ascending seconds) against `workers` modeled engine
-// replicas. `service_s(i)` returns the service time of request i — a
-// constant for deterministic runs, or a per-request noisy draw (callers
-// seed it; the simulator itself is RNG-free).
-ServeStats simulate_serving(const std::vector<double>& arrivals,
-                            const std::function<double(size_t)>& service_s,
-                            const ServeSimConfig& config);
-
-// --- Multi-tenant batched twin (ISSUE 10) ----------------------------------
-//
-// simulate_fleet extends the model above with the FleetServer's pickup
-// policy — weighted fair queueing across tenants, EDF within, same-model
-// coalescing up to max_batch (serve/fleet_policy.hpp, shared verbatim with
-// the real threads). Service time is per (model, batch), which is exactly
-// what makes the plan-per-bucket efficacy CI gate machine-independent: feed
-// it ResidentModel::modeled_service_s for the bucketed run and
-// baseline_service_s for the single-plan baseline and compare.
-
 struct FleetSimRequest {
   double arrival_s = 0.0;  // ascending across the trace
   int tenant = 0;
   int model = 0;
 };
+
+// The trace a single-model server sees: every arrival for model 0 from
+// tenant 0.
+std::vector<FleetSimRequest> single_model_requests(
+    const std::vector<double>& arrivals);
 
 struct FleetSimConfig {
   int workers = 1;
@@ -92,9 +69,16 @@ struct FleetSimStats {
   double mean_batch = 0.0;          // completed requests / batches
 };
 
-FleetSimStats simulate_fleet(
-    const std::vector<FleetSimRequest>& requests,
-    const std::function<double(int model, int64_t batch)>& service_s,
-    const FleetSimConfig& config);
+// Modeled service time of one execution. `batch` holds the coalesced
+// requests (one model, EDF order); each member's FleetRequest::id is its
+// index in the simulated trace, so callers can replay per-request draws (a
+// noisy latency sample per request) as well as per-(model, batch) costs.
+// The simulator itself is RNG-free.
+using FleetServiceFn =
+    std::function<double(const std::vector<FleetRequest>& batch)>;
+
+FleetSimStats simulate_fleet(const std::vector<FleetSimRequest>& requests,
+                             const FleetServiceFn& service_s,
+                             const FleetSimConfig& config);
 
 }  // namespace duet::serve

@@ -1,7 +1,7 @@
 #pragma once
 
 // Causal request tracing — the thread-local half of the PR-8 observability
-// layer. A trace id is minted at admission (DuetServer::submit), carried
+// layer. A trace id is minted at admission (FleetServer::submit), carried
 // inside the queued request, and re-established on the worker thread with a
 // `TraceScope` before the executor runs. Anything recorded inside the scope
 // (flight-recorder launches/transfers, timeline events) tags itself with

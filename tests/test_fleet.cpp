@@ -363,6 +363,37 @@ TEST_F(FleetRegistryTest, PlanSnapshotsAreSharedAcrossLookups) {
   EXPECT_GT(m.baseline_service_s(2), 0.0);
 }
 
+TEST_F(FleetRegistryTest, ApplyPlacementRebuildsBucketZeroPlans) {
+  ModelRegistry registry(tiny_options());
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
+  serve::ResidentModel& m = registry.model(idx);
+  const int64_t top = m.buckets().front().hi;  // bucket 0's largest batch
+  const auto held = m.plan_for_batch(top);
+  const Placement registered = m.bucket_placement(0);
+  EXPECT_DOUBLE_EQ(m.modeled_service_s(1), m.baseline_service_s(1));
+  EXPECT_EQ(m.plan_version(), 1u);
+
+  Placement flipped = registered;
+  flipped.flip(0);
+  EXPECT_EQ(m.apply_placement(flipped), 2u);
+
+  // Materialised bucket-0 plans are rebuilt under the new placement; a held
+  // snapshot is untouched, and the baseline keeps the registered placement.
+  const serve::ServingPlan serving = m.serving_plan(top);
+  EXPECT_EQ(serving.version, 2u);
+  EXPECT_EQ(serving.bucket, 0u);
+  EXPECT_NE(serving.plan.get(), held.get());
+  EXPECT_EQ(serving.plan->placement(), flipped);
+  EXPECT_EQ(held->placement(), registered);
+  EXPECT_EQ(m.baseline_plan_for_batch(top)->placement(), registered);
+  // The memoized bucket-0 service time is re-measured under the swap.
+  DevicePair devices = make_default_device_pair(42 ^ 0x5EEDFACEull);
+  SimExecutor executor(devices);
+  EXPECT_DOUBLE_EQ(m.modeled_service_s(1),
+                   executor.run_latency_only(*m.plan_for_batch(1), false));
+}
+
 TEST_F(FleetRegistryTest, StructurallyIdenticalTwinIsFullyCacheWarm) {
   // The S4 gate: a second registration of a structurally identical model
   // must compile nothing new — 100% warm compile-cache hits and zero new
@@ -424,7 +455,7 @@ TEST(FleetSim, ConservationPerTenant) {
     requests.push_back(r);
   }
   const serve::FleetSimStats stats = serve::simulate_fleet(
-      requests, [](int, int64_t) { return 0.02; }, config);
+      requests, [](const std::vector<FleetRequest>&) { return 0.02; }, config);
   uint64_t offered = 0;
   for (const serve::FleetTenantStats& t : stats.tenants) {
     EXPECT_EQ(t.admission.offered, t.admission.completed + t.admission.shed +
@@ -450,7 +481,10 @@ TEST(FleetSim, BurstsCoalesceIntoBatches) {
     requests.push_back(r);
   }
   const serve::FleetSimStats stats = serve::simulate_fleet(
-      requests, [](int, int64_t b) { return 0.01 + 0.001 * double(b); },
+      requests,
+      [](const std::vector<FleetRequest>& b) {
+        return 0.01 + 0.001 * static_cast<double>(b.size());
+      },
       config);
   EXPECT_EQ(stats.total.completed, 32u);
   EXPECT_EQ(stats.batches, 4u) << "a burst of 32 at max_batch 8 is 4 batches";
@@ -467,8 +501,8 @@ TEST(FleetSim, BatchingBeatsSinglesOnThroughput) {
     r.arrival_s = 0.0001 * i;
     requests.push_back(r);
   }
-  const auto service = [](int, int64_t b) {
-    return 0.01 + 0.002 * static_cast<double>(b);
+  const auto service = [](const std::vector<FleetRequest>& b) {
+    return 0.01 + 0.002 * static_cast<double>(b.size());
   };
   serve::FleetSimConfig batched;
   batched.queue_capacity = 128;
@@ -498,7 +532,7 @@ TEST(FleetSim, WeightsShapeThroughputUnderOverload) {
     requests.push_back(r);
   }
   const auto stats = serve::simulate_fleet(
-      requests, [](int, int64_t) { return 0.01; }, config);
+      requests, [](const std::vector<FleetRequest>&) { return 0.01; }, config);
   EXPECT_GT(stats.tenants[0].admission.completed,
             stats.tenants[1].admission.completed)
       << "gold (weight 4) must outrun silver (weight 2) under overload";
@@ -645,6 +679,47 @@ TEST_F(FleetServerTest, ExpiredDeadlinesAreShedNotExecuted) {
   EXPECT_TRUE(r.outputs.empty());
   server.drain();
   EXPECT_EQ(server.stats().total.shed, 1u);
+}
+
+TEST_F(FleetServerTest, BadFeedsThrowOnSubmitAndServerKeepsServing) {
+  ModelRegistry registry(tiny_options());
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
+  serve::FleetOptions options;
+  options.workers = 1;
+  serve::FleetServer server(registry, options);
+  Rng rng(13);
+  const auto feeds =
+      models::make_random_feeds(registry.model(idx).engine().model(), rng);
+
+  // Wrong shape, wrong dtype, unknown and missing inputs: each throws on
+  // the caller's thread and is never counted.
+  const Tensor& first = feeds.begin()->second;
+  auto wrong_shape = feeds;
+  std::vector<int64_t> dims = first.shape().dims();
+  dims.back() += 1;
+  wrong_shape.begin()->second = Tensor(Shape(dims), first.dtype());
+  EXPECT_THROW(server.submit(idx, 0, wrong_shape), Error);
+  auto wrong_dtype = feeds;
+  wrong_dtype.begin()->second = Tensor(
+      first.shape(),
+      first.dtype() == DType::kInt32 ? DType::kFloat32 : DType::kInt32);
+  EXPECT_THROW(server.submit(idx, 0, wrong_dtype), Error);
+  auto unknown = feeds;
+  unknown.emplace(static_cast<NodeId>(1 << 20), first);
+  EXPECT_THROW(server.submit(idx, 0, unknown), Error);
+  auto missing = feeds;
+  missing.erase(missing.begin());
+  EXPECT_THROW(server.submit(idx, 0, missing), Error);
+
+  // The same server still serves a valid request.
+  EXPECT_EQ(server.submit(idx, 0, feeds).get().status,
+            serve::RequestStatus::kOk);
+  server.drain();
+  const serve::FleetServerStats stats = server.stats();
+  EXPECT_EQ(stats.total.offered, 1u);
+  EXPECT_EQ(stats.total.offered,
+            stats.total.completed + stats.total.shed + stats.total.rejected);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// Tests for the serving runtime: bounded-queue semantics, workload
-// generators, the virtual-time queueing simulator, online recalibration,
-// and the real-threaded DuetServer (determinism under concurrency, deadline
-// shedding, reject-on-full, graceful drain, plan-swap equivalence), plus
+// Tests for the serving runtime as a single-model server — a one-model
+// ModelRegistry with max_batch 1 and one tenant in front of FleetServer:
+// workload generators, the virtual-time twin (simulate_fleet) in that
+// configuration, online recalibration, and the real-threaded server
+// (determinism under concurrency, deadline shedding, reject-on-full,
+// graceful drain, plan-swap equivalence, SLO window, incident dumps), plus
 // PipelinedRunner determinism the serving stack leans on.
 
 #include <gtest/gtest.h>
@@ -19,65 +21,13 @@
 #include "duet/engine.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/pipeline.hpp"
+#include "serve/fleet.hpp"
 #include "serve/recalibration.hpp"
-#include "serve/request_queue.hpp"
-#include "serve/server.hpp"
 #include "serve/simulator.hpp"
 #include "serve/workload.hpp"
 
 namespace duet {
 namespace {
-
-using serve::BoundedQueue;
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-
-TEST(ServeQueue, FifoOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(q.try_push(int(i)), BoundedQueue<int>::Push::kAccepted);
-  }
-  EXPECT_EQ(q.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    const auto item = q.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, i);
-  }
-}
-
-TEST(ServeQueue, RefusesWhenFullWithoutConsuming) {
-  BoundedQueue<int> q(2);
-  EXPECT_EQ(q.try_push(1), BoundedQueue<int>::Push::kAccepted);
-  EXPECT_EQ(q.try_push(2), BoundedQueue<int>::Push::kAccepted);
-  int extra = 3;
-  EXPECT_EQ(q.try_push(std::move(extra)), BoundedQueue<int>::Push::kFull);
-  EXPECT_EQ(extra, 3) << "a refused push must leave the item with the caller";
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(ServeQueue, CloseRefusesPushesButDrains) {
-  BoundedQueue<int> q(4);
-  ASSERT_EQ(q.try_push(1), BoundedQueue<int>::Push::kAccepted);
-  ASSERT_EQ(q.try_push(2), BoundedQueue<int>::Push::kAccepted);
-  q.close();
-  EXPECT_EQ(q.try_push(3), BoundedQueue<int>::Push::kClosed);
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value()) << "closed + empty must return nullopt";
-}
-
-TEST(ServeQueue, PopBlocksUntilPush) {
-  BoundedQueue<int> q(4);
-  std::thread consumer([&q] {
-    const auto item = q.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, 42);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(q.try_push(42), BoundedQueue<int>::Push::kAccepted);
-  consumer.join();
-}
 
 // ---------------------------------------------------------------------------
 // Workload generators
@@ -105,35 +55,44 @@ TEST(ServeWorkload, BurstyRateSitsBetweenBaseAndBurst) {
 }
 
 // ---------------------------------------------------------------------------
-// Virtual-time queueing simulator
+// Virtual-time twin, single-model configuration: one tenant, max_batch 1.
+
+serve::FleetSimConfig single_model(int workers, size_t queue_capacity,
+                                   double deadline_s = 0.0) {
+  serve::FleetSimConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = queue_capacity;
+  cfg.max_batch = 1;
+  cfg.tenants = {serve::TenantClass{"default", 1.0, deadline_s}};
+  return cfg;
+}
+
+double one_ms(const std::vector<serve::FleetRequest>&) { return 1e-3; }
 
 TEST(ServeSim, DeterministicReplay) {
   Rng rng(3);
-  const auto arrivals = serve::poisson_trace(800.0, 500, rng);
-  const auto service = [](size_t) { return 1e-3; };
-  serve::ServeSimConfig cfg;
-  cfg.workers = 2;
-  const serve::ServeStats a = serve::simulate_serving(arrivals, service, cfg);
-  const serve::ServeStats b = serve::simulate_serving(arrivals, service, cfg);
+  const auto requests =
+      serve::single_model_requests(serve::poisson_trace(800.0, 500, rng));
+  const serve::FleetSimConfig cfg = single_model(2, 128);
+  const serve::FleetSimStats a = serve::simulate_fleet(requests, one_ms, cfg);
+  const serve::FleetSimStats b = serve::simulate_fleet(requests, one_ms, cfg);
   EXPECT_EQ(a.throughput_qps, b.throughput_qps);
   EXPECT_EQ(a.sojourn.p99, b.sojourn.p99);
-  EXPECT_EQ(a.admission.completed, b.admission.completed);
+  EXPECT_EQ(a.total.completed, b.total.completed);
 }
 
 TEST(ServeSim, WorkersScaleSaturatedThroughput) {
   // 2x the 4-worker saturation rate, no deadline, queue big enough to
   // absorb everything: completion-bound throughput must scale with workers.
   Rng rng(5);
-  const auto arrivals = serve::poisson_trace(8000.0, 800, rng);
-  const auto service = [](size_t) { return 1e-3; };
-  serve::ServeSimConfig cfg;
-  cfg.queue_capacity = 1u << 20;
-  cfg.workers = 1;
-  const serve::ServeStats one = serve::simulate_serving(arrivals, service, cfg);
-  cfg.workers = 4;
-  const serve::ServeStats four = serve::simulate_serving(arrivals, service, cfg);
-  EXPECT_EQ(one.admission.completed, 800u);
-  EXPECT_EQ(four.admission.completed, 800u);
+  const auto requests =
+      serve::single_model_requests(serve::poisson_trace(8000.0, 800, rng));
+  const serve::FleetSimStats one =
+      serve::simulate_fleet(requests, one_ms, single_model(1, 1u << 20));
+  const serve::FleetSimStats four =
+      serve::simulate_fleet(requests, one_ms, single_model(4, 1u << 20));
+  EXPECT_EQ(one.total.completed, 800u);
+  EXPECT_EQ(four.total.completed, 800u);
   EXPECT_NEAR(one.throughput_qps, 1000.0, 30.0);
   EXPECT_GT(four.throughput_qps, 3.8 * one.throughput_qps);
   EXPECT_LT(four.throughput_qps, 4.2 * one.throughput_qps);
@@ -141,32 +100,43 @@ TEST(ServeSim, WorkersScaleSaturatedThroughput) {
 
 TEST(ServeSim, AdmissionAccountingConserves) {
   Rng rng(9);
-  const auto arrivals = serve::poisson_trace(4000.0, 1000, rng);
-  const auto service = [](size_t) { return 1e-3; };
-  serve::ServeSimConfig cfg;
-  cfg.workers = 1;
-  cfg.queue_capacity = 16;
-  cfg.deadline_s = 5e-3;
-  const serve::ServeStats s = serve::simulate_serving(arrivals, service, cfg);
-  EXPECT_EQ(s.admission.offered, 1000u);
-  EXPECT_EQ(s.admission.offered,
-            s.admission.completed + s.admission.shed + s.admission.rejected);
-  EXPECT_GT(s.admission.rejected, 0u) << "4x overload on a 16-deep queue";
-  EXPECT_GT(s.admission.shed, 0u) << "5 ms deadline at 4x overload";
-  EXPECT_LE(s.admission.completed_late, s.admission.completed);
+  const auto requests =
+      serve::single_model_requests(serve::poisson_trace(4000.0, 1000, rng));
+  const serve::FleetSimStats s = serve::simulate_fleet(
+      requests, one_ms, single_model(1, 16, /*deadline_s=*/5e-3));
+  EXPECT_EQ(s.total.offered, 1000u);
+  EXPECT_EQ(s.total.offered,
+            s.total.completed + s.total.shed + s.total.rejected);
+  EXPECT_GT(s.total.rejected, 0u) << "4x overload on a 16-deep queue";
+  EXPECT_GT(s.total.shed, 0u) << "5 ms deadline at 4x overload";
+  EXPECT_LE(s.total.completed_late, s.total.completed);
 }
 
 TEST(ServeSim, NoDeadlineNeverSheds) {
   Rng rng(13);
-  const auto arrivals = serve::poisson_trace(3000.0, 500, rng);
-  serve::ServeSimConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = 1u << 20;
-  const serve::ServeStats s =
-      serve::simulate_serving(arrivals, [](size_t) { return 1e-3; }, cfg);
-  EXPECT_EQ(s.admission.shed, 0u);
-  EXPECT_EQ(s.admission.completed, 500u);
+  const auto requests =
+      serve::single_model_requests(serve::poisson_trace(3000.0, 500, rng));
+  const serve::FleetSimStats s =
+      serve::simulate_fleet(requests, one_ms, single_model(2, 1u << 20));
+  EXPECT_EQ(s.total.shed, 0u);
+  EXPECT_EQ(s.total.completed, 500u);
   EXPECT_GT(s.max_queue_depth, 0u);
+}
+
+TEST(ServeSim, PerRequestDrawsReplayInArrivalOrder) {
+  // One worker, no overlap in service: the i-th arrival is served with the
+  // i-th draw, so the summed sojourn is exactly the summed draws.
+  const std::vector<double> arrivals = {0.0, 1.0, 2.0, 3.0};
+  const std::vector<double> draws = {0.1, 0.2, 0.3, 0.4};
+  const auto service = [&draws](const std::vector<serve::FleetRequest>& b) {
+    EXPECT_EQ(b.size(), 1u);
+    return draws[b.front().id];
+  };
+  const serve::FleetSimStats s = serve::simulate_fleet(
+      serve::single_model_requests(arrivals), service, single_model(1, 8));
+  EXPECT_EQ(s.total.completed, 4u);
+  EXPECT_NEAR(s.sojourn.mean, 0.25, 1e-12);
+  EXPECT_NEAR(s.sojourn.max, 0.4, 1e-12);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,17 +244,76 @@ TEST(ServeRecal, DriftAccumulatorRecordsTimelines) {
   EXPECT_EQ(obs.total_samples(), 0u);
 }
 
+TEST(ServeRecal, SingleSampleDriftIsUsableAtMinSamplesOne) {
+  RecalFixture f;
+  const auto& profiles = f.engine.report().profiles;
+  serve::DriftAccumulator obs(profiles.size());
+  // Exactly one observation, for one cell: with min_samples=1 that cell is
+  // overridden and the schedule still comes out well-formed.
+  const DeviceKind assigned = f.engine.report().schedule.placement.of(0);
+  obs.record(0, assigned,
+             profiles[0].time_on(assigned) + executor_dispatch_overhead());
+  EXPECT_EQ(obs.total_samples(), 1u);
+  serve::RecalibrationOptions opts;
+  opts.min_samples = 1;
+  const serve::RecalibrationResult r = serve::recalibrate(
+      f.engine.model(), f.engine.partition(), profiles, obs,
+      f.engine.report().schedule.placement, f.engine.devices().link->params(),
+      opts);
+  EXPECT_EQ(r.overridden_cells, 1u);
+  EXPECT_FALSE(r.swapped) << "one faithful sample is no reason to move";
+  EXPECT_GT(r.predicted_current_s, 0.0);
+}
+
 // ---------------------------------------------------------------------------
-// DuetServer
+// Single-model server: FleetServer over a one-model registry, max_batch 1,
+// one tenant (EDF under a uniform deadline is FIFO).
 
 Graph tiny_model() {
   return models::build_wide_deep(models::WideDeepConfig::tiny());
 }
 
-serve::ServeOptions hetero_options() {
-  serve::ServeOptions o;
-  o.engine.enable_fallback = false;
+// The only tenant class.
+constexpr int kTenant = 0;
+
+serve::ModelRegistryOptions single_model_registry() {
+  serve::ModelRegistryOptions o;
+  o.max_batch = 1;
+  o.engine.enable_fallback = false;  // keep the heterogeneous plan
   return o;
+}
+
+struct SingleModelServer {
+  serve::ModelRegistry registry{single_model_registry()};
+  const int index = registry.register_model(
+      "wide-deep", [](int64_t) { return tiny_model(); });
+  serve::FleetServer server;
+
+  explicit SingleModelServer(serve::FleetOptions options)
+      : server(registry, std::move(options)) {}
+
+  serve::ResidentModel& model() { return registry.model(index); }
+  std::map<NodeId, Tensor> feeds(uint64_t seed) {
+    Rng rng(seed);
+    return models::make_random_feeds(model().engine().model(), rng);
+  }
+  std::future<serve::FleetResponse> submit(
+      const std::map<NodeId, Tensor>& feeds, double deadline_s = -1.0) {
+    return server.submit(index, kTenant, feeds, deadline_s);
+  }
+  Placement placement() { return model().bucket_placement(0); }
+};
+
+serve::FleetOptions single_options(int workers, size_t queue_capacity = 64) {
+  serve::FleetOptions o;
+  o.workers = workers;
+  o.queue_capacity = queue_capacity;
+  return o;
+}
+
+void expect_conserved(const serve::FleetServerStats& stats) {
+  EXPECT_EQ(stats.total.offered,
+            stats.total.completed + stats.total.shed + stats.total.rejected);
 }
 
 // Stress knobs for the threaded-server tests. The defaults keep CI fast;
@@ -317,15 +346,14 @@ TEST(ServeServer, OutputsBitIdenticalForOneAndManyWorkers) {
   const ExecutionResult expect = reference.infer(feeds);
 
   for (int workers : {1, stress_workers(4)}) {
-    serve::ServeOptions opts = hetero_options();
-    opts.workers = workers;
-    serve::DuetServer server(tiny_model(), opts);
-    std::vector<std::future<serve::Response>> futures;
+    SingleModelServer s(single_options(workers));
+    std::vector<std::future<serve::FleetResponse>> futures;
     const int requests = stress_iters(6);
-    for (int i = 0; i < requests; ++i) futures.push_back(server.submit(feeds));
+    for (int i = 0; i < requests; ++i) futures.push_back(s.submit(feeds));
     for (auto& f : futures) {
-      const serve::Response r = f.get();
+      const serve::FleetResponse r = f.get();
       ASSERT_EQ(r.status, serve::RequestStatus::kOk);
+      EXPECT_EQ(r.batch, 1) << "a single-model server never coalesces";
       ASSERT_EQ(r.outputs.size(), expect.outputs.size());
       for (size_t i = 0; i < r.outputs.size(); ++i) {
         ASSERT_EQ(r.outputs[i].byte_size(), expect.outputs[i].byte_size());
@@ -338,44 +366,41 @@ TEST(ServeServer, OutputsBitIdenticalForOneAndManyWorkers) {
       EXPECT_DOUBLE_EQ(r.modeled_latency_s, expect.latency_s)
           << "modeled service time is a property of the plan, not the worker";
     }
-    server.shutdown();
+    s.server.shutdown();
   }
 }
 
 TEST(ServeServer, ExpiredDeadlinesAreShedNotExecuted) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
+  // The tenant's default deadline applies to requests submitted without one.
+  serve::FleetOptions opts = single_options(2);
   opts.start_paused = true;
-  opts.default_deadline_s = 1e-4;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(6);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(feeds));
+  opts.tenants = {serve::TenantClass{"default", 1.0, /*deadline_s=*/1e-4}};
+  SingleModelServer s(opts);
+  const auto feeds = s.feeds(6);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(s.submit(feeds));
   // Workers are paused; every deadline expires before service can start.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  server.resume();
-  server.drain();
+  s.server.resume();
+  s.server.drain();
   for (auto& f : futures) {
     EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
   }
-  const serve::ServerStats s = server.stats();
-  EXPECT_EQ(s.admission.offered, 4u);
-  EXPECT_EQ(s.admission.accepted, 4u);
-  EXPECT_EQ(s.admission.shed, 4u);
-  EXPECT_EQ(s.admission.completed, 0u);
+  const serve::FleetServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.total.offered, 4u);
+  EXPECT_EQ(stats.total.accepted, 4u);
+  EXPECT_EQ(stats.total.shed, 4u);
+  EXPECT_EQ(stats.total.completed, 0u);
+  EXPECT_EQ(stats.slo_breaches, 4u) << "every shed is an SLO breach";
 }
 
 TEST(ServeServer, FullQueueRejectsImmediately) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 1;
-  opts.queue_capacity = 3;
+  serve::FleetOptions opts = single_options(1, /*queue_capacity=*/3);
   opts.start_paused = true;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(8);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 5; ++i) futures.push_back(server.submit(feeds));
+  SingleModelServer s(opts);
+  const auto feeds = s.feeds(8);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 5; ++i) futures.push_back(s.submit(feeds));
   // Paused workers: arrivals 4 and 5 found the 3-deep queue full and must
   // already be resolved as rejected.
   for (int i = 3; i < 5; ++i) {
@@ -384,41 +409,38 @@ TEST(ServeServer, FullQueueRejectsImmediately) {
     EXPECT_EQ(futures[static_cast<size_t>(i)].get().status,
               serve::RequestStatus::kRejected);
   }
-  server.resume();
-  server.drain();
+  s.server.resume();
+  s.server.drain();
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(futures[static_cast<size_t>(i)].get().status,
               serve::RequestStatus::kOk);
   }
-  const serve::ServerStats s = server.stats();
-  EXPECT_EQ(s.admission.offered, 5u);
-  EXPECT_EQ(s.admission.accepted, 3u);
-  EXPECT_EQ(s.admission.rejected, 2u);
-  EXPECT_EQ(s.admission.completed, 3u);
+  const serve::FleetServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.total.offered, 5u);
+  EXPECT_EQ(stats.total.accepted, 3u);
+  EXPECT_EQ(stats.total.rejected, 2u);
+  EXPECT_EQ(stats.total.completed, 3u);
 }
 
 TEST(ServeServer, DrainResolvesEveryInFlightRequest) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = stress_workers(2);
   const int requests = stress_iters(8);
   // Scale capacity with the request count so the stress run never trades
   // drain coverage for reject coverage.
-  opts.queue_capacity = static_cast<size_t>(requests);
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(10);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < requests; ++i) futures.push_back(server.submit(feeds));
-  server.drain();
+  SingleModelServer s(single_options(stress_workers(2),
+                                     static_cast<size_t>(requests)));
+  const auto feeds = s.feeds(10);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < requests; ++i) futures.push_back(s.submit(feeds));
+  s.server.drain();
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
         << "drain must not return while a request is unresolved";
     EXPECT_EQ(f.get().status, serve::RequestStatus::kOk);
   }
-  EXPECT_EQ(server.stats().admission.completed,
+  EXPECT_EQ(s.server.stats().total.completed,
             static_cast<uint64_t>(requests));
   // A drained server is closed for business.
-  EXPECT_EQ(server.submit(feeds).get().status, serve::RequestStatus::kRejected);
+  EXPECT_EQ(s.submit(feeds).get().status, serve::RequestStatus::kRejected);
 }
 
 // The threaded twin of the model checker's abstract protocol
@@ -426,69 +448,67 @@ TEST(ServeServer, DrainResolvesEveryInFlightRequest) {
 // flipping placements mid-stream, then drain. Under TSan with the stress env
 // knobs turned up this is the main interleaving amplifier.
 TEST(ServeServer, ConcurrentSubmitSwapDrainStress) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = stress_workers(2);
   const int per_producer = stress_iters(4);
   constexpr int kProducers = 2;
-  opts.queue_capacity = static_cast<size_t>(kProducers * per_producer);
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(16);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
+  SingleModelServer s(single_options(
+      stress_workers(2), static_cast<size_t>(kProducers * per_producer)));
+  const auto feeds = s.feeds(16);
 
-  std::vector<std::future<serve::Response>> futures[kProducers];
+  std::vector<std::future<serve::FleetResponse>> futures[kProducers];
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < per_producer; ++i) {
-        futures[p].push_back(server.submit(feeds));
+        futures[p].push_back(s.submit(feeds));
       }
     });
   }
   std::thread swapper([&] {
-    Placement flipped = server.current_placement();
+    Placement flipped = s.placement();
     flipped.flip(0);
-    server.apply_placement(flipped);
+    s.server.apply_placement(s.index, flipped);
   });
   for (auto& t : producers) t.join();
   swapper.join();
-  server.drain();
+  s.server.drain();
 
   uint64_t ok = 0;
   for (auto& fs : futures) {
     for (auto& f : fs) {
-      const serve::Response r = f.get();
+      const serve::FleetResponse r = f.get();
       // Admission is closed-loop here (capacity == total submissions), so
       // every request resolves kOk regardless of swap timing.
       ASSERT_EQ(r.status, serve::RequestStatus::kOk);
       ++ok;
     }
   }
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.swap_count, 1u);
-  EXPECT_EQ(stats.admission.completed, ok);
+  const serve::FleetServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.swaps, 1u);
+  EXPECT_EQ(stats.plan_version, 2u);
+  EXPECT_EQ(stats.total.completed, ok);
   // Conservation — the invariant the model checker proves exhaustively on
   // the abstraction must hold on the real implementation too.
-  EXPECT_EQ(stats.admission.offered,
-            stats.admission.completed + stats.admission.shed +
-                stats.admission.rejected);
+  expect_conserved(stats);
 }
 
 TEST(ServeServer, PlacementSwapPreservesNumericsExactly) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 1;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(12);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  const serve::Response before = server.submit(feeds).get();
+  SingleModelServer s(single_options(1));
+  const auto feeds = s.feeds(12);
+  const serve::FleetResponse before = s.submit(feeds).get();
   ASSERT_EQ(before.status, serve::RequestStatus::kOk);
+  const Placement registered = s.placement();
 
-  Placement flipped = server.current_placement();
+  Placement flipped = registered;
   flipped.flip(0);
-  server.apply_placement(flipped);
-  EXPECT_EQ(server.swap_count(), 1u);
-  EXPECT_EQ(server.current_placement(), flipped);
+  s.server.apply_placement(s.index, flipped);
+  EXPECT_EQ(s.server.stats().swaps, 1u);
+  EXPECT_EQ(s.placement(), flipped);
+  EXPECT_EQ(s.model().plan_for_batch(1)->placement(), flipped)
+      << "the materialised batch-1 plan must be rebuilt under the swap";
+  EXPECT_EQ(s.model().baseline_plan_for_batch(1)->placement(), registered)
+      << "the single-plan baseline keeps the registration-time placement";
 
-  const serve::Response after = server.submit(feeds).get();
+  const serve::FleetResponse after = s.submit(feeds).get();
   ASSERT_EQ(after.status, serve::RequestStatus::kOk);
   EXPECT_GT(after.plan_version, before.plan_version);
   ASSERT_EQ(after.outputs.size(), before.outputs.size());
@@ -503,125 +523,97 @@ TEST(ServeServer, PlacementSwapPreservesNumericsExactly) {
 }
 
 TEST(ServeServer, RecalibrateNowUsesObservedDrift) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
-  opts.recalibration.min_samples = 1;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(14);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(feeds));
-  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
-  server.drain();
+  SingleModelServer s(single_options(2));
+  const auto feeds = s.feeds(14);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(s.submit(feeds));
+  for (auto& f : futures) {
+    ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+  }
+  s.server.drain();
 
-  const serve::ServerStats stats = server.stats();
-  EXPECT_GT(stats.drift_samples, 0u);
-  const serve::RecalibrationResult r = server.recalibrate_now();
+  EXPECT_GT(s.server.stats().drift_samples, 0u);
+  serve::RecalibrationOptions recal;
+  recal.min_samples = 1;
+  const serve::RecalibrationResult r = s.server.recalibrate_now(s.index, recal);
   EXPECT_GT(r.overridden_cells, 0u);
   EXPECT_GT(r.predicted_current_s, 0.0);
   // Noise-free serving observes exactly the profiled costs, so recalibration
   // must see no win worth a swap.
   EXPECT_FALSE(r.swapped);
-  EXPECT_EQ(server.swap_count(), 0u);
-  EXPECT_EQ(server.stats().recalibrations, 1u);
+  const serve::FleetServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.swaps, 0u);
+  EXPECT_EQ(stats.recalibrations, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Observability (PR 8): windowed SLO view, drift edge cases, flight dumps
+// Observability: windowed SLO view, drift edge cases, flight dumps
 
 TEST(ServeRecal, EmptyWindowRecalibrationIsSafeNoOp) {
-  // A server that has served nothing has an empty SLO window and zero drift
-  // samples; recalibrate_now must skip the scheduler rerun entirely instead
-  // of re-deriving (and possibly swapping to) the offline decision.
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 1;
-  serve::DuetServer server(tiny_model(), opts);
-  const Placement before = server.current_placement();
+  // A server that has served nothing has zero drift samples; recalibrate_now
+  // must skip the scheduler rerun entirely instead of re-deriving (and
+  // possibly swapping to) the offline decision.
+  SingleModelServer s(single_options(1));
+  const Placement before = s.placement();
   for (int i = 0; i < 2; ++i) {
-    const serve::RecalibrationResult r = server.recalibrate_now();
+    const serve::RecalibrationResult r = s.server.recalibrate_now(s.index);
     EXPECT_FALSE(r.swapped);
     EXPECT_EQ(r.overridden_cells, 0u);
     EXPECT_EQ(r.placement, before);
   }
-  EXPECT_EQ(server.swap_count(), 0u);
-  EXPECT_EQ(server.current_placement(), before);
+  EXPECT_EQ(s.server.stats().swaps, 0u);
+  EXPECT_EQ(s.placement(), before);
 }
 
-TEST(ServeRecal, SingleSampleDriftIsUsableAtMinSamplesOne) {
-  RecalFixture f;
-  const auto& profiles = f.engine.report().profiles;
-  serve::DriftAccumulator obs(profiles.size());
-  // Exactly one observation, for one cell: with min_samples=1 that cell is
-  // overridden and the schedule still comes out well-formed.
-  const DeviceKind assigned = f.engine.report().schedule.placement.of(0);
-  obs.record(0, assigned,
-             profiles[0].time_on(assigned) + executor_dispatch_overhead());
-  EXPECT_EQ(obs.total_samples(), 1u);
-  serve::RecalibrationOptions opts;
-  opts.min_samples = 1;
-  const serve::RecalibrationResult r = serve::recalibrate(
-      f.engine.model(), f.engine.partition(), profiles, obs,
-      f.engine.report().schedule.placement, f.engine.devices().link->params(),
-      opts);
-  EXPECT_EQ(r.overridden_cells, 1u);
-  EXPECT_FALSE(r.swapped) << "one faithful sample is no reason to move";
-  EXPECT_GT(r.predicted_current_s, 0.0);
-}
-
-// Drift recording (workers, under stats_mutex_) racing recalibration's
+// Drift recording (workers, under the stats mutex) racing recalibration's
 // snapshot-and-swap. The TSan job turns the stress knobs up; the assertion
 // here is conservation plus "no crash, no torn accumulator".
 TEST(ServeServer, ConcurrentRecordDuringSwapStress) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = stress_workers(2);
-  opts.recalibration.min_samples = 1;
   const int requests = stress_iters(8);
-  opts.queue_capacity = static_cast<size_t>(requests);
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(18);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
+  SingleModelServer s(
+      single_options(stress_workers(2), static_cast<size_t>(requests)));
+  const auto feeds = s.feeds(18);
+  serve::RecalibrationOptions recal;
+  recal.min_samples = 1;
 
-  std::vector<std::future<serve::Response>> futures;
+  std::vector<std::future<serve::FleetResponse>> futures;
   std::thread producer([&] {
-    for (int i = 0; i < requests; ++i) futures.push_back(server.submit(feeds));
+    for (int i = 0; i < requests; ++i) futures.push_back(s.submit(feeds));
   });
   std::thread recalibrator([&] {
-    for (int i = 0; i < 4; ++i) server.recalibrate_now();
+    for (int i = 0; i < 4; ++i) s.server.recalibrate_now(s.index, recal);
   });
   std::thread swapper([&] {
-    Placement flipped = server.current_placement();
+    Placement flipped = s.placement();
     flipped.flip(0);
-    server.apply_placement(flipped);
+    s.server.apply_placement(s.index, flipped);
   });
   producer.join();
   recalibrator.join();
   swapper.join();
-  server.drain();
+  s.server.drain();
 
   uint64_t ok = 0;
   for (auto& f : futures) {
     ok += f.get().status == serve::RequestStatus::kOk ? 1 : 0;
   }
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.admission.completed, ok);
-  EXPECT_GE(stats.swap_count, 1u);
-  EXPECT_EQ(stats.admission.offered,
-            stats.admission.completed + stats.admission.shed +
-                stats.admission.rejected);
+  const serve::FleetServerStats stats = s.server.stats();
+  EXPECT_EQ(stats.total.completed, ok);
+  EXPECT_GE(stats.swaps, 1u);
+  expect_conserved(stats);
 }
 
 TEST(ServeServer, SloSnapshotReflectsWindowedTraffic) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(20);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(feeds));
-  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
-  server.drain();
+  SingleModelServer s(single_options(2));
+  const auto feeds = s.feeds(20);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 6; ++i) futures.push_back(s.submit(feeds));
+  for (auto& f : futures) {
+    ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+  }
+  s.server.drain();
 
-  const telemetry::SloSnapshot snap = server.slo_snapshot();
+  const telemetry::SloSnapshot snap = s.server.slo_snapshot();
   EXPECT_EQ(snap.offered, 6u);
   EXPECT_EQ(snap.completed, 6u);
   EXPECT_EQ(snap.shed, 0u);
@@ -633,9 +625,11 @@ TEST(ServeServer, SloSnapshotReflectsWindowedTraffic) {
       << "no swap in the window -> the live plan version";
 }
 
-// The PR-8 acceptance scenario: a seeded deadline-miss storm must produce a
-// validated post-mortem dump whose summary reconstructs at least one full
-// request path (enqueue -> pickup -> launch -> complete).
+// The incident acceptance scenario: a seeded deadline-miss storm must
+// produce a validated post-mortem dump whose summary reconstructs at least
+// one full request path (enqueue -> pickup -> launch -> complete). The dump
+// and its counters land before the shed request resolves, so they are
+// visible as soon as drain() returns.
 TEST(ServeServer, DeadlineMissStormTriggersFlightDump) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -643,32 +637,31 @@ TEST(ServeServer, DeadlineMissStormTriggersFlightDump) {
   fs::remove_all(dir);
   telemetry::FlightRecorder::instance().clear();
 
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
-  opts.queue_capacity = 32;
+  serve::FleetOptions opts = single_options(2, 32);
   opts.observability.dump_dir = dir.string();
   opts.observability.trigger.miss_burst = 3;
   opts.observability.trigger.miss_window_ms = 10e3;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(22);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
+  SingleModelServer s(opts);
+  const auto feeds = s.feeds(22);
 
   // Healthy phase: full request paths land in the rings.
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(feeds));
-  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 6; ++i) futures.push_back(s.submit(feeds));
+  for (auto& f : futures) {
+    ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+  }
   futures.clear();
 
   // Storm: deadlines already expired at admission, every pickup sheds.
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(server.submit(feeds, /*deadline_s=*/1e-9));
+    futures.push_back(s.submit(feeds, /*deadline_s=*/1e-9));
   }
   for (auto& f : futures) {
     EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
   }
-  server.drain();
+  s.server.drain();
 
-  const serve::ServerStats stats = server.stats();
+  const serve::FleetServerStats stats = s.server.stats();
   EXPECT_EQ(stats.flight_dumps, 1u) << "the trigger fires exactly once";
   EXPECT_GE(stats.slo_breaches, 6u);
   ASSERT_TRUE(fs::exists(dir / "flight_trace.json"));

@@ -54,24 +54,25 @@
 // `stats` runs the same pipeline and prints the per-subgraph drift tables
 // and headline counters to stdout (--json for one JSON document per model).
 //
-// `serve-bench` drives the concurrent serving runtime (src/serve): it runs
-// real traffic through a DuetServer (N worker threads over the shared plan,
-// bounded-queue admission, one online recalibration pass), then replays
-// deterministic open-loop Poisson traces through the virtual-time queueing
-// simulator at a nominal (50% utilization) and a peak (2x capacity) offered
-// load. Reports per-leg throughput, p50/p95/p99 sojourn, shed and reject
+// `serve-bench` drives the serving runtime (src/serve): it runs real
+// traffic through a single-model FleetServer (a one-model registry with
+// max_batch 1: N worker threads over the shared plan, bounded-queue
+// admission, one online recalibration pass), then replays deterministic
+// open-loop Poisson traces through the virtual-time twin (simulate_fleet)
+// at a nominal (50% utilization) and a peak (2x capacity) offered load.
+// Reports per-leg throughput, p50/p95/p99 sojourn, shed and reject
 // rates, and the placement-swap count; --json emits one document per model,
 // --out writes a Chrome trace with one span per served request, and
 // --metrics-out writes one Prometheus text exposition of the metrics
 // registry after the run.
 //
 // `flight` exercises the always-on flight recorder end to end: it serves a
-// healthy burst through a real DuetServer, then a seeded deadline-miss
-// storm (requests whose deadlines are already expired at admission), which
-// trips the recorder's burst trigger mid-run and writes the post-mortem
-// dump — <dir>/<model>/flight_trace.json (Chrome trace with per-request
-// flow arcs) and flight_summary.json — exactly as a production incident
-// would. Exits nonzero when no dump landed.
+// healthy burst through a single-model FleetServer, then a seeded
+// deadline-miss storm (requests whose deadlines are already expired at
+// admission), which trips the recorder's burst trigger mid-run and writes
+// the post-mortem dump — <dir>/<model>/flight_trace.json (Chrome trace with
+// per-request flow arcs) and flight_summary.json — exactly as a production
+// incident would. Exits nonzero when no dump landed.
 //
 // `schedule` runs the pipeline with the persistent profile cache enabled
 // (default directory: $DUET_CACHE_DIR or .duet-cache) and reports the cache
@@ -159,7 +160,6 @@
 #include "serve/batching.hpp"
 #include "serve/fleet.hpp"
 #include "serve/model_registry.hpp"
-#include "serve/server.hpp"
 #include "serve/simulator.hpp"
 #include "serve/workload.hpp"
 #include "telemetry/chrome_trace.hpp"
@@ -646,10 +646,25 @@ struct TelemetryCapture {
   std::string serve_json;    // serve-plane counters (empty without a burst)
 };
 
+// A single-model server is a configuration of the fleet: `model` as the
+// only entry (index 0) of a registry with max_batch 1, fronted by a
+// FleetServer with its one default tenant (index 0).
+duet::serve::ModelRegistry single_model_registry(
+    const std::string& label, duet::Graph model,
+    const duet::DuetOptions& engine) {
+  duet::serve::ModelRegistryOptions options;
+  options.engine = engine;
+  options.max_batch = 1;
+  duet::serve::ModelRegistry registry(options);
+  registry.register_model(
+      label, [model = std::move(model)](int64_t) { return model; });
+  return registry;
+}
+
 // `serve_burst` additionally pushes a short real-threaded burst through a
-// DuetServer so the document covers the serving plane (plan version,
-// offered/completed/shed/rejected, SLO breaches) — `stats` wants that view,
-// `trace` does not (it would dilute the single-inference trace).
+// single-model server so the document covers the serving plane (plan
+// version, offered/completed/shed/rejected, SLO breaches) — `stats` wants
+// that view, `trace` does not (it would dilute the single-inference trace).
 TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
                                    duet::DuetOptions options,
                                    bool serve_burst = false) {
@@ -661,7 +676,7 @@ TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
   telemetry::MetricsRegistry::instance().reset();
   telemetry::SpanCollector::instance().clear();
 
-  Graph serve_model = model;  // DuetServer below needs its own copy
+  Graph serve_model = model;  // the serving registry needs its own copy
   DuetEngine engine(std::move(model), options);
   Rng rng(1);
   const auto feeds = models::make_random_feeds(engine.model(), rng);
@@ -670,26 +685,27 @@ TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
 
   TelemetryCapture cap;
   if (serve_burst) {
-    serve::ServeOptions sopts;
-    sopts.workers = 2;
-    sopts.queue_capacity = 16;
-    sopts.engine = options;
-    serve::DuetServer server(std::move(serve_model), sopts);
-    std::vector<std::future<serve::Response>> futures;
-    for (int i = 0; i < 8; ++i) futures.push_back(server.submit(feeds));
+    serve::ModelRegistry registry =
+        single_model_registry(label, std::move(serve_model), options);
+    serve::FleetOptions fopts;
+    fopts.workers = 2;
+    fopts.queue_capacity = 16;
+    serve::FleetServer server(registry, fopts);
+    std::vector<std::future<serve::FleetResponse>> futures;
+    for (int i = 0; i < 8; ++i) futures.push_back(server.submit(0, 0, feeds));
     for (auto& f : futures) f.get();
     server.drain();
-    const serve::ServerStats ss = server.stats();
+    const serve::FleetServerStats ss = server.stats();
     std::string s = "{";
     s += "\"plan_version\":" + std::to_string(ss.plan_version) + ",";
-    s += "\"offered\":" + std::to_string(ss.admission.offered) + ",";
-    s += "\"completed\":" + std::to_string(ss.admission.completed) + ",";
-    s += "\"shed\":" + std::to_string(ss.admission.shed) + ",";
-    s += "\"rejected\":" + std::to_string(ss.admission.rejected) + ",";
+    s += "\"offered\":" + std::to_string(ss.total.offered) + ",";
+    s += "\"completed\":" + std::to_string(ss.total.completed) + ",";
+    s += "\"shed\":" + std::to_string(ss.total.shed) + ",";
+    s += "\"rejected\":" + std::to_string(ss.total.rejected) + ",";
     s += "\"slo_breaches\":" + std::to_string(ss.slo_breaches) + ",";
     s += "\"flight_dumps\":" + std::to_string(ss.flight_dumps) + ",";
     s += "\"recalibrations\":" + std::to_string(ss.recalibrations) + ",";
-    s += "\"swaps\":" + std::to_string(ss.swap_count) + "}";
+    s += "\"swaps\":" + std::to_string(ss.swaps) + "}";
     cap.serve_json = std::move(s);
   }
   cap.sim_drift = compute_drift(
@@ -896,7 +912,8 @@ struct ServeBenchConfig {
 };
 
 // {"offered_qps":...,"throughput_qps":...,"p50_s":...,...}
-std::string serve_leg_json(double offered, const duet::serve::ServeStats& s) {
+std::string serve_leg_json(double offered,
+                           const duet::serve::FleetSimStats& s) {
   using duet::telemetry::json_number;
   std::string out = "{";
   out += "\"offered_qps\":" + json_number(offered) + ",";
@@ -905,19 +922,19 @@ std::string serve_leg_json(double offered, const duet::serve::ServeStats& s) {
   out += "\"p95_s\":" + json_number(s.sojourn.p95) + ",";
   out += "\"p99_s\":" + json_number(s.sojourn.p99) + ",";
   out += "\"mean_s\":" + json_number(s.sojourn.mean) + ",";
-  out += "\"shed_rate\":" + json_number(s.admission.shed_rate()) + ",";
-  out += "\"reject_rate\":" + json_number(s.admission.reject_rate()) + ",";
-  out += "\"completed\":" + std::to_string(s.admission.completed) + ",";
-  out += "\"completed_late\":" + std::to_string(s.admission.completed_late) + ",";
+  out += "\"shed_rate\":" + json_number(s.total.shed_rate()) + ",";
+  out += "\"reject_rate\":" + json_number(s.total.reject_rate()) + ",";
+  out += "\"completed\":" + std::to_string(s.total.completed) + ",";
+  out += "\"completed_late\":" + std::to_string(s.total.completed_late) + ",";
   out += "\"worker_busy_frac\":" + json_number(s.worker_busy_frac) + ",";
   out += "\"max_queue_depth\":" + std::to_string(s.max_queue_depth) + "}";
   return out;
 }
 
-// One model through the serving bench: a real-threaded DuetServer leg (with
-// one recalibration pass), then deterministic virtual-time legs at nominal
-// and peak offered load, plus the single-worker saturation baseline every
-// throughput claim is measured against.
+// One model through the serving bench: a real-threaded single-model server
+// leg (with one recalibration pass), then deterministic virtual-time legs at
+// nominal and peak offered load, plus the single-worker saturation baseline
+// every throughput claim is measured against.
 bool serve_bench_one(const std::string& label, duet::Graph model,
                      const ServeBenchConfig& cfg) {
   using namespace duet;
@@ -932,34 +949,38 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
   if (want_trace) telemetry::SpanCollector::instance().clear();
   if (want_metrics) telemetry::MetricsRegistry::instance().reset();
 
-  serve::ServeOptions sopts;
-  sopts.workers = cfg.workers;
-  sopts.queue_capacity = static_cast<size_t>(std::max(cfg.server_requests, 16));
-  sopts.engine.scheduler = cfg.scheduler;
-  sopts.engine.seed = cfg.seed;
-  serve::DuetServer server(std::move(model), sopts);
+  DuetOptions engine;
+  engine.scheduler = cfg.scheduler;
+  engine.seed = cfg.seed;
+  serve::ModelRegistry registry =
+      single_model_registry(label, std::move(model), engine);
+  serve::FleetOptions fopts;
+  fopts.workers = cfg.workers;
+  fopts.queue_capacity = static_cast<size_t>(std::max(cfg.server_requests, 16));
+  serve::FleetServer server(registry, fopts);
 
   // Real-threaded leg: submit a burst, drain it, then one recalibration
   // pass against the drift the workers just recorded.
   Rng feed_rng(1);
-  const auto feeds = models::make_random_feeds(server.engine().model(), feed_rng);
-  std::vector<std::future<serve::Response>> futures;
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), feed_rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
   futures.reserve(static_cast<size_t>(cfg.server_requests));
   for (int i = 0; i < cfg.server_requests; ++i) {
-    futures.push_back(server.submit(feeds));
+    futures.push_back(server.submit(0, 0, feeds));
   }
   size_t server_ok = 0;
   double service_s = 0.0;  // modeled service time (noise off: constant)
   for (auto& f : futures) {
-    const serve::Response r = f.get();
+    const serve::FleetResponse r = f.get();
     if (r.status == serve::RequestStatus::kOk) {
       ++server_ok;
       service_s = r.modeled_latency_s;
     }
   }
   server.drain();
-  const serve::RecalibrationResult recal = server.recalibrate_now();
-  const serve::ServerStats sstats = server.stats();
+  const serve::RecalibrationResult recal = server.recalibrate_now(0);
+  const serve::FleetServerStats sstats = server.stats();
   if (service_s <= 0.0) {
     std::printf("FAIL (no request completed)\n");
     return false;
@@ -973,27 +994,29 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
   const double peak_qps = 2.0 * saturation_qps;
   const double deadline_s =
       cfg.deadline_ms > 0.0 ? cfg.deadline_ms / 1e3 : 10.0 * service_s;
-  const auto service = [service_s](size_t) { return service_s; };
+  const auto service = [service_s](const std::vector<serve::FleetRequest>&) {
+    return service_s;
+  };
+  // Every leg replays the same arrival-stream shape at its own rate.
+  const auto trace = [&cfg](double qps) {
+    Rng rng(cfg.seed + 7);
+    return serve::single_model_requests(
+        serve::poisson_trace(qps, cfg.requests, rng));
+  };
 
-  serve::ServeSimConfig sim;
+  serve::FleetSimConfig sim;
   sim.queue_capacity = 128;
-  sim.deadline_s = deadline_s;
+  sim.max_batch = 1;
+  sim.tenants = {serve::TenantClass{"default", 1.0, deadline_s}};
 
-  Rng trace_rng(cfg.seed + 7);
   sim.workers = 1;
-  const serve::ServeStats sequential = serve::simulate_serving(
-      serve::poisson_trace(peak_qps, cfg.requests, trace_rng), service, sim);
-
-  Rng nominal_rng(cfg.seed + 7);
+  const serve::FleetSimStats sequential =
+      serve::simulate_fleet(trace(peak_qps), service, sim);
   sim.workers = cfg.workers;
-  const std::vector<double> nominal_arrivals =
-      serve::poisson_trace(nominal_qps, cfg.requests, nominal_rng);
-  const serve::ServeStats nominal =
-      serve::simulate_serving(nominal_arrivals, service, sim);
-
-  Rng peak_rng(cfg.seed + 7);
-  const serve::ServeStats peak = serve::simulate_serving(
-      serve::poisson_trace(peak_qps, cfg.requests, peak_rng), service, sim);
+  const serve::FleetSimStats nominal =
+      serve::simulate_fleet(trace(nominal_qps), service, sim);
+  const serve::FleetSimStats peak =
+      serve::simulate_fleet(trace(peak_qps), service, sim);
 
   const double speedup = sequential.throughput_qps > 0.0
                              ? peak.throughput_qps / sequential.throughput_qps
@@ -1051,9 +1074,9 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
     doc += "\"peak\":" + serve_leg_json(peak_qps, peak) + ",";
     doc += "\"server\":{";
     doc += "\"requests\":" + std::to_string(cfg.server_requests) + ",";
-    doc += "\"completed\":" + std::to_string(sstats.admission.completed) + ",";
-    doc += "\"rejected\":" + std::to_string(sstats.admission.rejected) + ",";
-    doc += "\"shed\":" + std::to_string(sstats.admission.shed) + ",";
+    doc += "\"completed\":" + std::to_string(sstats.total.completed) + ",";
+    doc += "\"rejected\":" + std::to_string(sstats.total.rejected) + ",";
+    doc += "\"shed\":" + std::to_string(sstats.total.shed) + ",";
     doc += "\"wall_wait_p95_s\":" + json_number(sstats.wall_wait.p95) + ",";
     doc += "\"modeled_mean_s\":" + json_number(sstats.modeled_latency.mean) + ",";
     doc += "\"drift_samples\":" + std::to_string(sstats.drift_samples) + ",";
@@ -1061,7 +1084,7 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
     doc += "\"recal_predicted_current_s\":" +
            json_number(recal.predicted_current_s) + ",";
     doc += "\"recal_predicted_new_s\":" + json_number(recal.predicted_new_s) + ",";
-    doc += "\"swaps\":" + std::to_string(sstats.swap_count) + "}";
+    doc += "\"swaps\":" + std::to_string(sstats.swaps) + "}";
     doc += "}";
     std::string err;
     if (!telemetry::validate_json(doc, &err)) {
@@ -1077,17 +1100,17 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
         "%llu swaps\n",
         sequential.throughput_qps, cfg.workers, peak.throughput_qps, speedup,
         nominal.sojourn.p50 * 1e3, nominal.sojourn.p95 * 1e3,
-        nominal.sojourn.p99 * 1e3, 100.0 * nominal.admission.shed_rate(),
+        nominal.sojourn.p99 * 1e3, 100.0 * nominal.total.shed_rate(),
         server_ok, cfg.server_requests,
         static_cast<unsigned long long>(sstats.recalibrations),
-        static_cast<unsigned long long>(sstats.swap_count));
+        static_cast<unsigned long long>(sstats.swaps));
   }
   return server_ok > 0 && trace_ok && metrics_ok;
 }
 
 // Multi-tenant fleet configuration for `serve-bench` (ISSUE 10): engaged by
-// --tenants / --max-batch / --models, it fronts a ModelRegistry with the
-// FleetServer instead of one DuetServer per model.
+// --tenants / --max-batch / --models, it fronts every named model with one
+// FleetServer instead of one single-model server per model.
 struct FleetBenchConfig {
   int workers = 2;
   int tenants = 3;        // gold/silver/bronze by default
@@ -1219,12 +1242,16 @@ bool fleet_bench(const std::vector<std::string>& names,
   sim.queue_capacity = 512;
   sim.tenants = tenants;
   sim.max_batch = cfg.max_batch;
-  const auto bucketed_service = [&registry](int model, int64_t batch) {
-    return registry.model(model).modeled_service_s(batch);
-  };
-  const auto baseline_service = [&registry](int model, int64_t batch) {
-    return registry.model(model).baseline_service_s(batch);
-  };
+  const auto bucketed_service =
+      [&registry](const std::vector<serve::FleetRequest>& batch) {
+        return registry.model(batch.front().model)
+            .modeled_service_s(static_cast<int64_t>(batch.size()));
+      };
+  const auto baseline_service =
+      [&registry](const std::vector<serve::FleetRequest>& batch) {
+        return registry.model(batch.front().model)
+            .baseline_service_s(static_cast<int64_t>(batch.size()));
+      };
   const serve::FleetSimStats bucketed =
       serve::simulate_fleet(sim_requests, bucketed_service, sim);
   const serve::FleetSimStats baseline =
@@ -1391,7 +1418,7 @@ struct FlightConfig {
   std::string scheduler = "greedy-correction";
 };
 
-// Seeded deadline-miss storm through a real DuetServer. A healthy burst
+// Seeded deadline-miss storm through a single-model server. A healthy burst
 // fills the rings with normal traffic, then `storm` requests arrive with
 // deadlines that expired before admission — every pickup sheds, the
 // miss-burst trigger fires mid-run, and the server writes the post-mortem
@@ -1406,24 +1433,28 @@ bool flight_one(const std::string& label, duet::Graph model,
 
   const std::filesystem::path dir = std::filesystem::path(cfg.dump_dir) / label;
 
-  serve::ServeOptions sopts;
-  sopts.workers = cfg.workers;
-  sopts.queue_capacity =
+  DuetOptions engine;
+  engine.scheduler = cfg.scheduler;
+  engine.seed = cfg.seed;
+  serve::ModelRegistry registry =
+      single_model_registry(label, std::move(model), engine);
+  serve::FleetOptions fopts;
+  fopts.workers = cfg.workers;
+  fopts.queue_capacity =
       static_cast<size_t>(cfg.requests) + static_cast<size_t>(cfg.storm) + 8;
-  sopts.engine.scheduler = cfg.scheduler;
-  sopts.engine.seed = cfg.seed;
-  sopts.observability.dump_dir = dir.string();
-  sopts.observability.trigger.miss_burst = 3;
-  sopts.observability.trigger.miss_window_ms = 10e3;
-  serve::DuetServer server(std::move(model), sopts);
+  fopts.observability.dump_dir = dir.string();
+  fopts.observability.trigger.miss_burst = 3;
+  fopts.observability.trigger.miss_window_ms = 10e3;
+  serve::FleetServer server(registry, fopts);
 
   Rng rng(cfg.seed);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
 
-  std::vector<std::future<serve::Response>> futures;
+  std::vector<std::future<serve::FleetResponse>> futures;
   futures.reserve(static_cast<size_t>(cfg.requests));
   for (int i = 0; i < cfg.requests; ++i) {
-    futures.push_back(server.submit(feeds));
+    futures.push_back(server.submit(0, 0, feeds));
   }
   size_t ok = 0;
   for (auto& f : futures) {
@@ -1432,7 +1463,7 @@ bool flight_one(const std::string& label, duet::Graph model,
   futures.clear();
 
   for (int i = 0; i < cfg.storm; ++i) {
-    futures.push_back(server.submit(feeds, /*deadline_s=*/1e-9));
+    futures.push_back(server.submit(0, 0, feeds, /*deadline_s=*/1e-9));
   }
   size_t shed = 0;
   for (auto& f : futures) {
@@ -1440,7 +1471,7 @@ bool flight_one(const std::string& label, duet::Graph model,
   }
   server.drain();
 
-  const serve::ServerStats stats = server.stats();
+  const serve::FleetServerStats stats = server.stats();
   const std::filesystem::path trace_path = dir / "flight_trace.json";
   const std::filesystem::path summary_path = dir / "flight_summary.json";
   const bool dumped = stats.flight_dumps > 0 &&
