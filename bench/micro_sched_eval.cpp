@@ -1,11 +1,13 @@
 // Micro-benchmark of the scheduler-evaluation fast path and the content-
 // addressed caches. Two measurements, emitted as BENCH_4.json:
 //
-//  1. evals/sec of LatencyEvaluator::evaluate (heap-based ready queues +
-//     placement memo) vs evaluate_reference (the original per-step O(n^2)
-//     scan) on a ~32-subgraph fan-out partition, replaying an identical
-//     correction-sweep placement stream — the access pattern greedy-
-//     correction and annealing actually generate, revisits included.
+//  1. evals/sec of LatencyEvaluator::evaluate (the shared heap-based list
+//     scheduler + placement memo) vs evaluate_reference (the original
+//     per-step O(n^2) scan) on a ~32-subgraph fan-out partition, replaying
+//     an identical correction-sweep placement stream — the access pattern
+//     greedy-correction and annealing actually generate, revisits included.
+//     Two more legs isolate the list scheduler: evaluate() with the memo
+//     off, and SimExecutor::run_latency_only on one plan of the stream.
 //  2. Cold vs warm wall time of profiling the whole model zoo through the
 //     ProfileCache, plus the warm hit rate.
 //
@@ -23,6 +25,7 @@
 #include "partition/partitioner.hpp"
 #include "profile/profile_cache.hpp"
 #include "profile/profiler.hpp"
+#include "runtime/executor.hpp"
 #include "sched/latency_model.hpp"
 
 namespace {
@@ -123,6 +126,18 @@ int main() {
       static_cast<double>(eval.memo_hits() - memo_base) /
       static_cast<double>(eval.evaluations() - evals_base);
   const double speedup = fast.evals_per_sec / ref.evals_per_sec;
+  eval.set_memo_enabled(false);
+  const EvalResult nomemo = time_stream(
+      stream, kReps, [&](const Placement& p) { return eval.evaluate(p); });
+
+  // The simulated executor's time-only path (registry bucket probes call
+  // it) on the stream's last placement, as many calls as the stream legs.
+  const ExecutionPlan plan = ExecutionPlan::build(
+      model, partition, stream.back(), devices, CompileOptions::compiler_defaults());
+  SimExecutor executor(devices);
+  const EvalResult latency_only = time_stream(stream, kReps, [&](const Placement&) {
+    return executor.run_latency_only(plan, /*with_noise=*/false);
+  });
 
   bench::header("scheduler evaluation fast path");
   std::printf("partition: %zu subgraphs | stream: %zu placements x %d reps\n", n,
@@ -130,9 +145,11 @@ int main() {
   std::printf("reference (O(n^2) scan)   %12.0f evals/sec\n", ref.evals_per_sec);
   std::printf("fast (heaps + memo)       %12.0f evals/sec  (%.1fx, memo hit rate %.1f%%)\n",
               fast.evals_per_sec, speedup, 100.0 * memo_hit_rate);
-  if (ref.checksum != fast.checksum) {
-    std::printf("ERROR: checksum mismatch (%.17g vs %.17g)\n", ref.checksum,
-                fast.checksum);
+  std::printf("fast, memo off             %12.0f evals/sec\n", nomemo.evals_per_sec);
+  std::printf("SimExecutor latency-only  %12.0f evals/sec\n", latency_only.evals_per_sec);
+  if (ref.checksum != fast.checksum || ref.checksum != nomemo.checksum) {
+    std::printf("ERROR: checksum mismatch (%.17g vs %.17g vs %.17g)\n", ref.checksum,
+                fast.checksum, nomemo.checksum);
     return 1;
   }
 
@@ -182,11 +199,12 @@ int main() {
   std::fprintf(out,
                "{\"subgraphs\":%zu,\"stream_placements\":%zu,\"reps\":%d,"
                "\"evals_per_sec_ref\":%.1f,\"evals_per_sec_fast\":%.1f,"
+               "\"evals_per_sec_nomemo\":%.1f,\"evals_per_sec_latency_only\":%.1f,"
                "\"speedup\":%.3f,\"memo_hit_rate\":%.4f,"
                "\"cache\":{\"cold_wall_s\":%.4f,\"warm_wall_s\":%.4f,"
                "\"speedup\":%.3f,\"hit_rate\":%.4f}}\n",
                n, stream.size(), kReps, ref.evals_per_sec, fast.evals_per_sec,
-               speedup, memo_hit_rate, cold_wall_s, warm_wall_s,
+               nomemo.evals_per_sec, latency_only.evals_per_sec, speedup, memo_hit_rate, cold_wall_s, warm_wall_s,
                cold_wall_s / warm_wall_s, warm_hit_rate);
   std::fclose(out);
   std::printf("\nwrote BENCH_4.json\n");

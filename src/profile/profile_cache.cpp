@@ -1,10 +1,12 @@
 #include "profile/profile_cache.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 
+#include "common/logging.hpp"
 #include "compiler/compile_cache.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -13,6 +15,18 @@ namespace {
 
 constexpr const char* kMagic = "duet-profile-cache";
 constexpr int kFormatVersion = 1;
+
+// A persisted row is a latency distribution: finite, non-negative, and
+// min <= p50 <= p90 <= p99 <= p999 <= max. The order check allows a few
+// ulps: interpolated quantiles of equal samples can land one ulp past them.
+bool plausible(const SummaryStats& s) {
+  for (double v : {s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p99, s.p999}) {
+    if (!std::isfinite(v) || v < 0.0) return false;
+  }
+  const auto ordered = [](double lo, double hi) { return lo <= hi * (1.0 + 1e-12); };
+  return ordered(s.min, s.p50) && ordered(s.p50, s.p90) && ordered(s.p90, s.p99) &&
+         ordered(s.p99, s.p999) && ordered(s.p999, s.max);
+}
 
 uint64_t hash_double(uint64_t h, double d) {
   uint64_t bits = 0;
@@ -80,6 +94,7 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
   disk_path_ = path;
   calibration_key_ = calibration_key;
   stats_.disk_loaded = 0;
+  stats_.rejected_rows = 0;
 
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return 0;
@@ -87,6 +102,7 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
   int version = 0;
   uint64_t calib = 0;
   size_t accepted = 0;
+  uint64_t rejected = 0;
   if (std::fscanf(f, "%31s v%d calib %" SCNx64 "\n", magic, &version, &calib) == 3 &&
       std::strcmp(magic, kMagic) == 0 && version == kFormatVersion &&
       calib == calibration_key) {
@@ -97,12 +113,22 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
                        &key, &count, &s.mean, &s.stddev, &s.min, &s.max, &s.p50,
                        &s.p90, &s.p99, &s.p999) == 10) {
       s.count = static_cast<size_t>(count);
+      if (!plausible(s)) {
+        ++rejected;
+        continue;
+      }
       map_[key] = s;
       ++accepted;
     }
   }
   std::fclose(f);
   stats_.disk_loaded = accepted;
+  stats_.rejected_rows = rejected;
+  if (rejected > 0) {
+    static telemetry::Counter& rejected_rows =
+        telemetry::counter("profile.cache.rejected_rows");
+    rejected_rows.add(rejected);
+  }
   return accepted;
 }
 
@@ -114,16 +140,24 @@ void ProfileCache::flush() {
     std::error_code ec;
     std::filesystem::create_directories(path.parent_path(), ec);
   }
-  std::FILE* f = std::fopen(disk_path_.c_str(), "w");
+  const std::string tmp = disk_path_ + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return;
-  std::fprintf(f, "%s v%d calib %" PRIx64 "\n", kMagic, kFormatVersion,
-               calibration_key_);
+  bool ok = std::fprintf(f, "%s v%d calib %" PRIx64 "\n", kMagic, kFormatVersion,
+                         calibration_key_) >= 0;
   for (const auto& [key, s] : map_) {
-    std::fprintf(f, "%" PRIx64 " %llu %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n",
-                 key, static_cast<unsigned long long>(s.count), s.mean, s.stddev,
-                 s.min, s.max, s.p50, s.p90, s.p99, s.p999);
+    if (!ok) break;
+    ok = std::fprintf(f,
+                      "%" PRIx64 " %llu %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n",
+                      key, static_cast<unsigned long long>(s.count), s.mean,
+                      s.stddev, s.min, s.max, s.p50, s.p90, s.p99, s.p999) >= 0;
   }
-  std::fclose(f);
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), disk_path_.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    DUET_LOG_WARN << "profile cache: could not write " << disk_path_
+                  << "; the previous file is kept";
+  }
 }
 
 void ProfileCache::close_disk() {
@@ -146,9 +180,10 @@ ProfileCache::Stats ProfileCache::stats() const {
 
 void ProfileCache::reset_stats() {
   std::lock_guard<std::mutex> lock(mutex_);
-  const uint64_t loaded = stats_.disk_loaded;
+  const Stats last_open = stats_;
   stats_ = Stats{};
-  stats_.disk_loaded = loaded;
+  stats_.disk_loaded = last_open.disk_loaded;
+  stats_.rejected_rows = last_open.rejected_rows;
 }
 
 }  // namespace duet

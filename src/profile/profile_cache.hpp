@@ -13,9 +13,12 @@
 //
 // Persistence: `open_disk(path, calibration_key)` loads a versioned text
 // file into the in-memory map so repeated duet_cli / bench runs skip
-// profiling entirely; `flush()` writes the map back. The header carries a
-// format version and the calibration fingerprint — on any mismatch the file
-// is ignored (cache invalidated) and overwritten at the next flush.
+// profiling entirely; `flush()` writes the map back through a temp file and
+// a rename, so a crash mid-write never leaves a truncated cache. The header
+// carries a format version and the calibration fingerprint — on any
+// mismatch the file is ignored (cache invalidated) and overwritten at the
+// next flush. Rows that cannot be a latency distribution (non-finite or
+// negative values, quantiles out of order) are skipped and counted.
 
 #include <atomic>
 #include <cstdint>
@@ -46,7 +49,8 @@ class ProfileCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t disk_loaded = 0;  // entries read from the last open_disk
+    uint64_t disk_loaded = 0;    // entries read from the last open_disk
+    uint64_t rejected_rows = 0;  // malformed rows the last open_disk skipped
     size_t entries = 0;
   };
 
@@ -60,7 +64,8 @@ class ProfileCache {
   // missing file, wrong version, or wrong calibration key loads nothing
   // (and flush() will then rewrite the file under the new calibration).
   size_t open_disk(const std::string& path, uint64_t calibration_key);
-  // Writes the in-memory map to the opened path (no-op when none is open).
+  // Writes the in-memory map to the opened path (no-op when none is open):
+  // `<path>.tmp` first, renamed over `path` only when every write succeeded.
   void flush();
   void close_disk();
 

@@ -3,9 +3,11 @@
 // The heterogeneous execution engine (paper §IV-D, Fig. 9), in two flavors
 // sharing one semantics:
 //
-//   * SimExecutor   — discrete-event simulation on virtual clocks; kernels
-//     still execute numerically, but elapsed time comes from the calibrated
-//     device models (deterministic or noisy). All benchmarks use this.
+//   * SimExecutor   — discrete-event simulation on virtual clocks, run on
+//     the shared list scheduler (sched/list_scheduler.hpp) the latency
+//     evaluator uses; kernels still execute numerically, in pick order, but
+//     elapsed time comes from the calibrated device models (deterministic or
+//     noisy). All benchmarks use this.
 //   * ThreadedExecutor — two real worker threads ("child processes" in the
 //     paper; threads here since they share an address space), each polling
 //     its own synchronization queue, executing subgraphs, and triggering

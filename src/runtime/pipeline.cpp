@@ -1,7 +1,6 @@
 #include "runtime/pipeline.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 #include "device/calibration.hpp"
@@ -14,119 +13,33 @@ PipelinedRunner::ThroughputResult PipelinedRunner::run(const ExecutionPlan& plan
                                                        bool with_noise) {
   DUET_CHECK_GT(num_queries, 0);
   const size_t n = plan.subgraphs().size();
-  const size_t total = n * static_cast<size_t>(num_queries);
   const double dispatch = executor_dispatch_overhead();
 
-  // Per-task state, task id = q * n + s.
-  std::vector<double> ready(total, 0.0);
-  std::vector<double> finish(total, 0.0);
-  std::vector<int> pending(total, 0);
-  std::vector<bool> done(total, false);
+  // Task q * n + s is query q's subgraph s, ranked (query, phase, id): ties
+  // prefer the older query (FIFO fairness).
+  std::vector<double> completion;
+  list_schedule(
+      plan.flow().repeated(num_queries), lanes_,
+      [&](int t) { return plan.subgraphs()[static_cast<size_t>(t) % n].device; },
+      [&](int t, DeviceKind device, double, double) {
+        return devices_.device(device).modeled_time(
+                   plan.subgraphs()[static_cast<size_t>(t) % n].compiled,
+                   with_noise) +
+               dispatch;
+      },
+      [&](TransferKind, int, DeviceKind, uint64_t bytes, double) {
+        return devices_.link->transfer_time(bytes, with_noise);
+      },
+      &completion);
 
-  // Host-input bytes per subgraph (paid per query on GPU-placed subgraphs).
-  std::vector<uint64_t> host_bytes(n, 0);
-  for (const PlannedSubgraph& ps : plan.subgraphs()) {
-    for (const PlannedSubgraph::Feed& f : ps.feeds) {
-      if (plan.parent().node(f.parent_producer).is_input()) {
-        const Node& p = plan.parent().node(f.parent_producer);
-        host_bytes[static_cast<size_t>(ps.id)] +=
-            static_cast<uint64_t>(p.out_shape.numel()) * dtype_size(p.out_dtype);
-      }
-    }
-  }
-
-  for (int q = 0; q < num_queries; ++q) {
-    for (const PlannedSubgraph& ps : plan.subgraphs()) {
-      const size_t t = static_cast<size_t>(q) * n + static_cast<size_t>(ps.id);
-      pending[t] = static_cast<int>(ps.dep_subgraphs.size());
-      if (ps.device == DeviceKind::kGpu && host_bytes[static_cast<size_t>(ps.id)] > 0) {
-        ready[t] = devices_.link->transfer_time(
-            host_bytes[static_cast<size_t>(ps.id)], with_noise);
-      }
-    }
-  }
-
-  std::vector<std::vector<double>> lane_free(kNumDeviceKinds);
-  for (int d = 0; d < kNumDeviceKinds; ++d) {
-    lane_free[d].assign(static_cast<size_t>(std::max(1, lanes_.lanes[d])), 0.0);
-  }
-  const auto earliest_lane = [&](DeviceKind dev) {
-    size_t best = 0;
-    const auto& lanes = lane_free[static_cast<int>(dev)];
-    for (size_t l = 1; l < lanes.size(); ++l) {
-      if (lanes[l] < lanes[best]) best = l;
-    }
-    return best;
-  };
-
-  size_t completed = 0;
-  while (completed < total) {
-    // Earliest feasible start; ties prefer the older query (FIFO fairness).
-    size_t best = total;
-    double best_start = std::numeric_limits<double>::infinity();
-    for (size_t t = 0; t < total; ++t) {
-      if (done[t] || pending[t] > 0) continue;
-      const PlannedSubgraph& ps = plan.subgraphs()[t % n];
-      const double start = std::max(
-          ready[t], lane_free[static_cast<int>(ps.device)][earliest_lane(ps.device)]);
-      if (start < best_start || (start == best_start && best < total && t < best)) {
-        best = t;
-        best_start = start;
-      }
-    }
-    DUET_CHECK_LT(best, total) << "pipeline deadlock";
-
-    const PlannedSubgraph& ps = plan.subgraphs()[best % n];
-    Device& dev = devices_.device(ps.device);
-    const double exec = dev.modeled_time(ps.compiled, with_noise) + dispatch;
-    const double end = best_start + exec;
-    finish[best] = end;
-    done[best] = true;
-    lane_free[static_cast<int>(ps.device)][earliest_lane(ps.device)] = end;
-    ++completed;
-
-    const size_t q_base = (best / n) * n;
-    for (int consumer : plan.consumers()[best % n]) {
-      const size_t t = q_base + static_cast<size_t>(consumer);
-      const PlannedSubgraph& cs = plan.subgraphs()[static_cast<size_t>(consumer)];
-      double avail = end;
-      if (cs.device != ps.device) {
-        uint64_t bytes = 0;
-        for (NodeId out : ps.produces) {
-          const Node& p = plan.parent().node(out);
-          bytes += static_cast<uint64_t>(p.out_shape.numel()) * dtype_size(p.out_dtype);
-        }
-        avail += devices_.link->transfer_time(bytes, with_noise);
-      }
-      ready[t] = std::max(ready[t], avail);
-      pending[t] -= 1;
-    }
-  }
-
-  // Per-query completion: latest finish among its subgraphs (+ d2h of GPU
-  // user outputs).
+  // Per-query completion: its last subgraph finish (or d2h of a GPU-owned
+  // user output).
   ThroughputResult r;
   r.queries = num_queries;
-  std::vector<uint64_t> user_out_bytes(n, 0);
-  std::map<NodeId, int> owner;
-  for (const PlannedSubgraph& ps : plan.subgraphs()) {
-    for (NodeId out : ps.produces) owner[out] = ps.id;
-  }
-  for (NodeId out : plan.parent().outputs()) {
-    const Node& node = plan.parent().node(out);
-    user_out_bytes[static_cast<size_t>(owner.at(out))] +=
-        static_cast<uint64_t>(node.out_shape.numel()) * dtype_size(node.out_dtype);
-  }
   for (int q = 0; q < num_queries; ++q) {
-    double latest = 0.0;
-    for (size_t s = 0; s < n; ++s) {
-      double t = finish[static_cast<size_t>(q) * n + s];
-      if (user_out_bytes[s] > 0 &&
-          plan.subgraphs()[s].device == DeviceKind::kGpu) {
-        t += devices_.link->transfer_time(user_out_bytes[s], with_noise);
-      }
-      latest = std::max(latest, t);
-    }
+    const auto first = completion.begin() + static_cast<std::ptrdiff_t>(q * n);
+    const double latest =
+        *std::max_element(first, first + static_cast<std::ptrdiff_t>(n));
     r.query_latency_s.push_back(latest);
     r.makespan_s = std::max(r.makespan_s, latest);
     r.mean_latency_s += latest / num_queries;

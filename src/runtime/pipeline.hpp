@@ -6,7 +6,9 @@
 // run query q+1's RNN — so sustained throughput is bounded by the busiest
 // device, not by the end-to-end latency. This extends the paper's
 // latency-oriented engine to the batch/offline serving regime; the same
-// placement produced by the greedy-correction scheduler is reused.
+// placement produced by the greedy-correction scheduler is reused. The
+// window runs on the shared list scheduler over `num_queries` copies of the
+// plan's task graph, so a one-query window is SimExecutor's schedule.
 
 #include "runtime/executor.hpp"
 

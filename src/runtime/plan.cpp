@@ -85,6 +85,7 @@ ExecutionPlan ExecutionPlan::build(const Graph& parent, Partition partition,
     plan.subgraphs_.push_back(std::move(ps));
   }
 
+  plan.flow_ = subgraph_flow(plan.partition_, parent);
   plan.consumers_.resize(plan.subgraphs_.size());
   for (const PlannedSubgraph& ps : plan.subgraphs_) {
     for (int dep : ps.dep_subgraphs) {

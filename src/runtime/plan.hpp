@@ -7,8 +7,9 @@
 // ids, so executors move tensors purely by parent-node key.
 //
 // The plan also encodes its communication statically: one TransferStep per
-// cross-device boundary edge and a dependency-respecting step order. The
-// executors still pay transfers dynamically (the sim charges them when a
+// cross-device boundary edge, a dependency-respecting step order, and the
+// subgraph dataflow with every transfer size the simulated executors charge
+// (flow()). Those executors still pay transfers dynamically (when a
 // dependent fires), but the static schedule is what the plan validator
 // (analysis/plan_validator.hpp) checks — exactly one transfer per
 // cross-device edge, none for same-device edges, no use-before-def.
@@ -20,6 +21,7 @@
 #include "device/device.hpp"
 #include "partition/partitioner.hpp"
 #include "runtime/memory_plan.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/placement.hpp"
 
 namespace duet {
@@ -73,6 +75,10 @@ class ExecutionPlan {
   // order, smallest id first among ready subgraphs).
   const std::vector<int>& step_order() const { return step_order_; }
 
+  // The subgraph dataflow the list scheduler runs: tie ranks, consumer
+  // edges with their bytes, host-input and user-output bytes per subgraph.
+  const TaskGraph& flow() const { return flow_; }
+
   // Per-device memory footprint of the plan: resident weights plus the
   // boundary tensors the executor holds between subgraphs. Deployment
   // engineers size device memory with this (weights are replicated onto the
@@ -113,6 +119,7 @@ class ExecutionPlan {
   std::vector<std::vector<int>> consumers_;
   std::vector<TransferStep> transfers_;
   std::vector<int> step_order_;
+  TaskGraph flow_;
   std::optional<MemoryPlan> memory_plan_;
 };
 

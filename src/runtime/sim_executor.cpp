@@ -1,6 +1,3 @@
-#include <algorithm>
-#include <limits>
-
 #include "common/error.hpp"
 #include "device/calibration.hpp"
 #include "device/interconnect.hpp"
@@ -36,8 +33,8 @@ template <bool kNumeric>
 ExecutionResult SimExecutor::run_impl(const ExecutionPlan& plan,
                                       const std::map<NodeId, Tensor>& feeds,
                                       bool with_noise, bool record_timeline) {
-  const size_t n = plan.subgraphs().size();
   ExecutionResult result;
+  SimMetrics& metrics = SimMetrics::get();
 
   // Serving request context, if any. Timeline events are tagged with it so
   // drift reports can join per-request; flight launch/transfer events are
@@ -51,24 +48,6 @@ ExecutionResult SimExecutor::run_impl(const ExecutionPlan& plan,
     result.timeline.add(std::move(event));
   };
 
-  std::vector<double> ready(n, 0.0);
-  std::vector<double> finish(n, 0.0);
-  std::vector<int> pending(n, 0);
-  std::vector<bool> done(n, false);
-  // Per-lane availability (LaneConfig models footnote-2 device streams).
-  std::vector<std::vector<double>> lane_free(kNumDeviceKinds);
-  for (int d = 0; d < kNumDeviceKinds; ++d) {
-    lane_free[d].assign(static_cast<size_t>(std::max(1, lanes_.lanes[d])), 0.0);
-  }
-  const auto earliest_lane = [&](DeviceKind dev) {
-    size_t best_lane = 0;
-    const auto& lanes = lane_free[static_cast<int>(dev)];
-    for (size_t l = 1; l < lanes.size(); ++l) {
-      if (lanes[l] < lanes[best_lane]) best_lane = l;
-    }
-    return best_lane;
-  };
-
   // Values keyed by parent node id. Feeds seed the store. When the plan
   // carries a MemoryPlan, boundary values are staged into per-device arena
   // slots instead of staying in their own heap buffers.
@@ -76,60 +55,12 @@ ExecutionResult SimExecutor::run_impl(const ExecutionPlan& plan,
   ExecutionArenas arenas(kNumeric ? plan.memory_plan() : nullptr);
   if constexpr (kNumeric) values = feeds;
 
-  // Host-input transfer for GPU subgraphs (inputs are host-resident).
-  for (const PlannedSubgraph& ps : plan.subgraphs()) {
-    pending[static_cast<size_t>(ps.id)] = static_cast<int>(ps.dep_subgraphs.size());
-    if (ps.device != DeviceKind::kGpu) continue;
-    uint64_t host_bytes = 0;
-    for (const PlannedSubgraph::Feed& f : ps.feeds) {
-      if (plan.parent().node(f.parent_producer).is_input()) {
-        host_bytes +=
-            static_cast<uint64_t>(
-                plan.parent().node(f.parent_producer).out_shape.numel()) *
-            dtype_size(plan.parent().node(f.parent_producer).out_dtype);
-      }
-    }
-    if (host_bytes > 0) {
-      const double dt = devices_.link->transfer_time(host_bytes, with_noise);
-      SimMetrics::get().transfer_bytes.add(host_bytes);
-      SimMetrics::get().transfers.add(1);
-      ready[static_cast<size_t>(ps.id)] = dt;
-      if (record_timeline) {
-        add_event({TimelineEvent::Kind::kTransfer, ps.id, DeviceKind::kGpu,
-                   "h2d-input", 0.0, dt});
-      }
-      if (trace_id != 0) {
-        telemetry::FlightRecorder::instance().record(
-            telemetry::FlightKind::kTransfer, trace_id,
-            static_cast<uint64_t>(ps.id), host_bytes,
-            static_cast<uint8_t>(DeviceKind::kGpu));
-      }
-    }
-  }
-
-  size_t completed = 0;
-  while (completed < n) {
-    int best = -1;
-    double best_start = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      if (done[i] || pending[i] > 0) continue;
-      const PlannedSubgraph& ps = plan.subgraphs()[i];
-      const double start = std::max(
-          ready[i], lane_free[static_cast<int>(ps.device)][earliest_lane(ps.device)]);
-      if (best < 0 || start < best_start ||
-          (start == best_start &&
-           plan.partition().subgraphs[i].phase <
-               plan.partition().subgraphs[static_cast<size_t>(best)].phase)) {
-        best = static_cast<int>(i);
-        best_start = start;
-      }
-    }
-    DUET_CHECK_GE(best, 0) << "executor deadlock";
-
-    const size_t i = static_cast<size_t>(best);
-    const PlannedSubgraph& ps = plan.subgraphs()[i];
-    Device& dev = devices_.device(ps.device);
-
+  // Launch hook, called in pick order: numeric execution (or just the
+  // modeled time) plus the §IV-D dispatch overhead.
+  const auto launch = [&](int id, DeviceKind device, double /*ready*/,
+                          double start) {
+    const PlannedSubgraph& ps = plan.subgraph(id);
+    Device& dev = devices_.device(device);
     double exec_time = 0.0;
     if constexpr (kNumeric) {
       std::map<NodeId, Tensor> sub_feeds;
@@ -137,110 +68,56 @@ ExecutionResult SimExecutor::run_impl(const ExecutionPlan& plan,
         auto it = values.find(f.parent_producer);
         DUET_CHECK(it != values.end())
             << "missing value for parent node " << f.parent_producer;
-        sub_feeds[f.input_node] = arenas.stage(ps.device, f.parent_producer, it->second);
+        sub_feeds[f.input_node] = arenas.stage(device, f.parent_producer, it->second);
       }
       Device::RunResult rr = dev.execute(ps.compiled, sub_feeds, with_noise);
       exec_time = rr.modeled_time_s;
       for (size_t o = 0; o < ps.produces.size(); ++o) {
-        values[ps.produces[o]] = arenas.stage(ps.device, ps.produces[o], rr.outputs[o]);
+        values[ps.produces[o]] = arenas.stage(device, ps.produces[o], rr.outputs[o]);
       }
     } else {
       exec_time = dev.modeled_time(ps.compiled, with_noise);
     }
     // Queue pop + worker wake + dependency triggering (paper §IV-D).
     exec_time += executor_dispatch_overhead();
-    SimMetrics::get().launches.add(1);
-    SimMetrics::get().subgraph_us.observe(exec_time * 1e6);
+    metrics.launches.add(1);
+    metrics.subgraph_us.observe(exec_time * 1e6);
     if (trace_id != 0) {
       telemetry::FlightRecorder::instance().record(
-          telemetry::FlightKind::kLaunch, trace_id,
-          static_cast<uint64_t>(ps.id),
-          static_cast<uint64_t>(exec_time * 1e9),
-          static_cast<uint8_t>(ps.device));
+          telemetry::FlightKind::kLaunch, trace_id, static_cast<uint64_t>(id),
+          static_cast<uint64_t>(exec_time * 1e9), static_cast<uint8_t>(device));
     }
-
-    const double end = best_start + exec_time;
-    finish[i] = end;
-    done[i] = true;
-    lane_free[static_cast<int>(ps.device)][earliest_lane(ps.device)] = end;
-    ++completed;
     if (record_timeline) {
-      add_event({TimelineEvent::Kind::kExec, ps.id, ps.device,
-                 plan.partition().subgraphs[i].label, best_start, end});
+      add_event({TimelineEvent::Kind::kExec, id, device,
+                 plan.partition().subgraphs[static_cast<size_t>(id)].label, start,
+                 start + exec_time});
     }
+    return exec_time;
+  };
 
-    // Trigger dependents; cross-device edges pay a transfer.
-    for (int consumer : plan.consumers()[i]) {
-      const size_t j = static_cast<size_t>(consumer);
-      const PlannedSubgraph& cs = plan.subgraphs()[j];
-      double avail = end;
-      if (cs.device != ps.device) {
-        uint64_t bytes = 0;
-        for (const PlannedSubgraph::Feed& f : cs.feeds) {
-          if (std::find(ps.produces.begin(), ps.produces.end(), f.parent_producer) !=
-              ps.produces.end()) {
-            const Node& p = plan.parent().node(f.parent_producer);
-            bytes += static_cast<uint64_t>(p.out_shape.numel()) *
-                     dtype_size(p.out_dtype);
-          }
-        }
-        const double dt = devices_.link->transfer_time(bytes, with_noise);
-        SimMetrics::get().transfer_bytes.add(bytes);
-        SimMetrics::get().transfers.add(1);
-        avail += dt;
-        if (record_timeline) {
-          add_event({TimelineEvent::Kind::kTransfer, ps.id, cs.device, "xfer",
-                     end, end + dt});
-        }
-        if (trace_id != 0) {
-          telemetry::FlightRecorder::instance().record(
-              telemetry::FlightKind::kTransfer, trace_id,
-              static_cast<uint64_t>(ps.id), bytes,
-              static_cast<uint8_t>(cs.device));
-        }
-      }
-      ready[j] = std::max(ready[j], avail);
-      pending[j] -= 1;
+  // Every link crossing — h2d input, cross-device edge, d2h output — is
+  // charged here: link time, metrics, timeline span, flight event.
+  const auto charge = [&](TransferKind kind, int id, DeviceKind to,
+                          uint64_t bytes, double at) {
+    static constexpr const char* kLabel[] = {"h2d-input", "xfer", "d2h-output"};
+    const double dt = devices_.link->transfer_time(bytes, with_noise);
+    metrics.transfer_bytes.add(bytes);
+    metrics.transfers.add(1);
+    if (record_timeline) {
+      add_event({TimelineEvent::Kind::kTransfer, id, to,
+                 kLabel[static_cast<int>(kind)], at, at + dt});
     }
-  }
+    if (trace_id != 0) {
+      telemetry::FlightRecorder::instance().record(
+          telemetry::FlightKind::kTransfer, trace_id, static_cast<uint64_t>(id),
+          bytes, static_cast<uint8_t>(to));
+    }
+    return dt;
+  };
 
-  // Makespan, including the d2h transfer of user-facing GPU outputs.
-  double latency = 0.0;
-  std::map<NodeId, int> output_owner;
-  for (const PlannedSubgraph& ps : plan.subgraphs()) {
-    for (NodeId out : ps.produces) output_owner[out] = ps.id;
-  }
-  std::vector<double> output_available(plan.parent().outputs().size(), 0.0);
-  for (size_t o = 0; o < plan.parent().outputs().size(); ++o) {
-    const NodeId out = plan.parent().outputs()[o];
-    const int owner = output_owner.at(out);
-    double t = finish[static_cast<size_t>(owner)];
-    if (plan.subgraphs()[static_cast<size_t>(owner)].device == DeviceKind::kGpu) {
-      const Node& node = plan.parent().node(out);
-      const uint64_t bytes =
-          static_cast<uint64_t>(node.out_shape.numel()) * dtype_size(node.out_dtype);
-      const double dt = devices_.link->transfer_time(bytes, with_noise);
-      SimMetrics::get().transfer_bytes.add(bytes);
-      SimMetrics::get().transfers.add(1);
-      if (record_timeline) {
-        add_event({TimelineEvent::Kind::kTransfer, owner, DeviceKind::kCpu,
-                   "d2h-output", t, t + dt});
-      }
-      if (trace_id != 0) {
-        telemetry::FlightRecorder::instance().record(
-            telemetry::FlightKind::kTransfer, trace_id,
-            static_cast<uint64_t>(owner), bytes,
-            static_cast<uint8_t>(DeviceKind::kCpu));
-      }
-      t += dt;
-    }
-    output_available[o] = t;
-    latency = std::max(latency, t);
-  }
-  // Also count subgraphs whose finish defines the makespan even without a
-  // user-facing output (should not happen in a well-formed plan, but be safe).
-  for (size_t i = 0; i < n; ++i) latency = std::max(latency, finish[i]);
-  result.latency_s = latency;
+  result.latency_s = list_schedule(
+      plan.flow(), lanes_, [&](int id) { return plan.subgraph(id).device; },
+      launch, charge);
 
   if constexpr (kNumeric) {
     result.outputs.reserve(plan.parent().outputs().size());

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <queue>
-#include <tuple>
 
 #include "common/error.hpp"
 #include "device/calibration.hpp"
-#include "graph/shape_inference.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace duet {
@@ -25,49 +21,13 @@ LatencyEvaluator::LatencyEvaluator(const Partition& partition, const Graph& pare
   DUET_CHECK_GE(lanes_.of(DeviceKind::kCpu), 1);
   DUET_CHECK_GE(lanes_.of(DeviceKind::kGpu), 1);
   DUET_CHECK_EQ(profiles_.size(), partition_.subgraphs.size());
-  const size_t n = partition_.subgraphs.size();
-  deps_.resize(n);
-  input_bytes_.assign(n, 0);
-  phase_.resize(n);
-
-  for (const Subgraph& sub : partition_.subgraphs) {
-    phase_[static_cast<size_t>(sub.id)] = sub.phase;
-    // Aggregate boundary inputs by producer subgraph.
-    std::map<int, uint64_t> by_producer;
-    for (const Subgraph::BoundaryInput& b : sub.boundary_inputs) {
-      const Node& p = parent.node(b.parent_producer);
-      const uint64_t bytes = node_output_bytes(p);
-      if (p.is_input()) {
-        input_bytes_[static_cast<size_t>(sub.id)] += bytes;
-        continue;
-      }
-      const int producer = partition_.producer_subgraph(b.parent_producer);
-      DUET_CHECK_GE(producer, 0) << "boundary producer not owned by any subgraph";
-      by_producer[producer] += bytes;
+  flow_ = subgraph_flow(partition_, parent);
+  deps_.resize(flow_.size());
+  for (size_t p = 0; p < flow_.size(); ++p) {
+    for (int e = flow_.consumer_begin[p]; e < flow_.consumer_begin[p + 1]; ++e) {
+      deps_[static_cast<size_t>(flow_.consumers[static_cast<size_t>(e)])].push_back(
+          {static_cast<int>(p), flow_.edge_bytes[static_cast<size_t>(e)]});
     }
-    for (const auto& [producer, bytes] : by_producer) {
-      deps_[static_cast<size_t>(sub.id)].push_back({producer, bytes});
-    }
-  }
-
-  // Reverse adjacency: for each producer, who it releases. Built in
-  // ascending consumer order so the fast path applies the same sequence of
-  // ready[j] = max(...) updates as the reference's ascending-j sweep.
-  consumers_.resize(n);
-  for (size_t j = 0; j < n; ++j) {
-    for (const Dep& d : deps_[j]) {
-      consumers_[static_cast<size_t>(d.producer)].push_back(
-          {static_cast<int>(j), d.bytes});
-    }
-  }
-
-  // Bytes each subgraph returns to the user (parent graph outputs it owns).
-  user_output_bytes_.assign(n, 0);
-  for (NodeId out : parent.outputs()) {
-    const int owner = partition_.producer_subgraph(out);
-    DUET_CHECK_GE(owner, 0) << "parent output not owned by any subgraph";
-    user_output_bytes_[static_cast<size_t>(owner)] +=
-        node_output_bytes(parent.node(out));
   }
 }
 
@@ -79,7 +39,7 @@ uint64_t LatencyEvaluator::edge_bytes(int from, int to) const {
 }
 
 uint64_t LatencyEvaluator::host_input_bytes(int to) const {
-  return input_bytes_[static_cast<size_t>(to)];
+  return flow_.input_bytes[static_cast<size_t>(to)];
 }
 
 double LatencyEvaluator::evaluate(const Placement& placement,
@@ -133,158 +93,32 @@ double LatencyEvaluator::evaluate(const Placement& placement,
     }
   }
 
-  const double makespan = simulate(placement, events);
-  if (memoize) {
-    if (n <= 64) {
-      memo_small_.emplace(small_key, makespan);
-    } else {
-      memo_large_.emplace(std::move(large_key), makespan);
-    }
-  }
-  return makespan;
-}
-
-double LatencyEvaluator::simulate(const Placement& placement,
-                                  std::vector<ScheduleEvent>* events) const {
-  const size_t n = partition_.subgraphs.size();
-
-  std::vector<double> ready(n, 0.0);
-  std::vector<double> finish(n, 0.0);
-  std::vector<int> pending(n, 0);
-  std::vector<int> dev_of(n, 0);
-
-  // One free-time entry per execution lane (footnote-2 streams); the top is
-  // the device's earliest lane. Lane times only grow, which is what makes
-  // the lazy deferred→eager migration below sound.
-  using MinHeapD = std::priority_queue<double, std::vector<double>, std::greater<>>;
-  MinHeapD lane_free[kNumDeviceKinds];
-  for (int d = 0; d < kNumDeviceKinds; ++d) {
-    for (int l = 0; l < lanes_.lanes[d]; ++l) lane_free[d].push(0.0);
-  }
-
-  // Two ready-queues per device. An "eager" item has ready <= the device's
-  // earliest lane: its feasible start is the lane time, so ordering within
-  // the queue is purely (phase, id). A "deferred" item has ready > lane: its
-  // feasible start is its own ready, so it is keyed (ready, phase, id) and
-  // migrates to eager once the lane time catches up. The lexicographic
-  // minimum over both devices' queue heads is exactly the reference's
-  // min-(start, phase, id) scan.
-  using EagerKey = std::pair<int, int>;                    // (phase, id)
-  using DeferredKey = std::tuple<double, int, int>;        // (ready, phase, id)
-  std::priority_queue<EagerKey, std::vector<EagerKey>, std::greater<>>
-      eager[kNumDeviceKinds];
-  std::priority_queue<DeferredKey, std::vector<DeferredKey>, std::greater<>>
-      deferred[kNumDeviceKinds];
-
-  const auto enqueue = [&](int i) {
-    const int d = dev_of[static_cast<size_t>(i)];
-    const size_t ui = static_cast<size_t>(i);
-    if (ready[ui] <= lane_free[d].top()) {
-      eager[d].push({phase_[ui], i});
-    } else {
-      deferred[d].push({ready[ui], phase_[ui], i});
-    }
-  };
-
-  for (size_t i = 0; i < n; ++i) {
-    pending[i] = static_cast<int>(deps_[i].size());
-    const DeviceKind dev = placement.of(static_cast<int>(i));
-    dev_of[i] = static_cast<int>(dev);
-    // Host inputs must reach the GPU over the link before it can start.
-    if (dev == DeviceKind::kGpu && input_bytes_[i] > 0) {
-      ready[i] = transfer_time_seconds(input_bytes_[i], link_);
-    }
-    if (pending[i] == 0) enqueue(static_cast<int>(i));
-  }
-
   std::vector<ScheduleEvent> schedule;
   if (events != nullptr) schedule.reserve(n);
-
-  size_t completed = 0;
-  while (completed < n) {
-    int best = -1;
-    int best_dev = -1;
-    int best_phase = 0;
-    bool best_eager = false;
-    double best_start = std::numeric_limits<double>::infinity();
-    for (int d = 0; d < kNumDeviceKinds; ++d) {
-      // Lane time grew since these were deferred? They are eager now.
-      while (!deferred[d].empty() &&
-             std::get<0>(deferred[d].top()) <= lane_free[d].top()) {
-        const DeferredKey k = deferred[d].top();
-        deferred[d].pop();
-        eager[d].push({std::get<1>(k), std::get<2>(k)});
-      }
-      double start = 0.0;
-      int phase = 0;
-      int id = -1;
-      bool from_eager = false;
-      if (!eager[d].empty()) {
-        start = lane_free[d].top();
-        phase = eager[d].top().first;
-        id = eager[d].top().second;
-        from_eager = true;
-      } else if (!deferred[d].empty()) {
-        std::tie(start, phase, id) = deferred[d].top();
-      } else {
-        continue;
-      }
-      if (best < 0 || start < best_start ||
-          (start == best_start &&
-           (phase < best_phase || (phase == best_phase && id < best)))) {
-        best = id;
-        best_dev = d;
-        best_phase = phase;
-        best_start = start;
-        best_eager = from_eager;
-      }
-    }
-    DUET_CHECK_GE(best, 0) << "deadlock: no runnable subgraph (cyclic partition?)";
-    if (best_eager) {
-      eager[best_dev].pop();
-    } else {
-      deferred[best_dev].pop();
-    }
-
-    const size_t i = static_cast<size_t>(best);
-    const DeviceKind dev = static_cast<DeviceKind>(best_dev);
-    const double exec = profiles_[i].time_on(dev) + dispatch_overhead_;
-    const double end = best_start + exec;
-    finish[i] = end;
-    lane_free[best_dev].pop();
-    lane_free[best_dev].push(end);
-    ++completed;
-    if (events != nullptr) schedule.push_back({best, dev, ready[i], best_start, end});
-
-    // Release consumers (ascending order, matching the reference sweep).
-    for (const ConsumerEdge& e : consumers_[i]) {
-      const size_t j = static_cast<size_t>(e.consumer);
-      double avail = end;
-      if (dev_of[j] != best_dev) {
-        avail += transfer_time_seconds(e.bytes, link_);
-      }
-      ready[j] = std::max(ready[j], avail);
-      if (--pending[j] == 0) enqueue(e.consumer);
-    }
-  }
-
-  double makespan = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double end = finish[i];
-    // User-facing results produced on the GPU come back to the host.
-    if (user_output_bytes_[i] > 0 &&
-        placement.of(static_cast<int>(i)) == DeviceKind::kGpu) {
-      end += transfer_time_seconds(user_output_bytes_[i], link_);
-    }
-    makespan = std::max(makespan, end);
-  }
-
+  const double makespan = list_schedule(
+      flow_, lanes_, [&](int i) { return placement.of(i); },
+      [&](int i, DeviceKind dev, double ready, double start) {
+        const double exec =
+            profiles_[static_cast<size_t>(i)].time_on(dev) + dispatch_overhead_;
+        if (events != nullptr) schedule.push_back({i, dev, ready, start, start + exec});
+        return exec;
+      },
+      [&](TransferKind, int, DeviceKind, uint64_t bytes, double) {
+        return transfer_time_seconds(bytes, link_);
+      });
   if (events != nullptr) {
     std::sort(schedule.begin(), schedule.end(),
               [](const ScheduleEvent& a, const ScheduleEvent& b) {
                 return a.start < b.start;
               });
     *events = std::move(schedule);
+  }
+  if (memoize) {
+    if (n <= 64) {
+      memo_small_.emplace(small_key, makespan);
+    } else {
+      memo_large_.emplace(std::move(large_key), makespan);
+    }
   }
   return makespan;
 }
@@ -307,8 +141,8 @@ double LatencyEvaluator::evaluate_reference(const Placement& placement,
     pending[i] = static_cast<int>(deps_[i].size());
     const DeviceKind dev = placement.of(static_cast<int>(i));
     // Host inputs must reach the GPU over the link before it can start.
-    if (dev == DeviceKind::kGpu && input_bytes_[i] > 0) {
-      ready[i] = transfer_time_seconds(input_bytes_[i], link_);
+    if (dev == DeviceKind::kGpu && flow_.input_bytes[i] > 0) {
+      ready[i] = transfer_time_seconds(flow_.input_bytes[i], link_);
     }
     dep_ready[i] = pending[i] == 0;
   }
@@ -384,9 +218,9 @@ double LatencyEvaluator::evaluate_reference(const Placement& placement,
   for (size_t i = 0; i < n; ++i) {
     double end = finish[i];
     // User-facing results produced on the GPU come back to the host.
-    if (user_output_bytes_[i] > 0 &&
+    if (flow_.output_bytes[i] > 0 &&
         placement.of(static_cast<int>(i)) == DeviceKind::kGpu) {
-      end += transfer_time_seconds(user_output_bytes_[i], link_);
+      end += transfer_time_seconds(flow_.output_bytes[i], link_);
     }
     makespan = std::max(makespan, end);
   }

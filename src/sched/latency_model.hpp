@@ -6,10 +6,10 @@
 // all producer subgraphs have finished plus, for cross-device edges and for
 // host inputs consumed on the GPU, the PCIe transfer delay. This is the
 // `measure_latency` the correction step of Algorithm 1 iterates against —
-// schedulers call it thousands of times per search, so evaluate() is the
-// optimized fast path (precomputed consumer adjacency, per-device ready
-// heaps, a placement-keyed memo) and evaluate_reference() keeps the original
-// O(n^2) scan as the executable specification the fast path is tested
+// schedulers call it thousands of times per search, so evaluate() runs the
+// shared heap-based list scheduler (sched/list_scheduler.hpp) over profile
+// means behind a placement-keyed memo, and evaluate_reference() keeps the
+// original O(n^2) scan as the executable specification the core is tested
 // against: both produce bit-identical makespans and event sequences.
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "profile/profiler.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/placement.hpp"
 
 namespace duet {
@@ -28,22 +29,6 @@ struct ScheduleEvent {
   double ready = 0.0;   // all dependencies (incl. transfers) satisfied
   double start = 0.0;   // device began executing
   double finish = 0.0;  // device completed
-};
-
-// Intra-device concurrency (paper footnote 2: "it is possible to further
-// improve the performance by allowing multiple subgraphs to execute
-// concurrently within one device"). lanes[d] > 1 models CUDA streams /
-// split CPU core pools; the default (1, 1) is the paper's configuration.
-struct LaneConfig {
-  int lanes[kNumDeviceKinds] = {1, 1};
-
-  int of(DeviceKind kind) const { return lanes[static_cast<int>(kind)]; }
-  static LaneConfig single() { return {}; }
-  static LaneConfig gpu_streams(int streams) {
-    LaneConfig c;
-    c.lanes[static_cast<int>(DeviceKind::kGpu)] = streams;
-    return c;
-  }
 };
 
 class LatencyEvaluator {
@@ -84,31 +69,19 @@ class LatencyEvaluator {
   uint64_t host_input_bytes(int to) const;
 
  private:
-  // The heap-based list scheduler behind evaluate(); identical event order
-  // and arithmetic to evaluate_reference().
-  double simulate(const Placement& placement,
-                  std::vector<ScheduleEvent>* events) const;
-
   const Partition& partition_;
   std::vector<SubgraphProfile> profiles_;
   TransferParams link_;
   LaneConfig lanes_;
   double dispatch_overhead_;
 
-  // Dependency structure, precomputed once.
+  TaskGraph flow_;  // the list scheduler's view, precomputed once
+  // Per-consumer producer edges, the reference scan's view of flow_.
   struct Dep {
     int producer = -1;
     uint64_t bytes = 0;
   };
-  struct ConsumerEdge {
-    int consumer = -1;
-    uint64_t bytes = 0;
-  };
-  std::vector<std::vector<Dep>> deps_;            // per consumer
-  std::vector<std::vector<ConsumerEdge>> consumers_;  // per producer, ascending
-  std::vector<int> phase_;                        // tie-break key per subgraph
-  std::vector<uint64_t> input_bytes_;             // host inputs per subgraph
-  std::vector<uint64_t> user_output_bytes_;       // user-facing outputs per subgraph
+  std::vector<std::vector<Dep>> deps_;
 
   // Placement-keyed makespan memo: a bitset key when every subgraph index
   // fits one uint64 bit, a byte-string key otherwise.

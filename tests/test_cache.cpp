@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "compiler/compile_cache.hpp"
@@ -259,6 +260,58 @@ TEST_F(CacheTest, DiskRoundTripAndCalibrationInvalidation) {
   pc.flush();
   pc.clear();
   EXPECT_EQ(pc.open_disk(path, 0xAAu), 0u);
+  pc.close_disk();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CacheTest, DiskLoadSkipsImplausibleRows) {
+  telemetry::ScopedTelemetry on(true);
+  telemetry::MetricsRegistry::instance().reset();
+  const std::string dir = ::testing::TempDir() + "/duet-cache-rows";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/profile_cache.v1.txt";
+  {
+    std::ofstream f(path);
+    f << "duet-profile-cache v1 calib aa\n"
+      // key count mean stddev min max p50 p90 p99 p999
+      << "11 5 1e-3 1e-5 9e-4 2e-3 1e-3 1.1e-3 1.5e-3 1.9e-3\n"
+      << "22 5 nan 1e-5 9e-4 2e-3 1e-3 1.1e-3 1.5e-3 1.9e-3\n"
+      << "33 5 1e-3 1e-5 9e-4 2e-3 1.2e-3 1.1e-3 1.5e-3 1.9e-3\n"
+      << "44 5 1e-3 1e-5 -9e-4 2e-3 1e-3 1.1e-3 1.5e-3 1.9e-3\n"
+      << "55 5 2e-3 0 2e-3 2e-3 2e-3 2e-3 2e-3 2e-3\n";
+  }
+  ProfileCache& pc = ProfileCache::instance();
+  EXPECT_EQ(pc.open_disk(path, 0xAAu), 2u);
+  EXPECT_EQ(pc.stats().rejected_rows, 3u);
+  EXPECT_EQ(telemetry::counter("profile.cache.rejected_rows").value(), 3u);
+  EXPECT_TRUE(pc.contains(0x11u));
+  EXPECT_TRUE(pc.contains(0x55u));
+  EXPECT_FALSE(pc.contains(0x22u));  // nan mean
+  EXPECT_FALSE(pc.contains(0x33u));  // p50 > p90
+  EXPECT_FALSE(pc.contains(0x44u));  // negative min
+  pc.close_disk();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CacheTest, FlushReplacesTheFileThroughARename) {
+  const std::string dir = ::testing::TempDir() + "/duet-cache-flush";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/profile_cache.v1.txt";
+  ProfileCache& pc = ProfileCache::instance();
+  EXPECT_EQ(pc.open_disk(path, 0xAAu), 0u);
+  SummaryStats s;
+  s.count = 1;
+  s.mean = s.min = s.max = s.p50 = s.p90 = s.p99 = s.p999 = 1e-3;
+  pc.insert(0x1u, s);
+  pc.flush();
+  pc.insert(0x2u, s);
+  pc.flush();
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  pc.clear();
+  EXPECT_EQ(pc.open_disk(path, 0xAAu), 2u);
+  EXPECT_EQ(pc.stats().rejected_rows, 0u);
   pc.close_disk();
   std::filesystem::remove_all(dir);
 }

@@ -117,7 +117,7 @@ TEST(SimExecutorTest, LatencyOnlyMatchesFullRun) {
   const auto feeds = models::make_random_feeds(bench.graph, rng);
   const double full = executor.run(plan, feeds, false).latency_s;
   const double fast = executor.run_latency_only(plan, false);
-  EXPECT_NEAR(full, fast, full * 1e-9);
+  EXPECT_EQ(full, fast);
 }
 
 // --- threaded executor -----------------------------------------------------------

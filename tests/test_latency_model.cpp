@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "device/calibration.hpp"
 #include "graph/builder.hpp"
 #include "models/model_zoo.hpp"
@@ -235,22 +238,113 @@ TEST(LatencyModel, MemoServesRevisitedPlacements) {
   EXPECT_EQ(eval.memo_hits(), 1);
 }
 
-TEST(LatencyModel, AgreesWithSimExecutor) {
-  // The evaluator and the (noiseless) simulated executor implement the same
-  // semantics, so their latencies for the same plan must match closely.
-  Bench bench(two_branch_model());
-  LatencyEvaluator eval = bench.evaluator();
-  const size_t n = bench.partition.subgraphs.size();
-  Placement split(n, DeviceKind::kCpu);
-  split.set(1, DeviceKind::kGpu);
+// --- evaluator vs simulated executor -------------------------------------------
 
-  const double eval_latency = eval.evaluate(split);
-  ExecutionPlan plan =
-      ExecutionPlan::build(bench.graph, bench.partition, split, bench.devices,
-                           CompileOptions::compiler_defaults());
-  SimExecutor executor(bench.devices);
-  const double exec_latency = executor.run_latency_only(plan, false);
-  EXPECT_NEAR(eval_latency, exec_latency, eval_latency * 0.05);
+// Profiles whose means are the plan's own deterministic modeled times: the
+// evaluator then prices every subgraph exactly as SimExecutor does.
+std::vector<SubgraphProfile> modeled_profiles(const ExecutionPlan& plan,
+                                              DevicePair& devices) {
+  std::vector<SubgraphProfile> profiles(plan.subgraphs().size());
+  for (const PlannedSubgraph& ps : plan.subgraphs()) {
+    SubgraphProfile& prof = profiles[static_cast<size_t>(ps.id)];
+    prof.subgraph_id = ps.id;
+    prof.per_device[static_cast<int>(ps.device)].mean_s =
+        devices.device(ps.device).modeled_time(ps.compiled, /*with_noise=*/false);
+  }
+  return profiles;
+}
+
+// All-CPU, all-GPU and four seeded random placements.
+std::vector<Placement> sweep_placements(size_t n, Rng& rng) {
+  std::vector<Placement> out = {Placement(n, DeviceKind::kCpu),
+                                Placement(n, DeviceKind::kGpu)};
+  for (int trial = 0; trial < 4; ++trial) {
+    Placement p(n, DeviceKind::kCpu);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.coin()) p.set(static_cast<int>(i), DeviceKind::kGpu);
+    }
+    out.push_back(p);
+  }
+  return out;
+}
+
+// (start, subgraph, device, finish), sorted: equal starts (t = 0 on both
+// devices, parallel lanes) have no defined order in either event source.
+using ExecRow = std::tuple<double, int, DeviceKind, double>;
+
+std::vector<ExecRow> sorted_rows(std::vector<ExecRow> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// The evaluator and the noiseless simulated executor run the same list
+// scheduler, so for the same plan their makespans are bit-identical; where
+// the numeric run is affordable (tiny configs) so are their exec events.
+void expect_evaluator_matches_executor(const Graph& graph, const Partition& partition,
+                                       const Placement& placement, DevicePair& devices,
+                                       bool numeric) {
+  const ExecutionPlan plan = ExecutionPlan::build(
+      graph, partition, placement, devices, CompileOptions::compiler_defaults());
+  const std::vector<SubgraphProfile> profiles = modeled_profiles(plan, devices);
+  for (const LaneConfig& lanes : {LaneConfig::single(), LaneConfig::gpu_streams(3)}) {
+    SCOPED_TRACE(lanes.of(DeviceKind::kGpu) > 1 ? "3 gpu streams" : "single lanes");
+    LatencyEvaluator eval(partition, graph, profiles, devices.link->params(), lanes);
+    SimExecutor executor(devices, lanes);
+    std::vector<ScheduleEvent> events;
+    const double modeled = eval.evaluate(placement, &events);
+    EXPECT_EQ(modeled, executor.run_latency_only(plan, false));
+    if (!numeric) continue;
+
+    Rng rng(17);
+    const ExecutionResult run =
+        executor.run(plan, models::make_random_feeds(graph, rng), false);
+    EXPECT_EQ(run.latency_s, modeled);
+    std::vector<ExecRow> eval_rows;
+    for (const ScheduleEvent& e : events) {
+      eval_rows.push_back({e.start, e.subgraph, e.device, e.finish});
+    }
+    std::vector<ExecRow> exec_rows;
+    for (const TimelineEvent& e : run.timeline.events()) {
+      if (e.kind != TimelineEvent::Kind::kExec) continue;
+      exec_rows.push_back({e.start, e.subgraph, e.device, e.end});
+    }
+    EXPECT_EQ(sorted_rows(eval_rows), sorted_rows(exec_rows));
+  }
+}
+
+TEST(LatencyModel, AgreesWithSimExecutor) {
+  // Every zoo model at paper size (makespans) and in its tiny config
+  // (makespans and exec events), under six placements and two lane configs.
+  DevicePair devices = make_default_device_pair(31);
+  Rng rng(19);
+  for (const std::string& name : models::zoo_model_names()) {
+    for (const bool tiny : {false, true}) {
+      SCOPED_TRACE(name + (tiny ? " (tiny)" : ""));
+      const Graph graph = tiny ? models::build_by_name_batched(name, 1, /*tiny=*/true)
+                               : models::build_by_name(name);
+      const Partition partition = partition_phased(graph);
+      for (const Placement& placement :
+           sweep_placements(partition.subgraphs.size(), rng)) {
+        SCOPED_TRACE(placement.to_string());
+        expect_evaluator_matches_executor(graph, partition, placement, devices, tiny);
+      }
+    }
+  }
+}
+
+TEST(LatencyModel, AgreesWithSimExecutorOnSharedOutputOwner) {
+  // One GPU subgraph owns both user outputs: it pays one d2h for their
+  // summed bytes, in the evaluator and in the executor alike.
+  GraphBuilder b("two-outputs", 5);
+  const NodeId x = b.input(Shape{1, 64}, "x");
+  const NodeId wide = b.dense(x, 2048, "relu", "wide");
+  const NodeId narrow = b.dense(wide, 8, "", "narrow");
+  const Graph graph = b.finish({narrow, wide});
+  const Partition partition = partition_phased(graph);
+  ASSERT_EQ(partition.subgraphs.size(), 1u);
+  DevicePair devices = make_default_device_pair(31);
+  expect_evaluator_matches_executor(graph, partition, Placement(1, DeviceKind::kGpu),
+                                    devices, /*numeric=*/true);
 }
 
 }  // namespace

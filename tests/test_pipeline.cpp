@@ -31,16 +31,64 @@ struct PipeBench {
 };
 
 TEST(Pipeline, SingleQueryMatchesSimExecutor) {
-  PipeBench bench(models::build_wide_deep());
-  DuetEngine engine(models::build_wide_deep());
-  ExecutionPlan plan = bench.plan(engine.report().schedule.placement);
+  // A one-query window is the simulated executor's schedule, bit for bit:
+  // every zoo model under all-CPU, all-GPU and four seeded random
+  // placements, with and without GPU streams.
+  Rng rng(23);
+  for (const std::string& name : models::zoo_model_names()) {
+    SCOPED_TRACE(name);
+    PipeBench bench(models::build_by_name(name));
+    const size_t n = bench.partition.subgraphs.size();
+    std::vector<Placement> placements = {Placement(n, DeviceKind::kCpu),
+                                         Placement(n, DeviceKind::kGpu)};
+    for (int trial = 0; trial < 4; ++trial) {
+      Placement p(n, DeviceKind::kCpu);
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.coin()) p.set(static_cast<int>(i), DeviceKind::kGpu);
+      }
+      placements.push_back(p);
+    }
+    for (const Placement& placement : placements) {
+      SCOPED_TRACE(placement.to_string());
+      const ExecutionPlan plan = bench.plan(placement);
+      for (const LaneConfig& lanes :
+           {LaneConfig::single(), LaneConfig::gpu_streams(3)}) {
+        PipelinedRunner runner(bench.devices, lanes);
+        SimExecutor executor(bench.devices, lanes);
+        const auto r = runner.run(plan, 1, false);
+        EXPECT_EQ(r.queries, 1);
+        EXPECT_EQ(r.makespan_s, executor.run_latency_only(plan, false));
+      }
+    }
+  }
+}
+
+TEST(Pipeline, CrossDeviceEdgeChargesOnlyTheValuesRead) {
+  // Chunk 0 (GPU) materializes a wide user output and the narrow value
+  // chunk 1 (CPU) reads: only the narrow value crosses the 0 -> 1 edge.
+  GraphBuilder b("read-one-of-two", 6);
+  const NodeId x = b.input(Shape{1, 64}, "x");
+  const NodeId wide = b.dense(x, 4096, "relu", "wide");
+  const NodeId narrow = b.dense(wide, 8, "", "narrow");
+  NodeId y = b.dense(narrow, 8, "relu", "tail0");
+  y = b.dense(y, 8, "", "tail1");
+  Graph g = b.finish({y, wide});
+
+  PartitionOptions po;
+  po.granularity = PartitionOptions::Granularity::kNested;
+  po.nested_max_nodes = 2;
+  PipeBench bench(std::move(g));
+  bench.partition = partition_phased(bench.graph, po);
+  ASSERT_EQ(bench.partition.subgraphs.size(), 2u);
+  ASSERT_EQ(bench.partition.subgraphs[0].boundary_outputs.size(), 2u);
+  Placement placement(2, DeviceKind::kCpu);
+  placement.set(0, DeviceKind::kGpu);
+  const ExecutionPlan plan = bench.plan(placement);
 
   PipelinedRunner runner(bench.devices);
-  const auto r = runner.run(plan, 1, false);
   SimExecutor executor(bench.devices);
-  const double single = executor.run_latency_only(plan, false);
-  EXPECT_NEAR(r.makespan_s, single, single * 0.05);
-  EXPECT_EQ(r.queries, 1);
+  EXPECT_EQ(runner.run(plan, 1, false).makespan_s,
+            executor.run_latency_only(plan, false));
 }
 
 TEST(Pipeline, CrossDeviceChainPipelines) {
