@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "common/logging.hpp"
 #include "compiler/compile_cache.hpp"
@@ -96,24 +97,34 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
   stats_.disk_loaded = 0;
   stats_.rejected_rows = 0;
 
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return 0;
+  std::ifstream in(path);
+  if (!in) return 0;
+  std::string line;
   char magic[32] = {0};
   int version = 0;
   uint64_t calib = 0;
   size_t accepted = 0;
   uint64_t rejected = 0;
-  if (std::fscanf(f, "%31s v%d calib %" SCNx64 "\n", magic, &version, &calib) == 3 &&
+  if (std::getline(in, line) &&
+      std::sscanf(line.c_str(), "%31s v%d calib %" SCNx64, magic, &version, &calib) == 3 &&
       std::strcmp(magic, kMagic) == 0 && version == kFormatVersion &&
       calib == calibration_key) {
-    uint64_t key = 0;
-    SummaryStats s;
-    unsigned long long count = 0;
-    while (std::fscanf(f, "%" SCNx64 " %llu %lg %lg %lg %lg %lg %lg %lg %lg\n",
-                       &key, &count, &s.mean, &s.stddev, &s.min, &s.max, &s.p50,
-                       &s.p90, &s.p99, &s.p999) == 10) {
+    // One row per line: a line that is not exactly ten fields is rejected on
+    // its own, so a damaged row can neither swallow its neighbour's fields
+    // nor end the load early.
+    while (std::getline(in, line)) {
+      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+      uint64_t key = 0;
+      SummaryStats s;
+      unsigned long long count = 0;
+      int end = 0;
+      const bool parsed =
+          std::sscanf(line.c_str(), "%" SCNx64 " %llu %lg %lg %lg %lg %lg %lg %lg %lg %n",
+                      &key, &count, &s.mean, &s.stddev, &s.min, &s.max, &s.p50, &s.p90,
+                      &s.p99, &s.p999, &end) == 10 &&
+          static_cast<size_t>(end) == line.size();
       s.count = static_cast<size_t>(count);
-      if (!plausible(s)) {
+      if (!parsed || !plausible(s)) {
         ++rejected;
         continue;
       }
@@ -121,7 +132,6 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
       ++accepted;
     }
   }
-  std::fclose(f);
   stats_.disk_loaded = accepted;
   stats_.rejected_rows = rejected;
   if (rejected > 0) {

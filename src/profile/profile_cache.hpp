@@ -17,8 +17,9 @@
 // a rename, so a crash mid-write never leaves a truncated cache. The header
 // carries a format version and the calibration fingerprint — on any
 // mismatch the file is ignored (cache invalidated) and overwritten at the
-// next flush. Rows that cannot be a latency distribution (non-finite or
-// negative values, quantiles out of order) are skipped and counted.
+// next flush. Rows that are malformed (not exactly one row of ten fields on
+// a line) or cannot be a latency distribution (non-finite or negative
+// values, quantiles out of order) are skipped and counted.
 
 #include <atomic>
 #include <cstdint>

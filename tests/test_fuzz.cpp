@@ -1,14 +1,21 @@
 // Randomized property tests: generate random layered DAGs of tensor
 // operators and assert the system-wide invariants hold on all of them —
 // partition validity, optimization-pass semantics preservation, executor
-// equivalence under random placements, and relay round-trips. Seeds are
+// equivalence under random placements, and relay round-trips — then feed
+// mutated Relay text and profile-cache files to their loaders. Seeds are
 // fixed, so failures reproduce.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "compiler/pass.hpp"
 #include "device/calibration.hpp"
 #include "models/model_zoo.hpp"
+#include "profile/profile_cache.hpp"
 #include "relay/relay.hpp"
 #include "runtime/executor.hpp"
 #include "sched/scheduler.hpp"
@@ -206,6 +213,134 @@ TEST_P(Fuzz, SchedulersProduceConsistentEstimates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,
                          ::testing::Range<uint64_t>(1000, 1012));
+
+// --- malformed inputs -----------------------------------------------------------
+
+// One seeded corruption of `text`: one to three flipped bytes (mostly to
+// characters the formats use), a truncation, or one to three dropped
+// whitespace-separated tokens.
+std::string mutate(std::string text, Rng& rng) {
+  static const std::string kAlphabet = "0123456789-+.eE,;:()[]{}%@=\" \nTxf";
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(n) - 1));
+  };
+  if (text.empty()) return text;
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      for (int64_t i = rng.uniform_int(1, 3); i > 0; --i) {
+        text[pick(text.size())] =
+            rng.coin(0.1) ? static_cast<char>(rng.uniform_int(0, 255))
+                          : kAlphabet[pick(kAlphabet.size())];
+      }
+      return text;
+    case 1:
+      text.resize(pick(text.size()));
+      return text;
+    default:
+      for (int64_t i = rng.uniform_int(1, 3); i > 0 && !text.empty(); --i) {
+        const size_t at = pick(text.size());
+        const size_t space = text.find_last_of(" \n", at);
+        const size_t begin = space == std::string::npos ? 0 : space;
+        const size_t end = text.find_first_of(" \n", at + 1);
+        text.erase(begin, end == std::string::npos ? std::string::npos : end - begin);
+      }
+      return text;
+  }
+}
+
+// Corrupted Relay text either parses and translates or throws a
+// std::exception; it never crashes. Tiny zoo variants keep every
+// materialized constant small.
+TEST(FuzzInputs, MutatedRelayParsesOrThrows) {
+  Rng rng(2024);
+  int translated = 0;
+  int rejected = 0;
+  for (const std::string& name : models::zoo_model_names()) {
+    const std::string text = relay::print_module(
+        relay::from_graph(models::build_by_name_batched(name, 1, /*tiny=*/true)));
+    for (int round = 0; round < 40; ++round) {
+      const std::string mutated = mutate(text, rng);
+      try {
+        relay::to_graph(relay::parse_module(mutated));
+        ++translated;
+      } catch (const std::exception&) {
+        ++rejected;
+      }
+    }
+  }
+  // Both outcomes occur, so the corpus exercises more than the first token.
+  EXPECT_GT(translated, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// A corrupted profile-cache file loads without crashing, accounts for each
+// row at most once (loaded or rejected), and never hands out a non-finite or
+// negative statistic.
+TEST(FuzzInputs, MutatedProfileCacheLoadsSafely) {
+  namespace fs = std::filesystem;
+  constexpr uint64_t kCalibration = 0xCA11B;
+  const fs::path dir = fs::path(::testing::TempDir()) / "duet-fuzz-cache";
+  fs::remove_all(dir);
+  const std::string path = (dir / "profile_cache.v1.txt").string();
+  ProfileCache& cache = ProfileCache::instance();
+  cache.clear();
+  cache.open_disk(path, kCalibration);  // absent: flush() creates it
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 1; i <= 24; ++i) {
+    SummaryStats s;
+    s.count = 5;
+    s.min = 1e-4 * static_cast<double>(i);
+    s.p50 = 1.1 * s.min;
+    s.p90 = 1.2 * s.min;
+    s.p99 = 1.3 * s.min;
+    s.p999 = 1.4 * s.min;
+    s.max = 1.5 * s.min;
+    s.mean = s.p50;
+    s.stddev = 0.1 * s.min;
+    keys.push_back(i * 0x9E3779B97F4A7C15ull);
+    cache.insert(keys.back(), s);
+  }
+  cache.flush();
+  std::stringstream original;
+  original << std::ifstream(path).rdbuf();
+  ASSERT_FALSE(original.str().empty());
+
+  Rng rng(77);
+  for (int round = 0; round < 300; ++round) {
+    const std::string mutated = mutate(original.str(), rng);
+    std::ofstream(path, std::ios::trunc) << mutated;
+    cache.clear();
+    cache.open_disk(path, kCalibration);
+
+    // Data rows: non-blank lines after the header; their leading hex words
+    // are the keys a corrupted row could have been stored under.
+    size_t rows = 0;
+    std::vector<uint64_t> candidates = keys;
+    std::istringstream lines(mutated);
+    std::string line;
+    std::getline(lines, line);
+    while (std::getline(lines, line)) {
+      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+      ++rows;
+      candidates.push_back(std::strtoull(line.c_str(), nullptr, 16));
+    }
+    const ProfileCache::Stats stats = cache.stats();
+    EXPECT_LE(stats.disk_loaded + stats.rejected_rows, rows)
+        << "round " << round << ":\n" << mutated;
+    for (uint64_t key : candidates) {
+      SummaryStats s;
+      if (!cache.lookup(key, &s)) continue;
+      for (double v : {s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p99, s.p999}) {
+        EXPECT_TRUE(std::isfinite(v) && v >= 0.0)
+            << "round " << round << " key " << key << ":\n" << mutated;
+      }
+    }
+  }
+  cache.close_disk();
+  cache.clear();
+  cache.reset_stats();
+  fs::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace duet

@@ -82,46 +82,7 @@
 // that on-disk file; `--no-cache` disables both the compile and profile
 // caches for the run (A/B baseline).
 //
-// Options:
-//   --model <name>       zoo model (wide-deep|siamese|mtdnn|resnet18|...)
-//   --relay <file>       parse a Relay-like text file instead (constants
-//                        materialize as zeros)
-//   --scheduler <name>   greedy-correction (default) | random | round-robin |
-//                        random+correction | greedy-only | exhaustive |
-//                        analytic-dp | annealing | cpu-only | gpu-only
-//   --no-fallback        keep the heterogeneous plan even if a single device
-//                        would win
-//   --nested <N>         nested partitioning with chunk bound N
-//   --runs <N>           sample N noisy latencies and print the distribution
-//   --trace <file>       write a Chrome trace of one inference
-//   --dot <file>         write the partitioned graph in Graphviz DOT
-//   --dump <file>        save the model as Relay text + .weights sidecar
-//   --breakdown          print the Table II-style subgraph table
-//   --json               emit the schedule report as JSON (default command)
-//   --out <dir>          output directory for `trace` / `serve-bench`
-//   --cache-dir <dir>    profile-cache directory for `schedule` / `cache`
-//                        (default: $DUET_CACHE_DIR, else .duet-cache)
-//   --no-cache           disable the compile and profile caches
-//   --qps <Q>            serve-bench: nominal offered load (default: half of
-//                        the worker pool's saturation rate)
-//   --workers <N>        serve-bench: worker replicas (default 4)
-//   --deadline-ms <D>    serve-bench: per-request deadline (default: 10x the
-//                        modeled service time)
-//   --requests <N>       serve-bench: trace length per simulated leg
-//                        flight: healthy-phase request count (default 24)
-//   --metrics-out <path> serve-bench: write a Prometheus text exposition
-//   --models <a,b,..>    serve-bench: comma-separated resident models; engages
-//                        the multi-tenant fleet mode (one ModelRegistry, a
-//                        FleetServer leg, bucketed-vs-baseline virtual legs)
-//   --tenants <N>        serve-bench fleet: tenant classes (default 3:
-//                        gold/silver/bronze, WFQ weights 4/2/1)
-//   --max-batch <B>      serve-bench fleet: coalescing cap (default 8)
-//   --verify-batching    serve-bench: CI determinism gate — a coalesced
-//                        batch must be bit-identical to the same requests
-//                        run alone; exits non-zero on any divergence
-//   --storm <N>          flight: storm-phase request count (default 8)
-//   --dump <dir>         flight: dump root (default flight-dump; per-model
-//                        subdirectories)
+// Every command documents its flags: `duet_cli <command> --help`.
 
 #include <algorithm>
 #include <cctype>
@@ -132,6 +93,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -173,83 +136,91 @@
 
 namespace {
 
-// Help requested explicitly (--help/-h) exits 0; a usage error exits 2, so
-// scripts and CI can tell "misuse" from "asked for the manual".
-[[noreturn]] void usage_exit(const char* argv0, int code) {
-  std::fprintf(code == 0 ? stdout : stderr,
-               "usage: %s [--model <name> | --relay <file>] [--scheduler <name>]\n"
-               "          [--no-fallback] [--nested <N>] [--runs <N>]\n"
-               "          [--trace <file>] [--dot <file>] [--dump <file>]\n"
-               "          [--breakdown] [--json] [--no-cache]\n"
-               "       %s verify <model>... | --all [--relay <file>]\n"
-               "          [--scheduler <name>]\n"
-               "       %s analyze <model>... | --all [--relay <file>]\n"
-               "          [--scheduler <name>] [--json]\n"
-               "       %s lint <model>... | --all [--sarif <path>] [--json]\n"
-               "          [--scheduler <name>]\n"
-               "       %s trace <model>... | --all [--out <dir>]\n"
-               "          [--scheduler <name>]\n"
-               "       %s stats <model>... | --all [--json]\n"
-               "          [--scheduler <name>]\n"
-               "       %s schedule <model>... | --all [--cache-dir <dir>]\n"
-               "          [--no-cache] [--scheduler <name>]\n"
-               "       %s cache stats | clear [--cache-dir <dir>]\n"
-               "       %s serve-bench <model>... | --all [--qps <Q>]\n"
-               "          [--workers <N>] [--deadline-ms <D>] [--requests <N>]\n"
-               "          [--json] [--out <dir>] [--metrics-out <path>]\n"
-               "          [--scheduler <name>]\n"
-               "          [--models <a,b,..>] [--tenants <N>] [--max-batch <B>]\n"
-               "          [--verify-batching]\n"
-               "       %s flight <model>... | --all [--dump <dir>]\n"
-               "          [--workers <N>] [--requests <N>] [--storm <N>]\n"
-               "          [--seed <S>] [--json] [--scheduler <name>]\n"
-               "       %s shapes <model>... | --all [--symbolic]\n"
-               "          [--sym NAME=LO..HI]... [--json]\n"
-               "       %s crossover <model>... | --all [--sym NAME=LO..HI]...\n"
-               "          [--json]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0, argv0);
-  std::exit(code);
-}
+// --- command table -------------------------------------------------------------
+//
+// Every subcommand is one entry of `commands()`: name, operands, flag specs
+// and handler. One parser serves every entry and --help is generated from the
+// same table, so help text and parser cannot disagree. Help exits 0; a usage
+// error exits 2, so scripts and CI can tell "misuse" from "asked for the
+// manual".
 
-[[noreturn]] void usage(const char* argv0) { usage_exit(argv0, 2); }
+const char* program = "duet_cli";  // argv[0], for usage text
 
-// Strict numeric flag parsing: the whole token must parse, and failures are
-// a usage error (exit 2), never an uncaught std::stoi abort.
-int parse_int(const char* argv0, const std::string& flag,
-              const std::string& text) {
+// What a flag takes from the command line.
+enum class Value {
+  kNone,  // a switch
+  kString,
+  kInt,
+  kDouble,
+  kModels,     // comma-separated zoo names, appended to the model list
+  kRelayFile,  // a Relay file, run after the zoo models; may replace them
+};
+
+struct Flag {
+  const char* name;
+  Value value = Value::kNone;
+  const char* metavar = nullptr;  // the value's name in the synopsis
+  double min = -std::numeric_limits<double>::infinity();  // numeric flags
+};
+
+struct Args;
+
+struct Command {
+  std::string name;      // empty: the default report (no subcommand word)
+  std::string operands;  // positional synopsis; empty: none accepted
+  std::vector<Flag> flags;
+  int (*run)(const Args&);
+};
+
+// Positionals are zoo model names, and --all is accepted, exactly for the
+// commands whose operands read like this.
+const char kModelOperands[] = "<model>... | --all";
+
+// One parsed command line. The parser has validated every value, so the
+// typed getters cannot fail.
+struct Args {
+  const Command* command = nullptr;
+  std::vector<std::string> models;       // zoo names, in command-line order
+  std::vector<std::string> relay_files;  // Value::kRelayFile flags
+  std::vector<std::string> words;        // operands that are not models
+  std::map<std::string, std::vector<std::string>> values;  // per flag, in order
+
+  bool has(const std::string& flag) const { return values.count(flag) != 0; }
+  std::string get(const std::string& flag, const std::string& fallback = "") const {
+    const auto it = values.find(flag);
+    return it == values.end() ? fallback : it->second.back();
+  }
+  int get_int(const std::string& flag, int fallback) const {
+    return has(flag) ? std::stoi(get(flag)) : fallback;
+  }
+  double get_double(const std::string& flag, double fallback) const {
+    return has(flag) ? std::stod(get(flag)) : fallback;
+  }
+};
+
+[[noreturn]] void usage_error(const Command& command);
+
+// Strict numeric flag parsing: the whole token must parse and respect the
+// flag's minimum. Failures are a usage error (exit 2), never an uncaught
+// std::stoi abort or a negative count wrapped through size_t.
+void check_number(const Command& command, const Flag& flag,
+                  const std::string& text) {
+  const bool integral = flag.value == Value::kInt;
+  double value = 0.0;
+  size_t pos = 0;
   try {
-    size_t pos = 0;
-    const int value = std::stoi(text, &pos);
-    if (pos == text.size()) return value;
+    value = integral ? std::stoi(text, &pos) : std::stod(text, &pos);
   } catch (const std::exception&) {
   }
-  std::fprintf(stderr, "invalid integer for %s: \"%s\"\n", flag.c_str(),
-               text.c_str());
-  usage(argv0);
-}
-
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& text) {
-  try {
-    size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos == text.size()) return value;
-  } catch (const std::exception&) {
+  if (pos == 0 || pos != text.size()) {
+    std::fprintf(stderr, "invalid %s for %s: \"%s\"\n",
+                 integral ? "integer" : "number", flag.name, text.c_str());
+    usage_error(command);
   }
-  std::fprintf(stderr, "invalid number for %s: \"%s\"\n", flag.c_str(),
-               text.c_str());
-  usage(argv0);
-}
-
-// The one model-list resolver behind every "<model>... | --all" subcommand
-// (and serve-bench's comma-separated --models): the whole zoo for --all,
-// then validation of the final list. An empty list or a name the zoo does
-// not know is a usage error — exit 2 with the valid names printed — never a
-// mid-run throw that exits 1 and looks like a runtime failure to CI.
-void append_all_models(std::vector<std::string>* names) {
-  for (const std::string& name : duet::models::zoo_model_names()) {
-    names->push_back(name);
+  if (value < flag.min) {
+    std::fprintf(stderr, "%s must be at least %g, got %s\n", flag.name,
+                 flag.min, text.c_str());
+    usage_error(command);
   }
 }
 
@@ -261,14 +232,20 @@ void append_csv_models(const std::string& csv, std::vector<std::string>* names) 
   }
 }
 
-std::vector<std::string> resolve_model_list(const char* argv0,
+// The one model-list resolver behind every "<model>... | --all" subcommand
+// (and serve-bench's comma-separated --models): validation of the final
+// list, after the parser expanded --all to the whole zoo. An empty list or a
+// name the zoo does not know is a usage error — exit 2 with the valid names
+// printed — never a mid-run throw that exits 1 and looks like a runtime
+// failure to CI.
+std::vector<std::string> resolve_model_list(const Command& command,
                                             std::vector<std::string> names,
-                                            bool allow_empty = false) {
+                                            bool allow_empty) {
   const std::vector<std::string>& zoo = duet::models::zoo_model_names();
   if (names.empty()) {
     if (allow_empty) return names;
     std::fprintf(stderr, "no models named (pass <model>... or --all)\n");
-    usage(argv0);
+    usage_error(command);
   }
   for (const std::string& name : names) {
     if (std::find(zoo.begin(), zoo.end(), name) == zoo.end()) {
@@ -277,17 +254,47 @@ std::vector<std::string> resolve_model_list(const char* argv0,
         std::fprintf(stderr, " %s", known.c_str());
       }
       std::fprintf(stderr, "\n");
-      usage(argv0);
+      usage_error(command);
     }
   }
   return names;
 }
 
+duet::DuetOptions engine_options(const Args& a) {
+  duet::DuetOptions options;
+  options.scheduler = a.get("--scheduler", options.scheduler);
+  return options;
+}
+
+// Prints one JSON document per line after validating it; an invalid
+// document is reported on stderr instead.
+bool print_json(const std::string& what, const std::string& doc) {
+  std::string err;
+  if (!duet::telemetry::validate_json(doc, &err)) {
+    std::fprintf(stderr, "%s: invalid JSON produced: %s\n", what.c_str(),
+                 err.c_str());
+    return false;
+  }
+  std::printf("%s\n", doc.c_str());
+  return true;
+}
+
+// Writes `text` to `path`, creating its directory first.
+bool write_file(const std::filesystem::path& path, const std::string& text) {
+  std::error_code ec;
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path(), ec);
+  }
+  std::ofstream out(path);
+  out << text;
+  return out.good();
+}
+
 // Lints one model through the whole pipeline. Returns true when every stage
 // verifies clean; prints structured diagnostics otherwise.
-bool verify_one(const std::string& label, duet::Graph model,
-                const duet::DuetOptions& options) {
+bool verify_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
+  const DuetOptions options = engine_options(a);
   std::printf("verify %-12s ", label.c_str());
   std::fflush(stdout);
 
@@ -334,12 +341,14 @@ bool verify_one(const std::string& label, duet::Graph model,
 
 // Runs the dataflow analysis suite over one model's built plan. Returns true
 // when the arena beats (or ties) the naive footprint on every device and the
-// happens-before race check is clean. `detail` additionally prints the full
-// interval and slot tables; `json` emits one validated document per model
-// instead of the summary line.
-bool analyze_one(const std::string& label, duet::Graph model,
-                 const duet::DuetOptions& options, bool detail, bool json) {
+// happens-before race check is clean. A single-model run additionally
+// prints the full interval and slot tables; --json emits one validated
+// document per model instead of the summary line.
+bool analyze_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
+  const DuetOptions options = engine_options(a);
+  const bool json = a.has("--json");
+  const bool detail = !json && a.models.size() + a.relay_files.size() == 1;
   if (!json) {
     std::printf("analyze %-12s ", label.c_str());
     std::fflush(stdout);
@@ -388,14 +397,7 @@ bool analyze_one(const std::string& label, duet::Graph model,
       doc += ",\"slots\":" + std::to_string(memory->slots().size());
       doc += ",\"saved_pct\":" + telemetry::json_number(reduction);
       doc += ",\"race_errors\":" + std::to_string(races.error_count()) + "}";
-      std::string err;
-      if (!telemetry::validate_json(doc, &err)) {
-        std::fprintf(stderr, "analyze %s: invalid JSON produced: %s\n",
-                     label.c_str(), err.c_str());
-        return false;
-      }
-      std::printf("%s\n", doc.c_str());
-      return ok;
+      return print_json("analyze " + label, doc) && ok;
     }
     std::printf("%s  arena %s vs naive %s (%.1f%% saved) | %zu slots | races: %zu\n",
                 ok ? "OK " : "FAIL", human_bytes(arena_total).c_str(),
@@ -439,18 +441,16 @@ std::string diagnostic_json(const duet::Diagnostic& d) {
   return out;
 }
 
-std::string lint_document(const std::string& label,
-                          const duet::VerifyResult& result) {
-  std::string doc = "{\"artifact\":\"" + duet::telemetry::json_escape(label) +
-                    "\",\"errors\":" + std::to_string(result.error_count()) +
+// "errors":N,"warnings":M,"diagnostics":[...]
+std::string findings_json(const duet::VerifyResult& result) {
+  std::string out = "\"errors\":" + std::to_string(result.error_count()) +
                     ",\"warnings\":" + std::to_string(result.warning_count()) +
                     ",\"diagnostics\":[";
   for (size_t i = 0; i < result.diagnostics().size(); ++i) {
-    if (i != 0) doc += ",";
-    doc += diagnostic_json(result.diagnostics()[i]);
+    if (i != 0) out += ",";
+    out += diagnostic_json(result.diagnostics()[i]);
   }
-  doc += "]}";
-  return doc;
+  return out + "]";
 }
 
 // The unified static-analysis suite over one model: every checker in
@@ -524,15 +524,46 @@ bool parse_sym_spec(const std::string& spec, std::string* name,
   }
 }
 
+// Applies every --sym NAME=LO..HI. The first spec names the dimension the
+// scan/bind uses; later specs just declare additional ranges. Returns
+// whether any spec was given.
+bool apply_sym_specs(const Args& a, duet::symbolic::SymbolicOptions* sym_opts,
+                     duet::symbolic::CrossoverOptions* x_opts) {
+  const auto specs = a.values.find("--sym");
+  if (specs == a.values.end()) return false;
+  for (size_t i = 0; i < specs->second.size(); ++i) {
+    const std::string& spec = specs->second[i];
+    std::string name;
+    duet::symbolic::SymRange range;
+    if (!parse_sym_spec(spec, &name, &range)) {
+      std::fprintf(stderr,
+                   "invalid --sym spec \"%s\" (expected NAME=LO..HI with "
+                   "1 <= LO <= HI)\n",
+                   spec.c_str());
+      usage_error(*a.command);
+    }
+    if (i == 0) {
+      sym_opts->batch_symbol = name;
+      x_opts->symbol = name;
+      x_opts->lo = range.lo;
+      x_opts->hi = range.hi;
+    }
+    sym_opts->domain[name] = range;
+  }
+  return true;
+}
+
 // `duet_cli shapes`: per-node shape table, concrete by default, symbolic
 // (polynomials of the batch symbol) with --symbolic. Returns false when
 // symbolic inference reports any error-severity diagnostic (warnings — e.g.
 // a batch-monomorphic reshape — are reported but do not fail the command).
-bool shapes_one(const std::string& label, const duet::Graph& model,
-                bool symbolic_mode, const duet::symbolic::SymbolicOptions& opts,
-                bool json) {
+bool shapes_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
   using telemetry::json_escape;
+  symbolic::SymbolicOptions opts;
+  symbolic::CrossoverOptions unused;
+  const bool symbolic_mode = apply_sym_specs(a, &opts, &unused) || a.has("--symbolic");
+  const bool json = a.has("--json");
 
   symbolic::SymbolicShapes sym;
   if (symbolic_mode) sym = symbolic::infer_symbolic(model, opts);
@@ -566,23 +597,8 @@ bool shapes_one(const std::string& label, const duet::Graph& model,
              json_escape(shape_text(n)) + "\",\"dtype\":\"" +
              json_escape(dtype_name(n.out_dtype)) + "\"}";
     }
-    doc += "],\"errors\":" + std::to_string(sym.diagnostics.error_count()) +
-           ",\"warnings\":" + std::to_string(sym.diagnostics.warning_count()) +
-           ",\"diagnostics\":[";
-    const auto& diags = sym.diagnostics.diagnostics();
-    for (size_t i = 0; i < diags.size(); ++i) {
-      if (i != 0) doc += ",";
-      doc += diagnostic_json(diags[i]);
-    }
-    doc += "]}";
-    std::string err;
-    if (!telemetry::validate_json(doc, &err)) {
-      std::fprintf(stderr, "shapes %s: invalid JSON produced: %s\n",
-                   label.c_str(), err.c_str());
-      return false;
-    }
-    std::printf("%s\n", doc.c_str());
-    return sym.diagnostics.ok();
+    doc += "]," + findings_json(sym.diagnostics) + "}";
+    return print_json("shapes " + label, doc) && sym.diagnostics.ok();
   }
 
   std::printf("shapes %s (%zu nodes%s)\n", label.c_str(), model.num_nodes(),
@@ -608,10 +624,11 @@ bool shapes_one(const std::string& label, const duet::Graph& model,
 // `duet_cli crossover`: optimize + partition the model like the engine
 // would, then scan the batch symbol and report where the analytic CPU/GPU
 // preference of each subgraph flips.
-bool crossover_one(const std::string& label, duet::Graph model,
-                   const duet::symbolic::SymbolicOptions& sym_opts,
-                   const duet::symbolic::CrossoverOptions& x_opts, bool json) {
+bool crossover_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
+  symbolic::SymbolicOptions sym_opts;
+  symbolic::CrossoverOptions x_opts;
+  apply_sym_specs(a, &sym_opts, &x_opts);
   const Graph optimized =
       PassManager::standard(CompileOptions::compiler_defaults()).run(std::move(model));
   const Partition partition = partition_phased(optimized);
@@ -619,15 +636,8 @@ bool crossover_one(const std::string& label, duet::Graph model,
       symbolic::infer_symbolic(optimized, sym_opts);
   const symbolic::CrossoverReport report =
       symbolic::analyze_crossover(optimized, partition, shapes, x_opts);
-  if (json) {
-    const std::string doc = report.to_json();
-    std::string err;
-    if (!telemetry::validate_json(doc, &err)) {
-      std::fprintf(stderr, "crossover %s: invalid JSON produced: %s\n",
-                   label.c_str(), err.c_str());
-      return false;
-    }
-    std::printf("%s\n", doc.c_str());
+  if (a.has("--json")) {
+    if (!print_json("crossover " + label, report.to_json())) return false;
   } else {
     std::printf("%s", report.to_string().c_str());
   }
@@ -736,12 +746,12 @@ std::string stats_document(const TelemetryCapture& cap, const std::string& label
 
 // Captures one model and writes <out>/<label>.trace.json plus
 // <out>/<label>.stats.json, JSON-validating both before touching the disk.
-bool trace_one(const std::string& label, duet::Graph model,
-               const duet::DuetOptions& options, const std::string& out_dir) {
+bool trace_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
   std::printf("trace %-12s ", label.c_str());
   std::fflush(stdout);
-  const TelemetryCapture cap = capture_telemetry(label, std::move(model), options);
+  const TelemetryCapture cap =
+      capture_telemetry(label, std::move(model), engine_options(a));
   const std::string stats = stats_document(cap, label);
 
   std::string err;
@@ -750,17 +760,10 @@ bool trace_one(const std::string& label, duet::Graph model,
     std::printf("FAIL (invalid JSON: %s)\n", err.c_str());
     return false;
   }
-  const std::filesystem::path dir(out_dir.empty() ? "." : out_dir);
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const auto write = [](const std::filesystem::path& p, const std::string& text) {
-    std::ofstream out(p);
-    out << text;
-    return out.good();
-  };
+  const std::filesystem::path dir(a.get("--out", "."));
   const std::filesystem::path trace_path = dir / (label + ".trace.json");
   const std::filesystem::path stats_path = dir / (label + ".stats.json");
-  if (!write(trace_path, cap.trace_json) || !write(stats_path, stats)) {
+  if (!write_file(trace_path, cap.trace_json) || !write_file(stats_path, stats)) {
     std::printf("FAIL (cannot write under %s)\n", dir.string().c_str());
     return false;
   }
@@ -774,12 +777,11 @@ bool trace_one(const std::string& label, duet::Graph model,
 
 // Captures one model and prints drift tables + headline metrics (text) or
 // one combined JSON document per model.
-bool stats_one(const std::string& label, duet::Graph model,
-               const duet::DuetOptions& options, bool json) {
+bool stats_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
-  const TelemetryCapture cap = capture_telemetry(label, std::move(model),
-                                                 options, /*serve_burst=*/true);
-  if (json) {
+  const TelemetryCapture cap = capture_telemetry(
+      label, std::move(model), engine_options(a), /*serve_burst=*/true);
+  if (a.has("--json")) {
     std::printf("%s\n", stats_document(cap, label).c_str());
     return true;
   }
@@ -817,9 +819,12 @@ std::string profile_cache_file(const std::string& dir) {
 // Runs the full pipeline for one model (the engine itself opens/flushes the
 // disk cache when options.profile_cache_dir is set) and prints the schedule
 // headline plus the profile-cache traffic this model caused.
-bool schedule_one(const std::string& label, duet::Graph model,
-                  const duet::DuetOptions& options) {
+bool schedule_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
+  DuetOptions options = engine_options(a);
+  if (!a.has("--no-cache")) {
+    options.profile_cache_dir = a.get("--cache-dir", default_cache_dir());
+  }
   std::printf("schedule %-12s ", label.c_str());
   std::fflush(stdout);
   const ProfileCache::Stats before = ProfileCache::instance().stats();
@@ -898,18 +903,42 @@ int cache_clear_cmd(const std::string& dir) {
   return 0;
 }
 
+// Both serve-bench modes: the single-model bench and the multi-tenant
+// fleet, which --models, --tenants or --max-batch engage and which keeps its
+// own, smaller defaults.
 struct ServeBenchConfig {
-  int workers = 4;
-  double qps = 0.0;          // nominal offered load; 0 = half of saturation
-  double deadline_ms = 0.0;  // 0 = 10x the modeled service time
-  int requests = 512;        // per simulated leg
-  int server_requests = 48;  // real-threaded leg
-  uint64_t seed = 42;
-  bool json = false;
+  bool fleet;
+  int workers;
+  double qps;           // 0 = half the pool's saturation (fleet: twice it)
+  double deadline_ms;   // 0 = 10x the modeled service time (fleet: none)
+  int requests;         // per simulated leg
+  int server_requests;  // real-threaded leg
+  int tenants;          // fleet: gold/silver/bronze by default
+  int64_t max_batch;    // fleet: coalescing cap
+  uint64_t seed;
+  bool json;
   std::string out_dir;      // Chrome trace destination; empty = skip
   std::string metrics_out;  // Prometheus exposition path; empty = skip
-  std::string scheduler = "greedy-correction";
+  std::string scheduler;
 };
+
+ServeBenchConfig serve_bench_config(const Args& a) {
+  const bool fleet =
+      a.has("--models") || a.has("--tenants") || a.has("--max-batch");
+  return {.fleet = fleet,
+          .workers = a.get_int("--workers", fleet ? 2 : 4),
+          .qps = a.get_double("--qps", 0.0),
+          .deadline_ms = a.get_double("--deadline-ms", 0.0),
+          .requests = a.get_int("--requests", fleet ? 256 : 512),
+          .server_requests = fleet ? 32 : 48,
+          .tenants = a.get_int("--tenants", 3),
+          .max_batch = a.get_int("--max-batch", 8),
+          .seed = static_cast<uint64_t>(a.get_int("--seed", 42)),
+          .json = a.has("--json"),
+          .out_dir = a.get("--out"),
+          .metrics_out = a.get("--metrics-out"),
+          .scheduler = engine_options(a).scheduler};
+}
 
 // {"offered_qps":...,"throughput_qps":...,"p50_s":...,...}
 std::string serve_leg_json(double offered,
@@ -935,9 +964,9 @@ std::string serve_leg_json(double offered,
 // leg (with one recalibration pass), then deterministic virtual-time legs at
 // nominal and peak offered load, plus the single-worker saturation baseline
 // every throughput claim is measured against.
-bool serve_bench_one(const std::string& label, duet::Graph model,
-                     const ServeBenchConfig& cfg) {
+bool serve_bench_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
+  const ServeBenchConfig cfg = serve_bench_config(a);
   if (!cfg.json) {
     std::printf("serve-bench %-12s ", label.c_str());
     std::fflush(stdout);
@@ -1028,13 +1057,9 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
         telemetry::SpanCollector::instance().drain();
     const std::string trace = telemetry::export_chrome_trace(spans, nullptr);
     std::string err;
-    std::filesystem::path dir(cfg.out_dir);
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::filesystem::path path = dir / (label + ".serve.trace.json");
-    std::ofstream out(path);
-    out << trace;
-    trace_ok = telemetry::validate_json(trace, &err) && out.good();
+    const std::filesystem::path path =
+        std::filesystem::path(cfg.out_dir) / (label + ".serve.trace.json");
+    trace_ok = write_file(path, trace) && telemetry::validate_json(trace, &err);
     if (!cfg.json && trace_ok) {
       std::printf("[trace %s] ", path.string().c_str());
     }
@@ -1047,16 +1072,9 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
   if (want_metrics) {
     const std::string prom =
         telemetry::to_prometheus_text(telemetry::MetricsRegistry::instance());
-    const std::filesystem::path path(cfg.metrics_out);
-    std::error_code ec;
-    if (path.has_parent_path()) {
-      std::filesystem::create_directories(path.parent_path(), ec);
-    }
-    std::ofstream prom_out(path);
-    prom_out << prom;
-    metrics_ok = prom_out.good();
+    metrics_ok = write_file(cfg.metrics_out, prom);
     if (!cfg.json && metrics_ok) {
-      std::printf("[metrics %s] ", path.string().c_str());
+      std::printf("[metrics %s] ", cfg.metrics_out.c_str());
     }
   }
 
@@ -1086,13 +1104,7 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
     doc += "\"recal_predicted_new_s\":" + json_number(recal.predicted_new_s) + ",";
     doc += "\"swaps\":" + std::to_string(sstats.swaps) + "}";
     doc += "}";
-    std::string err;
-    if (!telemetry::validate_json(doc, &err)) {
-      std::fprintf(stderr, "serve-bench %s: invalid JSON: %s\n", label.c_str(),
-                   err.c_str());
-      return false;
-    }
-    std::printf("%s\n", doc.c_str());
+    if (!print_json("serve-bench " + label, doc)) return false;
   } else {
     std::printf(
         "seq %.1f qps | %d workers peak %.1f qps (%.2fx) | nominal p50 %.3f ms "
@@ -1107,22 +1119,6 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
   }
   return server_ok > 0 && trace_ok && metrics_ok;
 }
-
-// Multi-tenant fleet configuration for `serve-bench` (ISSUE 10): engaged by
-// --tenants / --max-batch / --models, it fronts every named model with one
-// FleetServer instead of one single-model server per model.
-struct FleetBenchConfig {
-  int workers = 2;
-  int tenants = 3;        // gold/silver/bronze by default
-  int64_t max_batch = 8;  // coalescing cap
-  double qps = 0.0;       // virtual legs; 0 = 2x the pool's B=1 saturation
-  double deadline_ms = 0.0;  // per-tenant default deadline; 0 = none
-  int requests = 256;        // per virtual leg
-  int server_requests = 32;  // real-threaded leg
-  uint64_t seed = 42;
-  bool json = false;
-  std::string scheduler = "greedy-correction";
-};
 
 // {"name":...,"offered":...,...} for one tenant's admission snapshot.
 std::string fleet_tenant_json(const duet::serve::FleetTenantStats& t) {
@@ -1168,7 +1164,7 @@ std::string fleet_sim_json(double offered_qps,
 // bucket vs the single-plan baseline — so the plan-per-bucket payoff is a
 // printed ratio.
 bool fleet_bench(const std::vector<std::string>& names,
-                 const FleetBenchConfig& cfg) {
+                 const ServeBenchConfig& cfg) {
   using namespace duet;
 
   serve::ModelRegistryOptions ropts;
@@ -1310,13 +1306,7 @@ bool fleet_bench(const std::vector<std::string>& names,
     doc += "\"throughput_ratio\":" + json_number(throughput_ratio) + ",";
     doc += "\"p99_ratio\":" + json_number(p99_ratio) + "}";
     doc += "}";
-    std::string err;
-    if (!telemetry::validate_json(doc, &err)) {
-      std::fprintf(stderr, "serve-bench fleet: invalid JSON: %s\n",
-                   err.c_str());
-      return false;
-    }
-    std::printf("%s\n", doc.c_str());
+    if (!print_json("serve-bench fleet", doc)) return false;
   } else {
     std::printf(
         "fleet: %d models, %d tenants, %d workers, max batch %lld\n",
@@ -1408,52 +1398,45 @@ bool verify_batching_one(const std::string& name, int64_t batch) {
   return true;
 }
 
-struct FlightConfig {
-  std::string dump_dir = "flight-dump";  // per-model subdirectories
-  int workers = 2;
-  int requests = 24;  // healthy phase
-  int storm = 8;      // storm phase: deadlines already expired at admission
-  uint64_t seed = 42;
-  bool json = false;
-  std::string scheduler = "greedy-correction";
-};
-
 // Seeded deadline-miss storm through a single-model server. A healthy burst
 // fills the rings with normal traffic, then `storm` requests arrive with
 // deadlines that expired before admission — every pickup sheds, the
 // miss-burst trigger fires mid-run, and the server writes the post-mortem
 // dump into <dump_dir>/<model>/. Fails when no dump landed.
-bool flight_one(const std::string& label, duet::Graph model,
-                const FlightConfig& cfg) {
+bool flight_one(const Args& a, const std::string& label, duet::Graph model) {
   using namespace duet;
+  const std::string dump_dir = a.get("--dump", "flight-dump");
+  if (dump_dir.empty()) usage_error(*a.command);
+  const int requests = a.get_int("--requests", 24);  // healthy phase
+  const int storm = a.get_int("--storm", 8);
+  const uint64_t seed = static_cast<uint64_t>(a.get_int("--seed", 42));
   // Counters (serve.flight_dumps etc.) are gated on the telemetry switch;
   // the flight recorder itself is always on.
   telemetry::ScopedTelemetry telemetry_on(true);
   telemetry::FlightRecorder::instance().clear();
 
-  const std::filesystem::path dir = std::filesystem::path(cfg.dump_dir) / label;
+  const std::filesystem::path dir = std::filesystem::path(dump_dir) / label;
 
-  DuetOptions engine;
-  engine.scheduler = cfg.scheduler;
-  engine.seed = cfg.seed;
+  DuetOptions engine = engine_options(a);
+  engine.seed = seed;
   serve::ModelRegistry registry =
       single_model_registry(label, std::move(model), engine);
   serve::FleetOptions fopts;
-  fopts.workers = cfg.workers;
+  fopts.workers = a.get_int("--workers", 2);
   fopts.queue_capacity =
-      static_cast<size_t>(cfg.requests) + static_cast<size_t>(cfg.storm) + 8;
+      static_cast<size_t>(requests) + static_cast<size_t>(storm) + 8;
   fopts.observability.dump_dir = dir.string();
   fopts.observability.trigger.miss_burst = 3;
   fopts.observability.trigger.miss_window_ms = 10e3;
   serve::FleetServer server(registry, fopts);
 
-  Rng rng(cfg.seed);
+  Rng rng(seed);
   const auto feeds =
       models::make_random_feeds(registry.model(0).engine().model(), rng);
 
   std::vector<std::future<serve::FleetResponse>> futures;
-  futures.reserve(static_cast<size_t>(cfg.requests));
-  for (int i = 0; i < cfg.requests; ++i) {
+  futures.reserve(static_cast<size_t>(requests));
+  for (int i = 0; i < requests; ++i) {
     futures.push_back(server.submit(0, 0, feeds));
   }
   size_t ok = 0;
@@ -1462,7 +1445,7 @@ bool flight_one(const std::string& label, duet::Graph model,
   }
   futures.clear();
 
-  for (int i = 0; i < cfg.storm; ++i) {
+  for (int i = 0; i < storm; ++i) {
     futures.push_back(server.submit(0, 0, feeds, /*deadline_s=*/1e-9));
   }
   size_t shed = 0;
@@ -1479,7 +1462,7 @@ bool flight_one(const std::string& label, duet::Graph model,
                       std::filesystem::exists(summary_path);
   const bool pass = dumped && ok > 0 && shed > 0;
 
-  if (cfg.json) {
+  if (a.has("--json")) {
     using telemetry::json_escape;
     std::string doc = "{";
     doc += "\"model\":\"" + json_escape(label) + "\",";
@@ -1493,619 +1476,401 @@ bool flight_one(const std::string& label, duet::Graph model,
     doc += "\"trace\":\"" + json_escape(trace_path.string()) + "\",";
     doc += "\"summary\":\"" + json_escape(summary_path.string()) + "\",";
     doc += std::string("\"ok\":") + (pass ? "true" : "false") + "}";
-    std::string err;
-    if (!telemetry::validate_json(doc, &err)) {
-      std::fprintf(stderr, "flight %s: invalid JSON: %s\n", label.c_str(),
-                   err.c_str());
-      return false;
-    }
-    std::printf("%s\n", doc.c_str());
+    if (!print_json("flight " + label, doc)) return false;
   } else {
     std::printf(
         "flight %-12s %zu/%d ok, %zu/%d shed, %llu breaches | %s -> %s\n",
-        label.c_str(), ok, cfg.requests, shed, cfg.storm,
+        label.c_str(), ok, requests, shed, storm,
         static_cast<unsigned long long>(stats.slo_breaches),
         dumped ? "dump" : "NO DUMP", trace_path.string().c_str());
   }
   return pass;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
+// --- handlers ----------------------------------------------------------------
+
+using EachModel = bool (*)(const Args&, const std::string& label, duet::Graph);
+
+// Runs `each` on every named zoo model, then on every --relay file; a
+// failure does not stop the rest. Returns the exit code.
+template <EachModel each>
+int for_each_model(const Args& a) {
+  bool all_ok = true;
+  for (const std::string& name : a.models) {
+    all_ok &= each(a, name, duet::models::build_by_name(name));
   }
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
+  for (const std::string& file : a.relay_files) {
+    all_ok &= each(a, file, duet::relay::to_graph(duet::relay::load_module(file)));
+  }
+  return all_ok ? 0 : 1;
+}
+
+// A/B baseline: every subgraph profiles and compiles from scratch, exactly
+// the pre-cache pipeline.
+void disable_caches() {
+  duet::ProfileCache::instance().set_enabled(false);
+  duet::CompileCache::instance().set_enabled(false);
+}
+
+int run_lint(const Args& a) {
+  using namespace duet;
+  const DuetOptions options = engine_options(a);
+  const bool json = a.has("--json");
+  VerifyResult combined;
+  bool all_ok = true;
+  const auto report = [&](const std::string& label, const VerifyResult& r,
+                          const std::string& extra) {
+    all_ok &= r.ok();
+    if (json) {
+      all_ok &= print_json("lint " + label,
+                           "{\"artifact\":\"" + telemetry::json_escape(label) +
+                               "\"," + findings_json(r) + "}");
+      return;
+    }
+    std::printf("lint %-14s %s %zu error(s), %zu warning(s)%s%s\n",
+                label.c_str(), r.ok() ? "OK  " : "FAIL", r.error_count(),
+                r.warning_count(), extra.empty() ? "" : " | ", extra.c_str());
+    if (!r.diagnostics().empty()) std::printf("%s", r.to_string().c_str());
+  };
+
+  for (const std::string& name : a.models) {
+    VerifyResult result = lint_model(name, models::build_by_name(name), options);
+    report(name, result, "");
+    combined.merge(std::move(result));
+  }
+  // The serve-protocol model checker runs once per invocation: its artifact
+  // is the protocol, not any model.
+  mc::ExploreResult mc_result = mc::explore(mc::ProtocolConfig{});
+  report("serve-protocol", mc_result.findings, mc_result.summary());
+  all_ok &= mc_result.ok && mc_result.exhausted;
+  combined.merge(std::move(mc_result.findings));
+
+  const std::string sarif_path = a.get("--sarif");
+  if (!sarif_path.empty()) {
+    combined.sort();
+    const std::string sarif = lint::to_sarif(combined.diagnostics());
+    std::string err;
+    if (!telemetry::validate_json(sarif, &err)) {
+      std::fprintf(stderr, "SARIF export is invalid JSON: %s\n", err.c_str());
+      return 1;
+    }
+    std::ofstream out(sarif_path);
+    out << sarif;
+    if (!out.good()) {
+      std::fprintf(stderr, "cannot write %s\n", sarif_path.c_str());
+      return 1;
+    }
+    std::printf("wrote %s (%zu result(s), %zu rule(s))\n", sarif_path.c_str(),
+                combined.diagnostics().size(), lint::rule_catalogue().size());
+  }
+  return all_ok ? 0 : 1;
+}
+
+int run_schedule(const Args& a) {
+  using namespace duet;
+  const bool no_cache = a.has("--no-cache");
+  if (no_cache) disable_caches();
+  const int code = for_each_model<schedule_one>(a);
+  const ProfileCache::Stats s = ProfileCache::instance().stats();
+  const uint64_t total = s.hits + s.misses;
+  std::printf("profile cache: %llu hits, %llu misses (%.1f%% hit rate)%s\n",
+              static_cast<unsigned long long>(s.hits),
+              static_cast<unsigned long long>(s.misses),
+              total > 0 ? 100.0 * static_cast<double>(s.hits) /
+                              static_cast<double>(total)
+                        : 0.0,
+              no_cache ? " [caches disabled]" : "");
+  return code;
+}
+
+int run_cache(const Args& a) {
+  if (a.words.size() != 1 || (a.words[0] != "stats" && a.words[0] != "clear")) {
+    usage_error(*a.command);
+  }
+  const std::string dir = a.get("--cache-dir", default_cache_dir());
+  return a.words[0] == "stats" ? cache_stats_cmd(dir) : cache_clear_cmd(dir);
+}
+
+int run_serve_bench(const Args& a) {
+  if (a.has("--verify-batching")) {
+    const int64_t batch = std::max(a.get_int("--max-batch", 3), 2);
+    bool all_ok = true;
+    for (const std::string& name : a.models) {
+      all_ok &= verify_batching_one(name, batch);
+    }
+    return all_ok ? 0 : 1;
+  }
+  const ServeBenchConfig cfg = serve_bench_config(a);
+  if (cfg.fleet) return fleet_bench(a.models, cfg) ? 0 : 1;
+  return for_each_model<serve_bench_one>(a);
+}
+
+// The default command: the full pipeline on one model, then the schedule
+// report (text or JSON), an optional latency distribution, trace and DOT.
+int run_report(const Args& a) {
+  using namespace duet;
+  DuetOptions options = engine_options(a);
+  if (a.has("--no-fallback")) options.enable_fallback = false;
+  if (a.has("--nested")) {
+    options.partition.granularity = PartitionOptions::Granularity::kNested;
+    options.partition.nested_max_nodes =
+        static_cast<size_t>(a.get_int("--nested", 1));
+  }
+  if (a.has("--no-cache")) disable_caches();
+  const int runs = a.get_int("--runs", 0);
+  const std::string relay_path = a.get("--relay");
+  const std::string trace_path = a.get("--trace");
+  const std::string dot_path = a.get("--dot");
+  const std::string dump_path = a.get("--dump");
+
+  Graph model = relay_path.empty()
+                    ? models::build_by_name(a.get("--model", "wide-deep"))
+                    : relay::to_graph(relay::load_module(relay_path));
+  if (!dump_path.empty()) {
+    relay::save_module(relay::from_graph(model), dump_path);
+    std::printf("wrote %s and %s.weights\n", dump_path.c_str(),
+                dump_path.c_str());
+  }
+
+  DuetEngine engine(std::move(model), options);
+  const auto mem = engine.plan().memory_report();
+  SummaryStats latency;
+  if (runs > 0) {
+    LatencyRecorder rec;
+    for (int i = 0; i < runs; ++i) rec.add(engine.latency(true));
+    latency = rec.summarize();
+  }
+
+  if (a.has("--json")) {
+    // Machine-readable schedule report: everything the text report says,
+    // as one JSON object (validated through the shared writer helpers).
+    using telemetry::json_escape;
+    using telemetry::json_number;
+    const DuetReport& r = engine.report();
+    std::string doc = "{";
+    doc += "\"model\":\"" + json_escape(engine.model().name()) + "\",";
+    doc += "\"scheduler\":\"" + json_escape(options.scheduler) + "\",";
+    doc += "\"subgraphs\":" + std::to_string(engine.partition().subgraphs.size()) + ",";
+    doc += "\"transfers\":" + std::to_string(engine.plan().transfers().size()) + ",";
+    doc += "\"placement\":\"" + json_escape(r.schedule.placement.to_string()) + "\",";
+    doc += "\"est_hetero_s\":" + json_number(r.est_hetero_s) + ",";
+    doc += "\"est_single_cpu_s\":" + json_number(r.est_single_cpu_s) + ",";
+    doc += "\"est_single_gpu_s\":" + json_number(r.est_single_gpu_s) + ",";
+    doc += std::string("\"fell_back\":") + (r.fell_back ? "true" : "false") + ",";
+    doc += "\"fallback_device\":\"" +
+           json_escape(device_kind_name(r.fallback_device)) + "\",";
+    doc += "\"memory\":{\"cpu_bytes\":" +
+           std::to_string(mem.total(DeviceKind::kCpu)) +
+           ",\"gpu_bytes\":" + std::to_string(mem.total(DeviceKind::kGpu)) + "}";
+    if (runs > 0) {
+      doc += ",\"latency\":{\"runs\":" + std::to_string(runs) +
+             ",\"mean_s\":" + json_number(latency.mean) +
+             ",\"p50_s\":" + json_number(latency.p50) +
+             ",\"p99_s\":" + json_number(latency.p99) +
+             ",\"p999_s\":" + json_number(latency.p999) + "}";
+    }
+    doc += "}";
+    std::printf("%s\n", doc.c_str());
+  } else {
+    std::printf("%s", engine.report()
+                          .to_string(engine.model(), engine.partition())
+                          .c_str());
+    if (a.has("--breakdown")) {
+      std::printf("\n%s", render_subgraph_breakdown(engine).c_str());
+    }
+    std::printf(
+        "memory: cpu %.1f MiB (weights %.1f), gpu %.1f MiB (weights %.1f)\n",
+        mem.total(DeviceKind::kCpu) / 1048576.0, mem.weight_bytes[0] / 1048576.0,
+        mem.total(DeviceKind::kGpu) / 1048576.0, mem.weight_bytes[1] / 1048576.0);
+    if (runs > 0) {
+      std::printf(
+          "latency over %d runs: mean %.3f ms  p50 %.3f  p99 %.3f  p99.9 %.3f\n",
+          runs, latency.mean * 1e3, latency.p50 * 1e3, latency.p99 * 1e3,
+          latency.p999 * 1e3);
+    }
+  }
+
+  if (!trace_path.empty() || !dot_path.empty()) {
+    Rng rng(1);
+    const auto feeds = models::make_random_feeds(engine.model(), rng);
+    ExecutionResult result = engine.infer(feeds);
+    if (!trace_path.empty()) {
+      std::ofstream out(trace_path);
+      out << result.timeline.to_chrome_trace();
+      std::printf("wrote Chrome trace to %s\n", trace_path.c_str());
+    }
+    if (!dot_path.empty()) {
+      DotOptions dopts;
+      const Partition* part = &engine.partition();
+      dopts.cluster = [part](NodeId id) { return part->producer_subgraph(id); };
+      write_dot_file(engine.model(), dot_path, dopts);
+      std::printf("wrote DOT to %s\n", dot_path.c_str());
+    }
+  }
+  return 0;
+}
+
+// --- the table ----------------------------------------------------------------
+
+const Flag kScheduler{"--scheduler", Value::kString, "<name>"};
+const Flag kJson{"--json"};
+const Flag kRelayFile{"--relay", Value::kRelayFile, "<file>"};
+const Flag kCacheDir{"--cache-dir", Value::kString, "<dir>"};
+const Flag kSym{"--sym", Value::kString, "NAME=LO..HI"};
+const Flag kSeed{"--seed", Value::kInt, "<S>"};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"", "",
+       {{"--model", Value::kString, "<name>"}, {"--relay", Value::kString, "<file>"},
+        kScheduler, {"--no-fallback"}, {"--nested", Value::kInt, "<N>", 1},
+        {"--runs", Value::kInt, "<N>", 0}, {"--trace", Value::kString, "<file>"},
+        {"--dot", Value::kString, "<file>"}, {"--dump", Value::kString, "<file>"},
+        {"--breakdown"}, kJson, {"--no-cache"}},
+       run_report},
+      {"verify", kModelOperands, {kRelayFile, kScheduler},
+       for_each_model<verify_one>},
+      {"analyze", kModelOperands, {kRelayFile, kScheduler, kJson},
+       for_each_model<analyze_one>},
+      {"lint", kModelOperands,
+       {{"--sarif", Value::kString, "<path>"}, kJson, kScheduler}, run_lint},
+      {"trace", kModelOperands, {{"--out", Value::kString, "<dir>"}, kScheduler},
+       for_each_model<trace_one>},
+      {"stats", kModelOperands, {kJson, kScheduler}, for_each_model<stats_one>},
+      {"schedule", kModelOperands, {kCacheDir, {"--no-cache"}, kScheduler},
+       run_schedule},
+      {"cache", "stats | clear", {kCacheDir}, run_cache},
+      {"serve-bench", kModelOperands,
+       {{"--qps", Value::kDouble, "<Q>"}, {"--workers", Value::kInt, "<N>", 1},
+        {"--deadline-ms", Value::kDouble, "<D>"},
+        {"--requests", Value::kInt, "<N>", 1}, kJson,
+        {"--out", Value::kString, "<dir>"},
+        {"--metrics-out", Value::kString, "<path>"}, kScheduler,
+        {"--models", Value::kModels, "<a,b,..>"},
+        {"--tenants", Value::kInt, "<N>", 1},
+        {"--max-batch", Value::kInt, "<B>", 1}, {"--verify-batching"}, kSeed},
+       run_serve_bench},
+      {"flight", kModelOperands,
+       {{"--dump", Value::kString, "<dir>"}, {"--workers", Value::kInt, "<N>", 1},
+        {"--requests", Value::kInt, "<N>", 1}, {"--storm", Value::kInt, "<N>", 1},
+        kSeed, kJson, kScheduler},
+       for_each_model<flight_one>},
+      {"shapes", kModelOperands, {{"--symbolic"}, kSym, kJson},
+       for_each_model<shapes_one>},
+      {"crossover", kModelOperands, {kSym, kJson}, for_each_model<crossover_one>},
+  };
+  return table;
+}
+
+std::string flag_spec(const Flag& flag) {
+  return flag.metavar == nullptr ? flag.name
+                                 : std::string(flag.name) + " " + flag.metavar;
+}
+
+// One command's synopsis, wrapped before column 80.
+void print_synopsis(std::FILE* out, const Command& command, const char* lead) {
+  std::string line = lead + std::string(program);
+  const auto add = [&](const std::string& word) {
+    if (line.size() + 1 + word.size() > 79) {
+      std::fprintf(out, "%s\n", line.c_str());
+      line = "         ";
+    }
+    line += " " + word;
+  };
+  if (!command.name.empty()) add(command.name);
+  if (!command.operands.empty()) add(command.operands);
+  for (const Flag& flag : command.flags) add("[" + flag_spec(flag) + "]");
+  std::fprintf(out, "%s\n", line.c_str());
+}
+
+// The default command's usage lists every command.
+void print_usage(std::FILE* out, const Command& command) {
+  if (!command.name.empty()) return print_synopsis(out, command, "usage: ");
+  const char* lead = "usage: ";
+  for (const Command& each : commands()) {
+    print_synopsis(out, each, lead);
+    lead = "       ";
+  }
+}
+
+[[noreturn]] void usage_error(const Command& command) {
+  print_usage(stderr, command);
+  std::exit(2);
+}
+
+Args parse_args(const Command& command, int argc, char** argv, int first) {
+  Args a;
+  a.command = &command;
+  const bool takes_models = command.operands == kModelOperands;
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_usage(stdout, command);
+      std::exit(0);
+    }
+    if (arg == "--all" && takes_models) {
+      const std::vector<std::string>& zoo = duet::models::zoo_model_names();
+      a.models.insert(a.models.end(), zoo.begin(), zoo.end());
+      continue;
+    }
+    if (arg.rfind("-", 0) != 0 && !command.operands.empty()) {
+      (takes_models ? a.models : a.words).push_back(arg);
+      continue;
+    }
+    const auto flag = std::find_if(
+        command.flags.begin(), command.flags.end(),
+        [&](const Flag& f) { return arg == f.name; });
+    if (flag == command.flags.end()) {
+      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      usage_error(command);
+    }
+    std::string value;
+    if (flag->value != Value::kNone) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        usage_error(command);
+      }
+      value = argv[++i];
+    }
+    if (flag->value == Value::kInt || flag->value == Value::kDouble) {
+      check_number(command, *flag, value);
+    }
+    if (flag->value == Value::kModels) append_csv_models(value, &a.models);
+    if (flag->value == Value::kRelayFile) a.relay_files.push_back(value);
+    a.values[arg].push_back(value);
+  }
+  if (takes_models) {
+    a.models = resolve_model_list(command, std::move(a.models),
+                                  /*allow_empty=*/!a.relay_files.empty());
+  }
+  return a;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace duet;
-
-  const std::string cmd = argc > 1 ? argv[1] : "";
-  if (cmd == "--help" || cmd == "-h") usage_exit(argv[0], 0);
-
-  // Anything that is not a flag must be a known subcommand; everything else
-  // is a usage error (exit 2), not a silent fall-through into the default
-  // schedule-report path.
-  if (!cmd.empty() && cmd[0] != '-' && cmd != "cache" && cmd != "verify" &&
-      cmd != "analyze" && cmd != "lint" && cmd != "trace" && cmd != "stats" &&
-      cmd != "schedule" && cmd != "serve-bench" && cmd != "flight" &&
-      cmd != "shapes" && cmd != "crossover") {
-    std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
-    usage(argv[0]);
+  program = argv[0];
+  // A first argument that is not a flag names the subcommand; anything else
+  // is the default report.
+  const std::vector<Command>& table = commands();
+  const Command* command = &table.front();
+  int first = 1;
+  if (argc > 1 && argv[1][0] != '-' && argv[1][0] != '\0') {
+    const auto it = std::find_if(table.begin(), table.end(), [&](const Command& c) {
+      return c.name == argv[1];
+    });
+    if (it == table.end()) {
+      std::fprintf(stderr, "unknown subcommand: %s\n", argv[1]);
+      usage_error(table.front());
+    }
+    command = &*it;
+    first = 2;
   }
-
-  if (cmd == "shapes" || cmd == "crossover") {
-    std::vector<std::string> names;
-    bool json = false;
-    bool symbolic_mode = cmd == "crossover";  // crossover is always symbolic
-    symbolic::SymbolicOptions sym_opts;
-    symbolic::CrossoverOptions x_opts;
-    bool saw_sym = false;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto next = [&]() -> std::string {
-        if (i + 1 >= argc) usage(argv[0]);
-        return argv[++i];
-      };
-      if (arg == "--all") {
-        append_all_models(&names);
-      } else if (arg == "--symbolic" && cmd == "shapes") {
-        symbolic_mode = true;
-      } else if (arg == "--sym") {
-        const std::string spec = next();
-        std::string sym_name;
-        symbolic::SymRange range;
-        if (!parse_sym_spec(spec, &sym_name, &range)) {
-          std::fprintf(stderr,
-                       "invalid --sym spec \"%s\" (expected NAME=LO..HI with "
-                       "1 <= LO <= HI)\n",
-                       spec.c_str());
-          usage(argv[0]);
-        }
-        // The first spec names the dimension the scan/bind uses; later specs
-        // just declare additional ranges.
-        if (!saw_sym) {
-          saw_sym = true;
-          symbolic_mode = true;
-          sym_opts.batch_symbol = sym_name;
-          x_opts.symbol = sym_name;
-          x_opts.lo = range.lo;
-          x_opts.hi = range.hi;
-        }
-        sym_opts.domain[sym_name] = range;
-      } else if (arg == "--json") {
-        json = true;
-      } else if (arg == "--help" || arg == "-h") {
-        usage_exit(argv[0], 0);
-      } else if (arg.rfind("-", 0) == 0) {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        usage(argv[0]);
-      } else {
-        names.push_back(arg);
-      }
-    }
-    names = resolve_model_list(argv[0], std::move(names));
-    bool all_ok = true;
-    try {
-      for (const std::string& name : names) {
-        if (cmd == "shapes") {
-          all_ok &= shapes_one(name, models::build_by_name(name),
-                               symbolic_mode, sym_opts, json);
-        } else {
-          all_ok &= crossover_one(name, models::build_by_name(name), sym_opts,
-                                  x_opts, json);
-        }
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    return all_ok ? 0 : 1;
-  }
-
-  if (cmd == "serve-bench") {
-    std::vector<std::string> names;
-    ServeBenchConfig cfg;
-    FleetBenchConfig fleet_cfg;
-    bool fleet_mode = false;
-    bool verify_batching = false;
-    int64_t verify_batch = 3;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto next = [&]() -> std::string {
-        if (i + 1 >= argc) usage(argv[0]);
-        return argv[++i];
-      };
-      if (arg == "--all") {
-        append_all_models(&names);
-      } else if (arg == "--models") {
-        append_csv_models(next(), &names);
-        fleet_mode = true;
-      } else if (arg == "--tenants") {
-        fleet_cfg.tenants = parse_int(argv[0], arg, next());
-        fleet_mode = true;
-      } else if (arg == "--max-batch") {
-        const int b = parse_int(argv[0], arg, next());
-        fleet_cfg.max_batch = b;
-        verify_batch = b;
-        fleet_mode = true;
-      } else if (arg == "--verify-batching") {
-        verify_batching = true;
-      } else if (arg == "--qps") {
-        cfg.qps = parse_double(argv[0], arg, next());
-        fleet_cfg.qps = cfg.qps;
-      } else if (arg == "--workers") {
-        cfg.workers = parse_int(argv[0], arg, next());
-        fleet_cfg.workers = cfg.workers;
-      } else if (arg == "--deadline-ms") {
-        cfg.deadline_ms = parse_double(argv[0], arg, next());
-        fleet_cfg.deadline_ms = cfg.deadline_ms;
-      } else if (arg == "--requests") {
-        cfg.requests = parse_int(argv[0], arg, next());
-        fleet_cfg.requests = cfg.requests;
-      } else if (arg == "--seed") {
-        cfg.seed = static_cast<uint64_t>(parse_int(argv[0], arg, next()));
-        fleet_cfg.seed = cfg.seed;
-      } else if (arg == "--json") {
-        cfg.json = true;
-        fleet_cfg.json = true;
-      } else if (arg == "--out") {
-        cfg.out_dir = next();
-      } else if (arg == "--metrics-out") {
-        cfg.metrics_out = next();
-      } else if (arg == "--scheduler") {
-        cfg.scheduler = next();
-        fleet_cfg.scheduler = cfg.scheduler;
-      } else if (arg == "--help" || arg == "-h") {
-        usage_exit(argv[0], 0);
-      } else if (arg.rfind("-", 0) == 0) {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        usage(argv[0]);
-      } else {
-        names.push_back(arg);
-      }
-    }
-    names = resolve_model_list(argv[0], std::move(names));
-    if (cfg.workers <= 0 || cfg.requests <= 0) {
-      std::fprintf(stderr, "--workers and --requests must be positive\n");
-      usage(argv[0]);
-    }
-    if (fleet_cfg.tenants <= 0 || fleet_cfg.max_batch < 1) {
-      std::fprintf(stderr, "--tenants and --max-batch must be positive\n");
-      usage(argv[0]);
-    }
-    bool all_ok = true;
-    try {
-      if (verify_batching) {
-        for (const std::string& name : names) {
-          all_ok &= verify_batching_one(name, std::max<int64_t>(verify_batch, 2));
-        }
-      } else if (fleet_mode) {
-        all_ok = fleet_bench(names, fleet_cfg);
-      } else {
-        for (const std::string& name : names) {
-          all_ok &= serve_bench_one(name, models::build_by_name(name), cfg);
-        }
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    return all_ok ? 0 : 1;
-  }
-
-  if (cmd == "flight") {
-    std::vector<std::string> names;
-    FlightConfig cfg;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto next = [&]() -> std::string {
-        if (i + 1 >= argc) usage(argv[0]);
-        return argv[++i];
-      };
-      if (arg == "--all") {
-        append_all_models(&names);
-      } else if (arg == "--dump") {
-        cfg.dump_dir = next();
-      } else if (arg == "--workers") {
-        cfg.workers = parse_int(argv[0], arg, next());
-      } else if (arg == "--requests") {
-        cfg.requests = parse_int(argv[0], arg, next());
-      } else if (arg == "--storm") {
-        cfg.storm = parse_int(argv[0], arg, next());
-      } else if (arg == "--seed") {
-        cfg.seed = static_cast<uint64_t>(parse_int(argv[0], arg, next()));
-      } else if (arg == "--json") {
-        cfg.json = true;
-      } else if (arg == "--scheduler") {
-        cfg.scheduler = next();
-      } else if (arg == "--help" || arg == "-h") {
-        usage_exit(argv[0], 0);
-      } else if (arg.rfind("-", 0) == 0) {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        usage(argv[0]);
-      } else {
-        names.push_back(arg);
-      }
-    }
-    names = resolve_model_list(argv[0], std::move(names));
-    if (cfg.dump_dir.empty()) usage(argv[0]);
-    if (cfg.workers <= 0 || cfg.requests <= 0 || cfg.storm <= 0) {
-      std::fprintf(stderr,
-                   "--workers, --requests and --storm must be positive\n");
-      usage(argv[0]);
-    }
-    bool all_ok = true;
-    try {
-      for (const std::string& name : names) {
-        all_ok &= flight_one(name, models::build_by_name(name), cfg);
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    return all_ok ? 0 : 1;
-  }
-
-  if (cmd == "lint") {
-    std::vector<std::string> names;
-    std::string sarif_path;
-    bool json = false;
-    DuetOptions options;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto next = [&]() -> std::string {
-        if (i + 1 >= argc) usage(argv[0]);
-        return argv[++i];
-      };
-      if (arg == "--all") {
-        append_all_models(&names);
-      } else if (arg == "--sarif") {
-        sarif_path = next();
-      } else if (arg == "--json") {
-        json = true;
-      } else if (arg == "--scheduler") {
-        options.scheduler = next();
-      } else if (arg == "--help" || arg == "-h") {
-        usage_exit(argv[0], 0);
-      } else if (arg.rfind("-", 0) == 0) {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        usage(argv[0]);
-      } else {
-        names.push_back(arg);
-      }
-    }
-    names = resolve_model_list(argv[0], std::move(names));
-
-    VerifyResult combined;
-    bool all_ok = true;
-    try {
-      const auto report = [&](const std::string& label, const VerifyResult& r,
-                              const std::string& extra) {
-        all_ok &= r.ok();
-        if (json) {
-          const std::string doc = lint_document(label, r);
-          std::string err;
-          if (!telemetry::validate_json(doc, &err)) {
-            std::fprintf(stderr, "lint %s: invalid JSON produced: %s\n",
-                         label.c_str(), err.c_str());
-            all_ok = false;
-            return;
-          }
-          std::printf("%s\n", doc.c_str());
-          return;
-        }
-        std::printf("lint %-14s %s %zu error(s), %zu warning(s)%s%s\n",
-                    label.c_str(), r.ok() ? "OK  " : "FAIL",
-                    r.error_count(), r.warning_count(),
-                    extra.empty() ? "" : " | ", extra.c_str());
-        if (!r.diagnostics().empty()) std::printf("%s", r.to_string().c_str());
-      };
-
-      for (const std::string& name : names) {
-        VerifyResult result =
-            lint_model(name, models::build_by_name(name), options);
-        report(name, result, "");
-        combined.merge(std::move(result));
-      }
-
-      // The serve-protocol model checker runs once per invocation: its
-      // artifact is the protocol, not any model.
-      mc::ExploreResult mc_result = mc::explore(mc::ProtocolConfig{});
-      report("serve-protocol", mc_result.findings, mc_result.summary());
-      all_ok &= mc_result.ok && mc_result.exhausted;
-      combined.merge(std::move(mc_result.findings));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-
-    if (!sarif_path.empty()) {
-      combined.sort();
-      const std::string sarif = lint::to_sarif(combined.diagnostics());
-      std::string err;
-      if (!telemetry::validate_json(sarif, &err)) {
-        std::fprintf(stderr, "SARIF export is invalid JSON: %s\n", err.c_str());
-        return 1;
-      }
-      std::ofstream out(sarif_path);
-      out << sarif;
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", sarif_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s (%zu result(s), %zu rule(s))\n", sarif_path.c_str(),
-                  combined.diagnostics().size(), lint::rule_catalogue().size());
-    }
-    return all_ok ? 0 : 1;
-  }
-
-  if (cmd == "cache") {
-    std::string action;
-    std::string cache_dir = default_cache_dir();
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--cache-dir") {
-        if (i + 1 >= argc) usage(argv[0]);
-        cache_dir = argv[++i];
-      } else if ((arg == "stats" || arg == "clear") && action.empty()) {
-        action = arg;
-      } else {
-        usage(argv[0]);
-      }
-    }
-    if (action.empty()) usage(argv[0]);
-    return action == "stats" ? cache_stats_cmd(cache_dir)
-                             : cache_clear_cmd(cache_dir);
-  }
-
-  if (cmd == "verify" || cmd == "analyze" || cmd == "trace" || cmd == "stats" ||
-      cmd == "schedule") {
-    std::vector<std::string> names;
-    std::vector<std::string> relay_files;
-    DuetOptions options;
-    std::string out_dir;
-    std::string cache_dir = default_cache_dir();
-    bool json = false;
-    bool no_cache = false;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto next = [&]() -> std::string {
-        if (i + 1 >= argc) usage(argv[0]);
-        return argv[++i];
-      };
-      if (arg == "--all") {
-        append_all_models(&names);
-      } else if (arg == "--relay" && (cmd == "verify" || cmd == "analyze")) {
-        relay_files.push_back(next());
-      } else if (arg == "--scheduler") {
-        options.scheduler = next();
-      } else if (arg == "--out" && cmd == "trace") {
-        out_dir = next();
-      } else if (arg == "--json" && (cmd == "stats" || cmd == "analyze")) {
-        json = true;
-      } else if (arg == "--cache-dir" && cmd == "schedule") {
-        cache_dir = next();
-      } else if (arg == "--no-cache" && cmd == "schedule") {
-        no_cache = true;
-      } else if (arg == "--help" || arg == "-h") {
-        usage_exit(argv[0], 0);
-      } else if (arg.rfind("--", 0) == 0) {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        usage(argv[0]);
-      } else {
-        names.push_back(arg);
-      }
-    }
-    names = resolve_model_list(argv[0], std::move(names),
-                               /*allow_empty=*/!relay_files.empty());
-    if (names.empty() && relay_files.empty()) usage(argv[0]);
-    if (cmd == "schedule") {
-      if (no_cache) {
-        // A/B baseline: every subgraph profiles and compiles from scratch,
-        // exactly the pre-cache pipeline.
-        ProfileCache::instance().set_enabled(false);
-        CompileCache::instance().set_enabled(false);
-      } else {
-        options.profile_cache_dir = cache_dir;
-      }
-    }
-    // Full interval/slot tables only when analyzing a single model; --all
-    // keeps one summary line per model.
-    const bool detail = names.size() + relay_files.size() == 1;
-    const auto run_one = [&](const std::string& label, Graph model) {
-      if (cmd == "analyze") {
-        return analyze_one(label, std::move(model), options, detail && !json,
-                           json);
-      }
-      if (cmd == "trace") {
-        return trace_one(label, std::move(model), options, out_dir);
-      }
-      if (cmd == "stats") {
-        return stats_one(label, std::move(model), options, json);
-      }
-      if (cmd == "schedule") {
-        return schedule_one(label, std::move(model), options);
-      }
-      return verify_one(label, std::move(model), options);
-    };
-    bool all_ok = true;
-    try {
-      for (const std::string& name : names) {
-        all_ok &= run_one(name, models::build_by_name(name));
-      }
-      for (const std::string& file : relay_files) {
-        all_ok &= run_one(file, relay::to_graph(relay::load_module(file)));
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    if (cmd == "schedule") {
-      const ProfileCache::Stats s = ProfileCache::instance().stats();
-      const uint64_t total = s.hits + s.misses;
-      std::printf(
-          "profile cache: %llu hits, %llu misses (%.1f%% hit rate)%s\n",
-          static_cast<unsigned long long>(s.hits),
-          static_cast<unsigned long long>(s.misses),
-          total > 0 ? 100.0 * static_cast<double>(s.hits) /
-                          static_cast<double>(total)
-                    : 0.0,
-          no_cache ? " [caches disabled]" : "");
-    }
-    return all_ok ? 0 : 1;
-  }
-
-  std::string model_name = "wide-deep";
-  std::string relay_path;
-  std::string trace_path;
-  std::string dot_path;
-  std::string dump_path;
-  DuetOptions options;
-  int runs = 0;
-  bool breakdown = false;
-  bool report_json = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--model") {
-      model_name = next();
-    } else if (arg == "--relay") {
-      relay_path = next();
-    } else if (arg == "--scheduler") {
-      options.scheduler = next();
-    } else if (arg == "--no-fallback") {
-      options.enable_fallback = false;
-    } else if (arg == "--nested") {
-      options.partition.granularity = PartitionOptions::Granularity::kNested;
-      options.partition.nested_max_nodes =
-          static_cast<size_t>(parse_int(argv[0], arg, next()));
-    } else if (arg == "--runs") {
-      runs = parse_int(argv[0], arg, next());
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--dot") {
-      dot_path = next();
-    } else if (arg == "--dump") {
-      dump_path = next();
-    } else if (arg == "--breakdown") {
-      breakdown = true;
-    } else if (arg == "--json") {
-      report_json = true;
-    } else if (arg == "--no-cache") {
-      ProfileCache::instance().set_enabled(false);
-      CompileCache::instance().set_enabled(false);
-    } else if (arg == "--help" || arg == "-h") {
-      usage_exit(argv[0], 0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(argv[0]);
-    }
-  }
-
+  const Args args = parse_args(*command, argc, argv, first);
   try {
-    Graph model = relay_path.empty()
-                      ? models::build_by_name(model_name)
-                      : relay::to_graph(relay::load_module(relay_path));
-    (void)read_file;  // kept for future text-only inputs
-
-    if (!dump_path.empty()) {
-      relay::save_module(relay::from_graph(model), dump_path);
-      std::printf("wrote %s and %s.weights\n", dump_path.c_str(),
-                  dump_path.c_str());
-    }
-
-    DuetEngine engine(std::move(model), options);
-    const auto mem = engine.plan().memory_report();
-
-    if (report_json) {
-      // Machine-readable schedule report: everything the text report says,
-      // as one JSON object (validated through the shared writer helpers).
-      using telemetry::json_escape;
-      using telemetry::json_number;
-      const DuetReport& r = engine.report();
-      std::string doc = "{";
-      doc += "\"model\":\"" + json_escape(engine.model().name()) + "\",";
-      doc += "\"scheduler\":\"" + json_escape(options.scheduler) + "\",";
-      doc += "\"subgraphs\":" + std::to_string(engine.partition().subgraphs.size()) + ",";
-      doc += "\"transfers\":" + std::to_string(engine.plan().transfers().size()) + ",";
-      doc += "\"placement\":\"" + json_escape(r.schedule.placement.to_string()) + "\",";
-      doc += "\"est_hetero_s\":" + json_number(r.est_hetero_s) + ",";
-      doc += "\"est_single_cpu_s\":" + json_number(r.est_single_cpu_s) + ",";
-      doc += "\"est_single_gpu_s\":" + json_number(r.est_single_gpu_s) + ",";
-      doc += std::string("\"fell_back\":") + (r.fell_back ? "true" : "false") + ",";
-      doc += "\"fallback_device\":\"" +
-             json_escape(device_kind_name(r.fallback_device)) + "\",";
-      doc += "\"memory\":{\"cpu_bytes\":" +
-             std::to_string(mem.total(DeviceKind::kCpu)) +
-             ",\"gpu_bytes\":" + std::to_string(mem.total(DeviceKind::kGpu)) + "}";
-      if (runs > 0) {
-        LatencyRecorder rec;
-        for (int i = 0; i < runs; ++i) rec.add(engine.latency(true));
-        const SummaryStats s = rec.summarize();
-        doc += ",\"latency\":{\"runs\":" + std::to_string(runs) +
-               ",\"mean_s\":" + json_number(s.mean) +
-               ",\"p50_s\":" + json_number(s.p50) +
-               ",\"p99_s\":" + json_number(s.p99) +
-               ",\"p999_s\":" + json_number(s.p999) + "}";
-      }
-      doc += "}";
-      std::printf("%s\n", doc.c_str());
-    } else {
-      std::printf("%s", engine.report()
-                            .to_string(engine.model(), engine.partition())
-                            .c_str());
-      if (breakdown) {
-        std::printf("\n%s", render_subgraph_breakdown(engine).c_str());
-      }
-
-      std::printf(
-          "memory: cpu %.1f MiB (weights %.1f), gpu %.1f MiB (weights %.1f)\n",
-          mem.total(DeviceKind::kCpu) / 1048576.0,
-          mem.weight_bytes[0] / 1048576.0,
-          mem.total(DeviceKind::kGpu) / 1048576.0,
-          mem.weight_bytes[1] / 1048576.0);
-
-      if (runs > 0) {
-        LatencyRecorder rec;
-        for (int i = 0; i < runs; ++i) rec.add(engine.latency(true));
-        const SummaryStats s = rec.summarize();
-        std::printf(
-            "latency over %d runs: mean %.3f ms  p50 %.3f  p99 %.3f  p99.9 %.3f\n",
-            runs, s.mean * 1e3, s.p50 * 1e3, s.p99 * 1e3, s.p999 * 1e3);
-      }
-    }
-
-    if (!trace_path.empty() || !dot_path.empty()) {
-      Rng rng(1);
-      const auto feeds = models::make_random_feeds(engine.model(), rng);
-      ExecutionResult result = engine.infer(feeds);
-      if (!trace_path.empty()) {
-        std::ofstream out(trace_path);
-        out << result.timeline.to_chrome_trace();
-        std::printf("wrote Chrome trace to %s\n", trace_path.c_str());
-      }
-      if (!dot_path.empty()) {
-        DotOptions dopts;
-        const Partition* part = &engine.partition();
-        dopts.cluster = [part](NodeId id) { return part->producer_subgraph(id); };
-        write_dot_file(engine.model(), dot_path, dopts);
-        std::printf("wrote DOT to %s\n", dot_path.c_str());
-      }
-    }
+    return command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return 0;
 }
