@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/counter_normal.hpp"
 #include "common/rng.hpp"
 #include "tensor/kernels.hpp"
 
@@ -96,6 +99,26 @@ void BM_Attention(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Attention)->Arg(16)->Arg(64);
+
+// Weight generation on one thread into a reused buffer (pages already
+// faulted in): the generator's own cost. `per_elem` is seconds per element
+// (printed with an SI prefix); the bar is 2 ns on an AVX2 host.
+void BM_InitNormal(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<float> buffer(n);
+  duet::ThreadPool one(1);
+  uint64_t ordinal = 0;
+  for (auto _ : state) {
+    duet::fill_normal(buffer.data(), n, duet::NormalStream(7, ordinal++),
+                      0.05f, one);
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(n),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_InitNormal)->Arg(1 << 20);
 
 }  // namespace
 

@@ -27,9 +27,4 @@ double Rng::lognormal_factor(double sigma) {
 
 bool Rng::coin(double p_true) { return uniform() < p_true; }
 
-void Rng::fill_normal(std::vector<float>& out, float stddev) {
-  std::normal_distribution<float> dist(0.0f, stddev);
-  for (float& x : out) x = dist(engine_);
-}
-
 }  // namespace duet

@@ -1,8 +1,10 @@
 #pragma once
 
-// Deterministic random number generation. All stochastic components of DUET
-// (weight init, latency noise, random scheduling baselines) draw from an
-// explicitly seeded Rng so experiments are reproducible run-to-run.
+// Deterministic random number generation. Stateful stochastic components of
+// DUET (request feeds, latency noise, random scheduling baselines) draw from
+// an explicitly seeded Rng so experiments are reproducible run-to-run; their
+// draw order is part of that contract. Weight initialization uses the
+// stateless generator in common/counter_normal.hpp instead.
 
 #include <cstdint>
 #include <random>
@@ -25,9 +27,6 @@ class Rng {
   double lognormal_factor(double sigma);
   // Bernoulli trial.
   bool coin(double p_true = 0.5);
-
-  // Fills `out` with i.i.d. normal(0, stddev) — weight initialization.
-  void fill_normal(std::vector<float>& out, float stddev);
 
   // In-place Fisher-Yates shuffle.
   template <typename T>

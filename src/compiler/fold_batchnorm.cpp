@@ -63,11 +63,16 @@ Graph fold_batch_norm(const Graph& g) {
       const int64_t oc = w.shape().dim(0);
       const int64_t per_filter = w.numel() / oc;
 
-      Tensor w2 = w.clone();
+      // One pass into a buffer nothing zero-fills: the same single multiply
+      // as scaling a clone in place, without the fill and the copy.
+      Tensor w2 = Tensor::uninitialized(w.shape());
       float* pw = w2.data<float>();
+      const float* pw_in = w.data<float>();
       const float* ps = scale.data<float>();
       for (int64_t o = 0; o < oc; ++o) {
-        for (int64_t i = 0; i < per_filter; ++i) pw[o * per_filter + i] *= ps[o];
+        for (int64_t i = 0; i < per_filter; ++i) {
+          pw[o * per_filter + i] = pw_in[o * per_filter + i] * ps[o];
+        }
       }
       Tensor b2(Shape{oc});
       float* pb = b2.data<float>();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/counter_normal.hpp"
 #include "common/error.hpp"
 
 namespace duet {
@@ -24,7 +25,14 @@ NodeId GraphBuilder::weight(Shape shape, const std::string& name) {
   DUET_CHECK_GE(shape.rank(), 1u);
   const int64_t fan_in = shape.dim(0);
   const float stddev = std::sqrt(2.0f / static_cast<float>(std::max<int64_t>(fan_in, 1)));
-  return graph_.add_constant(Tensor::randn(shape, rng_, stddev), name);
+  return graph_.add_constant(init_normal(std::move(shape), stddev), name);
+}
+
+Tensor GraphBuilder::init_normal(Shape shape, float stddev) {
+  Tensor t = Tensor::uninitialized(std::move(shape));
+  fill_normal(t.data<float>(), static_cast<size_t>(t.numel()),
+              NormalStream(seed_, next_stream_++), stddev);
+  return t;
 }
 
 int64_t GraphBuilder::last_dim(NodeId x) const {
@@ -50,15 +58,11 @@ NodeId GraphBuilder::conv2d(NodeId x, int64_t out_channels, int kernel, int stri
   const Shape& xs = graph_.node(x).out_shape;
   DUET_CHECK_EQ(xs.rank(), 4u) << "conv2d input must be NCHW";
   const int64_t in_channels = xs.dim(1);
-  Tensor w(Shape{out_channels, in_channels, kernel, kernel});
-  {
-    const float stddev = std::sqrt(
-        2.0f / static_cast<float>(in_channels * kernel * kernel));
-    std::vector<float> tmp(static_cast<size_t>(w.numel()));
-    rng_.fill_normal(tmp, stddev);
-    std::copy(tmp.begin(), tmp.end(), w.data<float>());
-  }
-  const NodeId wn = constant(std::move(w), name.empty() ? "" : name + ".w");
+  const float stddev =
+      std::sqrt(2.0f / static_cast<float>(in_channels * kernel * kernel));
+  const NodeId wn = constant(
+      init_normal(Shape{out_channels, in_channels, kernel, kernel}, stddev),
+      name.empty() ? "" : name + ".w");
   const NodeId bn = constant(Tensor::zeros(Shape{out_channels}),
                              name.empty() ? "" : name + ".b");
   AttrMap attrs;
@@ -102,11 +106,8 @@ NodeId GraphBuilder::gru(NodeId x, int64_t hidden, const std::string& name) {
 
 NodeId GraphBuilder::embedding(NodeId indices, int64_t vocab, int64_t dim,
                                const std::string& name) {
-  Tensor table(Shape{vocab, dim});
-  std::vector<float> tmp(static_cast<size_t>(table.numel()));
-  rng_.fill_normal(tmp, 0.05f);
-  std::copy(tmp.begin(), tmp.end(), table.data<float>());
-  const NodeId t = constant(std::move(table), name.empty() ? "" : name + ".table");
+  const NodeId t = constant(init_normal(Shape{vocab, dim}, 0.05f),
+                            name.empty() ? "" : name + ".table");
   return graph_.add_node(OpType::kEmbedding, {indices, t}, {}, name);
 }
 

@@ -1,13 +1,15 @@
 #pragma once
 
 // Fluent construction API on top of Graph. The model zoo uses this to build
-// networks the way a framework front-end would; weights are initialized from
-// a seeded Rng so every run of an experiment sees identical parameters.
+// networks the way a framework front-end would. Random weights come from the
+// counter-based generator (common/counter_normal.hpp): element i of the k-th
+// random tensor a builder creates under seed s depends only on (s, k, i), so
+// every run of an experiment sees identical parameters whatever the thread
+// count or instruction set.
 
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "graph/graph.hpp"
 
 namespace duet {
@@ -15,10 +17,9 @@ namespace duet {
 class GraphBuilder {
  public:
   explicit GraphBuilder(std::string graph_name, uint64_t seed = 42)
-      : graph_(std::move(graph_name)), rng_(seed) {}
+      : graph_(std::move(graph_name)), seed_(seed) {}
 
   Graph& graph() { return graph_; }
-  Rng& rng() { return rng_; }
 
   // Finalizes: marks `outputs` (if not already marked), validates, moves out.
   Graph finish(std::vector<NodeId> outputs);
@@ -66,9 +67,13 @@ class GraphBuilder {
 
  private:
   int64_t last_dim(NodeId x) const;
+  // Normal(0, stddev) tensor from the builder's next weight stream — the one
+  // path weight(), conv2d() and embedding() share.
+  Tensor init_normal(Shape shape, float stddev);
 
   Graph graph_;
-  Rng rng_;
+  uint64_t seed_;
+  uint64_t next_stream_ = 0;  // ordinal of the next random tensor
 };
 
 }  // namespace duet

@@ -10,7 +10,6 @@
 
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "runtime/memory_plan.hpp"
 #include "tensor/tensor.hpp"
@@ -25,8 +24,8 @@ class ExecutionArenas {
   explicit ExecutionArenas(const MemoryPlan* plan) : plan_(plan) {
     if (plan_ == nullptr) return;
     for (int d = 0; d < kNumDeviceKinds; ++d) {
-      buffers_[d] = std::make_shared<std::vector<uint8_t>>(
-          plan_->arena_bytes(static_cast<DeviceKind>(d)));
+      bytes_[d] = plan_->arena_bytes(static_cast<DeviceKind>(d));
+      buffers_[d].reset(new uint8_t[bytes_[d]]());
     }
   }
 
@@ -39,7 +38,8 @@ class ExecutionArenas {
     if (plan_ == nullptr || !src.defined()) return src;
     const ArenaSlot* slot = plan_->find(device, value);
     if (slot == nullptr) return src;
-    Tensor view = Tensor::view(buffers_[static_cast<int>(device)],
+    const int d = static_cast<int>(device);
+    Tensor view = Tensor::view(buffers_[d], bytes_[d],
                                static_cast<size_t>(slot->offset), src.shape(),
                                src.dtype());
     if (view.byte_size() > 0 && view.raw_data() != src.raw_data()) {
@@ -50,7 +50,8 @@ class ExecutionArenas {
 
  private:
   const MemoryPlan* plan_;
-  std::shared_ptr<std::vector<uint8_t>> buffers_[kNumDeviceKinds];
+  std::shared_ptr<uint8_t[]> buffers_[kNumDeviceKinds];
+  size_t bytes_[kNumDeviceKinds] = {};
 };
 
 }  // namespace duet

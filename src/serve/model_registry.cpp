@@ -42,11 +42,13 @@ ResidentModel::ResidentModel(std::string name, BatchedGraphFactory factory,
 
   // Bucket boundaries from the PR-7 certificates: scan the batch symbol over
   // the coalescing range on the same optimized/partitioned graph the
-  // analysis CLI certifies.
+  // analysis CLI certifies. The passes run on a copy of the engine's
+  // factory(1) graph — copies alias constant buffers and passes clone before
+  // they write — instead of building the model a second time.
   std::vector<int64_t> boundaries;
   if (options_.crossover_buckets && options_.max_batch > 1) {
     const Graph optimized =
-        PassManager::standard(options_.engine.compile).run(factory_(1));
+        PassManager::standard(options_.engine.compile).run(engine_->model());
     const Partition partition =
         partition_phased(optimized, options_.engine.partition);
     const symbolic::SymbolicShapes shapes =

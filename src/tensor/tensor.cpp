@@ -8,18 +8,26 @@ namespace duet {
 Tensor::Tensor(Shape shape, DType dtype)
     : shape_(std::move(shape)),
       dtype_(dtype),
-      buffer_(std::make_shared<std::vector<uint8_t>>(
-          static_cast<size_t>(shape_.numel()) * dtype_size(dtype))) {}
+      buffer_(new uint8_t[byte_size()]()) {}
 
-Tensor Tensor::view(std::shared_ptr<std::vector<uint8_t>> buffer,
+Tensor Tensor::uninitialized(Shape shape, DType dtype) {
+  Tensor out;
+  out.shape_ = std::move(shape);
+  out.dtype_ = dtype;
+  // Default-initialized: no fill. operator new[] aligns for every dtype.
+  out.buffer_.reset(new uint8_t[out.byte_size()]);
+  return out;
+}
+
+Tensor Tensor::view(std::shared_ptr<uint8_t[]> buffer, size_t buffer_bytes,
                     size_t offset, Shape shape, DType dtype) {
   DUET_CHECK(buffer != nullptr) << "view of a null buffer";
   Tensor out;
   out.shape_ = std::move(shape);
   out.dtype_ = dtype;
-  DUET_CHECK(offset + out.byte_size() <= buffer->size())
+  DUET_CHECK(offset + out.byte_size() <= buffer_bytes)
       << "view of " << out.byte_size() << " bytes at offset " << offset
-      << " exceeds buffer of " << buffer->size();
+      << " exceeds buffer of " << buffer_bytes;
   out.buffer_ = std::move(buffer);
   out.offset_ = offset;
   return out;
@@ -27,8 +35,8 @@ Tensor Tensor::view(std::shared_ptr<std::vector<uint8_t>> buffer,
 
 Tensor Tensor::clone() const {
   DUET_CHECK(defined());
-  Tensor out(shape_, dtype_);
-  if (byte_size() > 0) std::memcpy(out.buffer_->data(), raw_data(), byte_size());
+  Tensor out = uninitialized(shape_, dtype_);
+  if (byte_size() > 0) std::memcpy(out.raw_data(), raw_data(), byte_size());
   return out;
 }
 
@@ -62,7 +70,7 @@ Tensor Tensor::concat0(const std::vector<Tensor>& parts) {
     rows += t.shape()[0];
   }
 
-  Tensor out(first.shape().with_dim(0, rows), first.dtype());
+  Tensor out = uninitialized(first.shape().with_dim(0, rows), first.dtype());
   uint8_t* dst = static_cast<uint8_t*>(out.raw_data());
   for (const Tensor& t : parts) {
     if (t.byte_size() > 0) {
@@ -80,7 +88,7 @@ Tensor Tensor::slice0(int64_t lo, int64_t count) const {
   DUET_CHECK_GE(count, 0);
   DUET_CHECK_LE(lo + count, shape_[0]) << "slice0 out of range";
 
-  Tensor out(shape_.with_dim(0, count), dtype_);
+  Tensor out = uninitialized(shape_.with_dim(0, count), dtype_);
   const size_t row_bytes =
       shape_[0] > 0 ? byte_size() / static_cast<size_t>(shape_[0]) : 0;
   if (out.byte_size() > 0) {
@@ -93,20 +101,18 @@ Tensor Tensor::slice0(int64_t lo, int64_t count) const {
 }
 
 Tensor Tensor::zeros(Shape shape, DType dtype) {
-  Tensor t(std::move(shape), dtype);
-  if (t.byte_size() > 0) std::memset(t.raw_data(), 0, t.byte_size());
-  return t;
+  return Tensor(std::move(shape), dtype);
 }
 
 Tensor Tensor::full(Shape shape, float value) {
-  Tensor t(std::move(shape), DType::kFloat32);
+  Tensor t = uninitialized(std::move(shape));
   float* p = t.data<float>();
   std::fill(p, p + t.numel(), value);
   return t;
 }
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
-  Tensor t(std::move(shape), DType::kFloat32);
+  Tensor t = uninitialized(std::move(shape));
   float* p = t.data<float>();
   for (int64_t i = 0; i < t.numel(); ++i) {
     p[i] = static_cast<float>(rng.normal(0.0, stddev));
@@ -115,7 +121,7 @@ Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
 }
 
 Tensor Tensor::arange(int64_t n) {
-  Tensor t(Shape{n}, DType::kFloat32);
+  Tensor t = uninitialized(Shape{n});
   float* p = t.data<float>();
   for (int64_t i = 0; i < n; ++i) p[i] = static_cast<float>(i);
   return t;
@@ -123,7 +129,7 @@ Tensor Tensor::arange(int64_t n) {
 
 Tensor Tensor::from_vector(Shape shape, const std::vector<float>& values) {
   DUET_CHECK_EQ(shape.numel(), static_cast<int64_t>(values.size()));
-  Tensor t(std::move(shape), DType::kFloat32);
+  Tensor t = uninitialized(std::move(shape));
   if (!values.empty()) {
     std::memcpy(t.raw_data(), values.data(), values.size() * sizeof(float));
   }

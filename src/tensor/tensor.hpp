@@ -21,14 +21,20 @@ class Tensor {
   // Empty (null) tensor; `defined()` is false.
   Tensor() = default;
 
-  // Allocates an uninitialized buffer of shape/dtype.
+  // Allocates a zero-filled buffer of shape/dtype.
   explicit Tensor(Shape shape, DType dtype = DType::kFloat32);
+
+  // Allocates a buffer of shape/dtype that nothing fills: its bytes are
+  // indeterminate until written. Only for writers that overwrite every
+  // element (copies, generators), which then skip a zero-fill pass and let
+  // the first write fault the pages in.
+  static Tensor uninitialized(Shape shape, DType dtype = DType::kFloat32);
 
   // Aliases `byte_size(shape, dtype)` bytes of an existing buffer at
   // `offset` — how the executors back boundary tensors with a slot of a
   // per-device arena (runtime/memory_plan.hpp). Shares ownership: the view
   // keeps the arena alive.
-  static Tensor view(std::shared_ptr<std::vector<uint8_t>> buffer,
+  static Tensor view(std::shared_ptr<uint8_t[]> buffer, size_t buffer_bytes,
                      size_t offset, Shape shape, DType dtype);
 
   bool defined() const { return buffer_ != nullptr; }
@@ -40,18 +46,18 @@ class Tensor {
   template <typename T>
   T* data() {
     check_access<T>();
-    return reinterpret_cast<T*>(buffer_->data() + offset_);
+    return reinterpret_cast<T*>(buffer_.get() + offset_);
   }
 
   template <typename T>
   const T* data() const {
     check_access<T>();
-    return reinterpret_cast<const T*>(buffer_->data() + offset_);
+    return reinterpret_cast<const T*>(buffer_.get() + offset_);
   }
 
-  void* raw_data() { return buffer_ ? buffer_->data() + offset_ : nullptr; }
+  void* raw_data() { return buffer_ ? buffer_.get() + offset_ : nullptr; }
   const void* raw_data() const {
-    return buffer_ ? buffer_->data() + offset_ : nullptr;
+    return buffer_ ? buffer_.get() + offset_ : nullptr;
   }
 
   // Deep copy.
@@ -94,7 +100,7 @@ class Tensor {
 
   Shape shape_;
   DType dtype_ = DType::kFloat32;
-  std::shared_ptr<std::vector<uint8_t>> buffer_;
+  std::shared_ptr<uint8_t[]> buffer_;
   size_t offset_ = 0;  // byte offset into buffer_ (nonzero only for views)
 };
 

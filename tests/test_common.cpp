@@ -1,11 +1,16 @@
-// Unit tests for common utilities: stats, rng, strings, thread pool.
+// Unit tests for common utilities: stats, rng, the counter-based normal
+// generator, strings, thread pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
+#include "common/counter_normal.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -177,6 +182,85 @@ TEST(StringUtil, HumanBytes) {
 TEST(StringUtil, Strprintf) {
   EXPECT_EQ(strprintf("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(strprintf("%s", std::string(500, 'a').c_str()).size(), 500u);
+}
+
+// --- counter-based normal generator -------------------------------------------
+
+std::vector<float> scalar_normals(const NormalStream& stream, uint64_t first,
+                                  size_t n, float stddev) {
+  std::vector<float> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = normal_at(stream, first + i, stddev);
+  return out;
+}
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(CounterNormal, ParallelFillMatchesScalarReference) {
+  const NormalStream stream(42, 3);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  // Partial block, one block minus one, one block, one chunk plus one, and
+  // enough chunks to fan out with a ragged tail.
+  for (size_t n : {size_t{1}, size_t{127}, size_t{128}, size_t{65537},
+                   size_t{300001}}) {
+    const std::vector<float> ref = scalar_normals(stream, 0, n, 0.5f);
+    for (ThreadPool* pool : {&one, &four}) {
+      std::vector<float> out(n, -1.0f);
+      fill_normal(out.data(), n, stream, 0.5f, *pool);
+      EXPECT_TRUE(same_bytes(out, ref))
+          << "n=" << n << " threads=" << pool->size();
+    }
+  }
+}
+
+TEST(CounterNormal, DispatchedCloneMatchesBaselineClone) {
+  if (!__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "no AVX2: the dispatcher picks the default clone";
+  }
+  // 64 blocks straddling element 2^32, where the index's high word enters
+  // the key.
+  const NormalStream stream(7, 11);
+  const size_t blocks = 64;
+  const uint64_t first = (uint64_t{1} << 32) - 32 * kNormalBlock;
+  std::vector<float> avx2(blocks * kNormalBlock);
+  std::vector<float> baseline(blocks * kNormalBlock);
+  detail::normal_blocks(avx2.data(), first, blocks, stream, 1.0f);
+  detail::normal_blocks_baseline(baseline.data(), first, blocks, stream, 1.0f);
+  EXPECT_TRUE(same_bytes(avx2, baseline));
+  EXPECT_TRUE(same_bytes(
+      baseline, scalar_normals(stream, first, blocks * kNormalBlock, 1.0f)));
+}
+
+TEST(CounterNormal, MomentsAndTailsOfTwoToTheTwentyDraws) {
+  const float sigma = 2.5f;
+  std::vector<float> out(size_t{1} << 20);
+  fill_normal(out.data(), out.size(), NormalStream(1, 0), sigma);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  double max_abs = 0.0;
+  for (float x : out) {
+    ASSERT_TRUE(std::isfinite(x));
+    sum += x;
+    sum_sq += static_cast<double>(x) * x;
+    max_abs = std::max(max_abs, std::fabs(static_cast<double>(x)));
+  }
+  const double n = static_cast<double>(out.size());
+  const double mean = sum / n;
+  const double stddev = std::sqrt(sum_sq / n - mean * mean);
+  EXPECT_LT(std::fabs(mean), 0.005 * sigma);
+  EXPECT_LT(std::fabs(stddev / sigma - 1.0), 0.005);
+  EXPECT_LE(max_abs, 6.0 * sigma);
+}
+
+TEST(CounterNormal, StreamsAreKeyedBySeedAndOrdinal) {
+  const size_t n = 256;
+  const std::vector<float> a = scalar_normals(NormalStream(42, 0), 0, n, 1.0f);
+  EXPECT_TRUE(same_bytes(a, scalar_normals(NormalStream(42, 0), 0, n, 1.0f)));
+  EXPECT_FALSE(same_bytes(a, scalar_normals(NormalStream(42, 1), 0, n, 1.0f)));
+  EXPECT_FALSE(same_bytes(a, scalar_normals(NormalStream(43, 0), 0, n, 1.0f)));
 }
 
 // --- thread pool ---------------------------------------------------------------

@@ -12,7 +12,10 @@
 #include <map>
 #include <vector>
 
+#include "analysis/symbolic/crossover.hpp"
+#include "analysis/symbolic/sym_shape_inference.hpp"
 #include "compiler/compile_cache.hpp"
+#include "compiler/pass.hpp"
 #include "models/model_zoo.hpp"
 #include "profile/profile_cache.hpp"
 #include "runtime/executor.hpp"
@@ -423,6 +426,48 @@ TEST_F(FleetRegistryTest, StructurallyIdenticalTwinIsFullyCacheWarm) {
   EXPECT_EQ(twin.profile_misses, 0u);
   EXPECT_GT(twin.profile_hits, 0u);
   EXPECT_FALSE(stats.to_string().empty());
+}
+
+TEST_F(FleetRegistryTest, RegistrationBuildsEachDistinctBatchOnce) {
+  // The crossover analysis runs on a copy of the engine's batch-1 graph, so
+  // registration calls the factory once for the engine plus once per bucket
+  // whose representative batch is not 1.
+  const ModelRegistryOptions options = tiny_options(16);
+  const auto zoo = models::zoo_batched_factory("wide-deep", /*tiny=*/true);
+  int calls = 0;
+  ModelRegistry registry(options);
+  const int idx = registry.register_model("wide-deep", [&](int64_t batch) {
+    ++calls;
+    return zoo(batch);
+  });
+  serve::ResidentModel& m = registry.model(idx);
+  int other_reps = 0;
+  for (const BatchBucket& bucket : m.buckets()) other_reps += bucket.rep() != 1;
+  EXPECT_EQ(calls, 1 + other_reps);
+
+  // Same buckets as the crossover analysis of a freshly built graph, and
+  // the same placements as engines built on fresh graphs.
+  const Graph optimized =
+      PassManager::standard(options.engine.compile).run(zoo(1));
+  const Partition partition =
+      partition_phased(optimized, options.engine.partition);
+  symbolic::CrossoverOptions x_opts;
+  x_opts.lo = 1;
+  x_opts.hi = options.max_batch;
+  const symbolic::CrossoverReport report = symbolic::analyze_crossover(
+      optimized, partition,
+      symbolic::infer_symbolic(optimized, symbolic::SymbolicOptions{}), x_opts);
+  const std::vector<BatchBucket> expected = make_batch_buckets(
+      symbolic::serving_bucket_boundaries(report, options.max_batch),
+      options.max_batch, options.max_buckets);
+  ASSERT_EQ(m.buckets().size(), expected.size());
+  for (size_t b = 0; b < expected.size(); ++b) {
+    EXPECT_EQ(m.buckets()[b].lo, expected[b].lo);
+    EXPECT_EQ(m.buckets()[b].hi, expected[b].hi);
+    const DuetEngine engine(zoo(expected[b].rep()), options.engine);
+    EXPECT_EQ(m.bucket_placement(b), engine.report().schedule.placement)
+        << "bucket " << b;
+  }
 }
 
 TEST_F(FleetRegistryTest, RejectsDuplicateNamesAndUnknownIndices) {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
+#include "graph/fingerprint.hpp"
 #include "models/model_zoo.hpp"
 #include "partition/partitioner.hpp"
 
@@ -182,6 +184,35 @@ TEST(ModelZoo, SeedsMakeWeightsReproducible) {
   }
   EXPECT_TRUE(Tensor::allclose(evaluate_graph(a, feeds)[0],
                                evaluate_graph(b, feeds_b)[0]));
+}
+
+// The batched-factory contract (model_zoo.hpp): factory(B) holds the same
+// constants as factory(1), byte for byte — weights depend on the seed and
+// the tensor's ordinal, never on shapes built before it.
+TEST(ModelZoo, BatchedFactoryConstantsAreBitwiseEqual) {
+  for (const char* name : {"wide-deep", "siamese", "mtdnn", "resnet18",
+                           "squeezenet", "inception", "dlrm"}) {
+    const auto factory = zoo_batched_factory(name, /*tiny=*/true);
+    const Graph one = factory(1);
+    const Graph eight = factory(8);
+    ASSERT_EQ(one.num_nodes(), eight.num_nodes()) << name;
+    for (const Node& node : one.nodes()) {
+      if (!node.is_constant()) continue;
+      const Tensor& a = node.value;
+      const Tensor& b = eight.node(node.id).value;
+      ASSERT_EQ(a.shape(), b.shape()) << name << " " << node.name;
+      EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.byte_size()), 0)
+          << name << " " << node.name;
+    }
+  }
+}
+
+// Pins the generated weights: a change to the generator, its stream keys or
+// the builder's tensor ordinals moves this value and must update it on
+// purpose.
+TEST(ModelZoo, WideDeepWeightsFingerprintIsPinned) {
+  EXPECT_EQ(fingerprint_graph(build_by_name("wide-deep", 42)).values,
+            0x662B5E2BD8C47BBBull);
 }
 
 TEST(ModelZoo, RandomFeedsMatchEveryInput) {
