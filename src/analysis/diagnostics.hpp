@@ -95,9 +95,9 @@ class VerifyError : public Error {
 
 // --- checked mode -------------------------------------------------------------
 // Global toggle for the expensive verification hooks (verifier after every
-// pass, plan validation in DuetEngine). On by default so tests and the CLI
-// get it for free; benchmarks opt out (bench/bench_util.hpp) since they
-// measure steady-state performance of already-verified pipelines.
+// pass, lint::check_plan on every built plan). On by default so tests and
+// the CLI get it for free; benchmarks opt out (bench/bench_util.hpp) since
+// they measure steady-state performance of already-verified pipelines.
 bool verification_enabled();
 void set_verification_enabled(bool enabled);
 

@@ -9,6 +9,13 @@
 namespace duet {
 namespace {
 
+// Positional input arity contract per OpType. max < 0 means unbounded
+// (kConcat). Terminals take zero inputs.
+struct OpArity {
+  int min = 0;
+  int max = 0;
+};
+
 std::string arity_to_string(OpArity a) {
   std::ostringstream os;
   if (a.max < 0) {
@@ -20,8 +27,6 @@ std::string arity_to_string(OpArity a) {
   }
   return os.str();
 }
-
-}  // namespace
 
 OpArity op_arity(OpType op) {
   switch (op) {
@@ -74,7 +79,9 @@ OpArity op_arity(OpType op) {
   return {0, -1};  // unknown op: accept anything, shape-infer will complain
 }
 
-VerifyResult GraphVerifier::verify(const Graph& graph) const {
+}  // namespace
+
+VerifyResult verify_graph(const Graph& graph) {
   VerifyResult result;
   const size_t n = graph.num_nodes();
   // Nodes whose edges all resolved; semantic rules only run on these, so one
@@ -157,27 +164,25 @@ VerifyResult GraphVerifier::verify(const Graph& graph) const {
   }
 
   // Semantic types: re-derive and compare.
-  if (options_.check_types) {
-    for (size_t i = 0; i < n; ++i) {
-      const Node& node = graph.nodes()[i];
-      if (!structurally_ok[i] || node.is_input() || node.is_constant()) continue;
-      try {
-        const InferredType t = infer_node_type(graph, node);
-        if (!(t.shape == node.out_shape)) {
-          result.error("type-consistency", node.id,
-                       std::string(op_name(node.op)) + " records shape " +
-                           node.out_shape.to_string() + " but inference derives " +
-                           t.shape.to_string());
-        }
-        if (t.dtype != node.out_dtype) {
-          result.error("type-consistency", node.id,
-                       std::string(op_name(node.op)) + " records dtype " +
-                           dtype_name(node.out_dtype) + " but inference derives " +
-                           dtype_name(t.dtype));
-        }
-      } catch (const Error& e) {
-        result.error("shape-infer", node.id, e.what());
+  for (size_t i = 0; i < n; ++i) {
+    const Node& node = graph.nodes()[i];
+    if (!structurally_ok[i] || node.is_input() || node.is_constant()) continue;
+    try {
+      const InferredType t = infer_node_type(graph, node);
+      if (!(t.shape == node.out_shape)) {
+        result.error("type-consistency", node.id,
+                     std::string(op_name(node.op)) + " records shape " +
+                         node.out_shape.to_string() + " but inference derives " +
+                         t.shape.to_string());
       }
+      if (t.dtype != node.out_dtype) {
+        result.error("type-consistency", node.id,
+                     std::string(op_name(node.op)) + " records dtype " +
+                         dtype_name(node.out_dtype) + " but inference derives " +
+                         dtype_name(t.dtype));
+      }
+    } catch (const Error& e) {
+      result.error("shape-infer", node.id, e.what());
     }
   }
 
@@ -208,10 +213,6 @@ VerifyResult GraphVerifier::verify(const Graph& graph) const {
 
   result.set_artifact(graph.name());
   return result;
-}
-
-VerifyResult verify_graph(const Graph& graph, GraphVerifyOptions options) {
-  return GraphVerifier(options).verify(graph);
 }
 
 }  // namespace duet

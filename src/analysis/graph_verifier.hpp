@@ -1,6 +1,6 @@
 #pragma once
 
-// GraphVerifier: structural + semantic well-formedness checks for the graph
+// verify_graph: structural + semantic well-formedness checks for the graph
 // IR, run between compiler passes in checked mode (the Relay/chainer-compiler
 // pass-contract discipline). Unlike Graph::validate(), which throws on the
 // first structural problem, the verifier collects every violation with a
@@ -16,32 +16,7 @@
 
 namespace duet {
 
-// Positional input arity contract per OpType. max < 0 means unbounded
-// (kConcat). Terminals take zero inputs.
-struct OpArity {
-  int min = 0;
-  int max = 0;
-};
-OpArity op_arity(OpType op);
-
-struct GraphVerifyOptions {
-  // Re-derive every compute node's output shape/dtype via shape inference
-  // and compare against the recorded type. The expensive half of the
-  // verifier; structural rules always run.
-  bool check_types = true;
-};
-
-class GraphVerifier {
- public:
-  explicit GraphVerifier(GraphVerifyOptions options = {}) : options_(options) {}
-
-  VerifyResult verify(const Graph& graph) const;
-
- private:
-  GraphVerifyOptions options_;
-};
-
-// Convenience wrapper.
-VerifyResult verify_graph(const Graph& graph, GraphVerifyOptions options = {});
+// Collects every structural and semantic (re-derived shape/dtype) violation.
+VerifyResult verify_graph(const Graph& graph);
 
 }  // namespace duet

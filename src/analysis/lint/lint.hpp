@@ -1,18 +1,22 @@
 #pragma once
 
-// Descriptor-driven lint framework (ISSUE 6 tentpole). A LintPass is one
-// named analysis over a plan (and optionally the plan it replaced): it
-// declares a stable primary rule id plus default severity, and reports
-// structured Diagnostics. LintSuite::standard() bundles the shipped passes;
-// DuetEngine runs it in checked mode after the plan validator and race
-// checker, and `duet_cli lint` surfaces it (text / JSON / SARIF).
+// The plan checker. A Check is one named analysis over a plan (and
+// optionally the plan it replaced): a plain {id, run} descriptor whose id is
+// the primary rule it reports under (an entry in lint/rules.hpp; a check may
+// report secondary rules too, none more severe than the primary). Every
+// finding takes its severity from the rule catalogue. LintSuite::standard()
+// runs the standard table — the structural validators first (partition,
+// placement, plan, races), then the lint passes, which skip what the
+// validators own — and is the only plan checker: checked mode reaches it
+// through check_plan(), and `duet_cli lint` surfaces it (text / JSON /
+// SARIF). Adding a plan check means appending a descriptor to the table
+// (lint.cpp) and a row to the rule catalogue.
 //
-// Passes reuse PlanView (analysis/plan_validator.hpp) so corruption tests can
-// substitute individual plan components, exactly like test_verifier.cpp does
-// for the validators.
+// Checks take a PlanView (analysis/plan_validator.hpp) so corruption tests
+// can substitute individual plan components.
 
-#include <memory>
-#include <vector>
+#include <span>
+#include <string>
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/plan_validator.hpp"
@@ -20,66 +24,62 @@
 
 namespace duet::lint {
 
-// What a pass inspects. `previous` / `previous_memory` describe the plan an
-// in-flight recalibration swap retires (nullable; only the swap-audit pass
-// reads them — a worker holding the old snapshot may still touch its
-// held-to-end slots during the grace window).
+// What a check inspects. `previous_memory` is the arena of the plan an
+// in-flight recalibration swap retires (nullable; only the swap audit reads
+// it — a worker holding the old snapshot may still touch its held-to-end
+// slots during the grace window).
 struct LintInput {
   PlanView view;
   const MemoryPlan* memory = nullptr;
-  const PlanView* previous = nullptr;
   const MemoryPlan* previous_memory = nullptr;
 };
 
 // Borrows everything from `plan`; the plan must outlive the input.
 LintInput make_input(const ExecutionPlan& plan);
 
-class LintPass {
- public:
-  virtual ~LintPass() = default;
-
-  // Primary rule id this pass reports under (== an entry in
-  // lint/rules.hpp; a pass may report secondary rules too).
-  virtual const char* id() const = 0;
-  virtual Diagnostic::Severity severity() const = 0;
-  virtual VerifyResult run(const LintInput& input) const = 0;
+struct Check {
+  const char* id;  // primary rule id, stamped as each finding's context
+  VerifyResult (*run)(const LintInput& input);
 };
 
-// The shipped passes (analysis/lint/passes.cpp).
-std::unique_ptr<LintPass> make_boundary_type_pass();
-std::unique_ptr<LintPass> make_redundant_transfer_pass();
-std::unique_ptr<LintPass> make_sync_elision_pass();
-std::unique_ptr<LintPass> make_dead_subgraph_pass();
-std::unique_ptr<LintPass> make_plan_swap_alias_pass();
-// Symbolic batch-polymorphism audits (ISSUE 7; analysis/symbolic/).
-std::unique_ptr<LintPass> make_symbolic_shape_pass();
-std::unique_ptr<LintPass> make_transfer_blowup_pass();
+// The lint passes (analysis/lint/passes.cpp), in table order.
+VerifyResult boundary_type(const LintInput& input);
+VerifyResult sync_elision(const LintInput& input);
+VerifyResult redundant_transfer(const LintInput& input);
+VerifyResult dead_subgraph(const LintInput& input);
+VerifyResult swap_slot_size(const LintInput& input);
+VerifyResult swap_arena_alias(const LintInput& input);
+// Symbolic batch-polymorphism audits (analysis/symbolic/).
+VerifyResult symbolic_shape_contract(const LintInput& input);
+VerifyResult transfer_blowup(const LintInput& input);
 // Visibility note for the latency evaluator's 64-subgraph memo bitset.
-std::unique_ptr<LintPass> make_memo_bitset_pass();
+VerifyResult memo_bitset_fallback(const LintInput& input);
 // Metric-registry hygiene: flags families of metric names that embed
-// per-entity numeric ids (unbounded series cardinality; ISSUE 8).
-std::unique_ptr<LintPass> make_unbounded_series_pass();
+// per-entity numeric ids (unbounded series cardinality).
+VerifyResult telemetry_unbounded_series(const LintInput& input);
+
+// Validators first, then the lint passes; order == catalogue order.
+std::span<const Check> standard_checks();
 
 class LintSuite {
  public:
-  // All shipped passes, registration order == catalogue order.
-  static LintSuite standard();
+  static LintSuite standard() { return {}; }
 
-  void add(std::unique_ptr<LintPass> pass);
-  const std::vector<std::unique_ptr<LintPass>>& passes() const {
-    return passes_;
-  }
-
-  // Runs every pass, stamps each diagnostic's context with the producing
-  // pass id and its artifact with the parent graph's name, and returns the
-  // merged result in deterministic order (VerifyResult::sort).
+  // Runs every standard check, stamps each diagnostic's context with the
+  // producing check's id and its artifact with the parent graph's name, and
+  // returns the merged result in deterministic order (VerifyResult::sort).
+  // Throws Error when a check with a warning primary rule reports an error.
   VerifyResult run(const LintInput& input) const;
   VerifyResult run(const ExecutionPlan& plan) const {
     return run(make_input(plan));
   }
-
- private:
-  std::vector<std::unique_ptr<LintPass>> passes_;
 };
+
+// Checked mode's one call: when verification_enabled(), runs the standard
+// checks that can fail a plan — those whose primary rule is an error —
+// over `plan` inside a "check-plan" span (category "analysis", detail = the
+// parent graph's name) and throws VerifyError prefixed with `what` on any
+// error. Warning-only checks cannot fail a plan; `duet_cli lint` runs them.
+void check_plan(const ExecutionPlan& plan, const std::string& what);
 
 }  // namespace duet::lint

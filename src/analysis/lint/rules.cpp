@@ -183,4 +183,17 @@ const RuleInfo* find_rule(const std::string& id) {
   return it == index.end() ? nullptr : it->second;
 }
 
+Diagnostic finding(std::string rule, NodeId node, int subgraph,
+                   std::string message) {
+  const RuleInfo* info = find_rule(rule);
+  DUET_CHECK(info != nullptr) << "uncatalogued rule " << rule;
+  Diagnostic d;
+  d.severity = info->severity;
+  d.rule = std::move(rule);
+  d.node = node;
+  d.subgraph = subgraph;
+  d.message = std::move(message);
+  return d;
+}
+
 }  // namespace duet::lint

@@ -30,4 +30,9 @@ const std::vector<RuleInfo>& rule_catalogue();
 // nullptr for an unknown id (SARIF then emits the result without ruleIndex).
 const RuleInfo* find_rule(const std::string& id);
 
+// A finding under a catalogued rule, at the rule's catalogue severity — the
+// one place a checker's severity is declared. Throws Error for an unknown id.
+Diagnostic finding(std::string rule, NodeId node, int subgraph,
+                   std::string message);
+
 }  // namespace duet::lint

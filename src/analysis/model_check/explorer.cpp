@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "analysis/lint/rules.hpp"
+
 namespace duet::mc {
 namespace {
 
@@ -124,35 +126,27 @@ class Explorer {
   }
 
   void finish() {
+    VerifyResult& findings = result_.findings;
     for (const auto& [rule, message] : first_by_rule_) {
-      Diagnostic d;
-      d.severity = Diagnostic::Severity::kError;
-      d.rule = rule;
-      d.context = "model-check";
-      d.location.artifact =
-          std::string("serve-protocol:") + variant_name(protocol_.config().variant);
       const uint64_t count = violation_counts_[rule];
-      d.message = message;
-      if (count > 1) {
-        d.message += " (+" + std::to_string(count - 1) + " more)";
-      }
-      result_.findings.add(std::move(d));
+      findings.add(lint::finding(
+          rule, kInvalidNode, -1,
+          count > 1 ? message + " (+" + std::to_string(count - 1) + " more)"
+                    : message));
     }
     if (!result_.exhausted) {
-      Diagnostic d;
-      d.severity = Diagnostic::Severity::kWarning;
-      d.rule = "mc-depth-bound";
-      d.context = "model-check";
-      d.location.artifact =
-          std::string("serve-protocol:") + variant_name(protocol_.config().variant);
-      d.message = "exploration truncated at depth " +
-                  std::to_string(options_.max_depth) + " / " +
-                  std::to_string(options_.max_states) +
-                  " states; invariants hold only for the explored prefix";
-      result_.findings.add(std::move(d));
+      findings.add(lint::finding(
+          "mc-depth-bound", kInvalidNode, -1,
+          "exploration truncated at depth " +
+              std::to_string(options_.max_depth) + " / " +
+              std::to_string(options_.max_states) +
+              " states; invariants hold only for the explored prefix"));
     }
-    result_.findings.sort();
-    result_.ok = result_.findings.error_count() == 0;
+    findings.attribute("model-check");
+    findings.set_artifact(std::string("serve-protocol:") +
+                          variant_name(protocol_.config().variant));
+    findings.sort();
+    result_.ok = findings.error_count() == 0;
   }
 
   const Protocol& protocol_;

@@ -165,7 +165,10 @@ VerifyResult verify_plan(const PlanView& view) {
     }
   }
 
-  const std::vector<int> owner = owner_map(view.parent, view.partition, &result);
+  // Ownership findings belong to verify_partition; reporting them here too
+  // would double every partition corruption in the suite.
+  VerifyResult ownership;
+  const std::vector<int> owner = owner_map(view.parent, view.partition, &ownership);
   const auto device_of = [&](int sid) -> DeviceKind {
     return view.subgraphs[static_cast<size_t>(sid)].device;
   };
@@ -347,10 +350,7 @@ VerifyResult verify_plan(const PlanView& view) {
 
 VerifyResult verify_plan(const ExecutionPlan& plan) {
   VerifyResult result = verify_placement(plan.placement(), plan.partition());
-  result.merge(verify_plan(PlanView{plan.parent(), plan.partition(),
-                                    plan.placement(), plan.subgraphs(),
-                                    plan.consumers(), plan.transfers(),
-                                    plan.step_order()}));
+  result.merge(verify_plan(PlanView::of(plan)));
   return result;
 }
 

@@ -29,6 +29,13 @@ VerifyResult verify_placement(const Placement& placement, const Partition& parti
 // A borrowed view of a plan's components; every reference must outlive the
 // view. Tests build corrupted views from copies of a valid plan's vectors.
 struct PlanView {
+  // The view of an intact plan (borrowed; `plan` must outlive it).
+  static PlanView of(const ExecutionPlan& plan) {
+    return {plan.parent(),    plan.partition(), plan.placement(),
+            plan.subgraphs(), plan.consumers(), plan.transfers(),
+            plan.step_order()};
+  }
+
   const Graph& parent;
   const Partition& partition;
   const Placement& placement;

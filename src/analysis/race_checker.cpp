@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lint/rules.hpp"
 #include "analysis/liveness.hpp"
 #include "graph/shape_inference.hpp"
 #include "telemetry/metrics.hpp"
@@ -21,17 +22,6 @@ VerifyResult record_findings(VerifyResult result) {
         .add(result.diagnostics().size());
   }
   return result;
-}
-
-Diagnostic race(std::string rule, NodeId value, int subgraph,
-                std::string message) {
-  Diagnostic d;
-  d.severity = Diagnostic::Severity::kError;
-  d.rule = std::move(rule);
-  d.node = value;
-  d.subgraph = subgraph;
-  d.message = std::move(message);
-  return d;
 }
 
 bool valid_id(int sid, size_t n) {
@@ -67,11 +57,11 @@ VerifyResult verify_races(const PlanView& view, const MemoryPlan* memory) {
     for (size_t i = 0; i < who.size(); ++i) {
       for (size_t j = i + 1; j < who.size(); ++j) {
         if (hb.ordered(who[i], who[j]) || hb.ordered(who[j], who[i])) continue;
-        result.add(race("race-write-write", value, who[j],
-                        "value %" + std::to_string(value) +
-                            " written by subgraphs #" + std::to_string(who[i]) +
-                            " and #" + std::to_string(who[j]) +
-                            " with no happens-before edge"));
+        result.add(lint::finding(
+            "race-write-write", value, who[j],
+            "value %" + std::to_string(value) + " written by subgraphs #" +
+                std::to_string(who[i]) + " and #" + std::to_string(who[j]) +
+                " with no happens-before edge"));
       }
     }
   }
@@ -88,25 +78,26 @@ VerifyResult verify_races(const PlanView& view, const MemoryPlan* memory) {
       for (int writer : it->second) {
         if (writer == ps.id) continue;
         if (!hb.ordered(writer, ps.id)) {
-          result.add(race("race-read-write", f.parent_producer, ps.id,
-                          "subgraph #" + std::to_string(ps.id) + " reads %" +
-                              std::to_string(f.parent_producer) +
-                              " concurrently with its write in #" +
-                              std::to_string(writer)));
+          result.add(lint::finding(
+              "race-read-write", f.parent_producer, ps.id,
+              "subgraph #" + std::to_string(ps.id) + " reads %" +
+                  std::to_string(f.parent_producer) +
+                  " concurrently with its write in #" +
+                  std::to_string(writer)));
         }
         if (valid_id(writer, n) && valid_id(ps.id, n) &&
             pos[static_cast<size_t>(writer)] >= 0 &&
             pos[static_cast<size_t>(ps.id)] >= 0 &&
             pos[static_cast<size_t>(writer)] > pos[static_cast<size_t>(ps.id)]) {
-          result.add(race("race-step-order", f.parent_producer, ps.id,
-                          "launch order schedules the read of %" +
-                              std::to_string(f.parent_producer) + " in #" +
-                              std::to_string(ps.id) + " (step " +
-                              std::to_string(pos[static_cast<size_t>(ps.id)]) +
-                              ") before its write in #" + std::to_string(writer) +
-                              " (step " +
-                              std::to_string(pos[static_cast<size_t>(writer)]) +
-                              ")"));
+          result.add(lint::finding(
+              "race-step-order", f.parent_producer, ps.id,
+              "launch order schedules the read of %" +
+                  std::to_string(f.parent_producer) + " in #" +
+                  std::to_string(ps.id) + " (step " +
+                  std::to_string(pos[static_cast<size_t>(ps.id)]) +
+                  ") before its write in #" + std::to_string(writer) +
+                  " (step " +
+                  std::to_string(pos[static_cast<size_t>(writer)]) + ")"));
         }
       }
     }
@@ -117,11 +108,12 @@ VerifyResult verify_races(const PlanView& view, const MemoryPlan* memory) {
   for (const TransferStep& t : view.transfers) {
     if (t.src_subgraph == t.dst_subgraph) continue;
     if (!hb.ordered(t.src_subgraph, t.dst_subgraph)) {
-      result.add(race("race-transfer-order", t.parent_node, t.dst_subgraph,
-                      "transfer of %" + std::to_string(t.parent_node) +
-                          " from #" + std::to_string(t.src_subgraph) + " to #" +
-                          std::to_string(t.dst_subgraph) +
-                          " is not ordered by any trigger chain"));
+      result.add(lint::finding(
+          "race-transfer-order", t.parent_node, t.dst_subgraph,
+          "transfer of %" + std::to_string(t.parent_node) + " from #" +
+              std::to_string(t.src_subgraph) + " to #" +
+              std::to_string(t.dst_subgraph) +
+              " is not ordered by any trigger chain"));
     }
   }
 
@@ -137,15 +129,16 @@ VerifyResult verify_races(const PlanView& view, const MemoryPlan* memory) {
     const uint64_t want = node_output_bytes(view.parent.node(value));
     const ArenaSlot* slot = memory->find(device, value);
     if (slot == nullptr) {
-      result.add(race("slot-missing", value, subgraph,
-                      "no " + std::string(device_kind_name(device)) +
-                          " arena slot for boundary value %" +
-                          std::to_string(value)));
+      result.add(lint::finding("slot-missing", value, subgraph,
+                               "no " + std::string(device_kind_name(device)) +
+                                   " arena slot for boundary value %" +
+                                   std::to_string(value)));
     } else if (slot->bytes != want) {
-      result.add(race("slot-size", value, subgraph,
-                      "arena slot for %" + std::to_string(value) + " holds " +
-                          std::to_string(slot->bytes) + " bytes, value needs " +
-                          std::to_string(want)));
+      result.add(lint::finding(
+          "slot-size", value, subgraph,
+          "arena slot for %" + std::to_string(value) + " holds " +
+              std::to_string(slot->bytes) + " bytes, value needs " +
+              std::to_string(want)));
     }
   };
   for (const PlannedSubgraph& ps : view.subgraphs) {
@@ -185,12 +178,12 @@ VerifyResult verify_races(const PlanView& view, const MemoryPlan* memory) {
       const bool b_first =
           !b.held_to_end && accesses_precede(accesses[j], accesses[i], hb);
       if (a_first || b_first) continue;
-      result.add(race("race-slot-alias", b.value, b.def_subgraph,
-                      "values %" + std::to_string(a.value) + " and %" +
-                          std::to_string(b.value) + " overlap in the " +
-                          device_kind_name(a.device) +
-                          " arena without a happens-before order between "
-                          "their accesses"));
+      result.add(lint::finding(
+          "race-slot-alias", b.value, b.def_subgraph,
+          "values %" + std::to_string(a.value) + " and %" +
+              std::to_string(b.value) + " overlap in the " +
+              device_kind_name(a.device) +
+              " arena without a happens-before order between their accesses"));
     }
   }
   result.set_artifact(view.parent.name());
@@ -198,11 +191,7 @@ VerifyResult verify_races(const PlanView& view, const MemoryPlan* memory) {
 }
 
 VerifyResult verify_races(const ExecutionPlan& plan) {
-  return verify_races(PlanView{plan.parent(), plan.partition(),
-                               plan.placement(), plan.subgraphs(),
-                               plan.consumers(), plan.transfers(),
-                               plan.step_order()},
-                      plan.memory_plan());
+  return verify_races(PlanView::of(plan), plan.memory_plan());
 }
 
 }  // namespace duet

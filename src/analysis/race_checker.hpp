@@ -20,7 +20,8 @@
 //   * slot-missing / slot-size — the MemoryPlan lacks (or mis-sizes) a slot
 //                           a boundary value needs on some device
 //
-// Verified in checked mode by DuetEngine alongside the PR 1 validators.
+// Runs in the plan checker's standard table (lint/lint.hpp), after the
+// validators.
 
 #include "analysis/plan_validator.hpp"
 #include "runtime/memory_plan.hpp"

@@ -60,7 +60,7 @@ class PassManager {
   const std::vector<NamedPass>& passes() const { return passes_; }
 
   // Runs all passes in order. In checked mode (verification_enabled(), the
-  // default) the full GraphVerifier runs on the input and after every pass
+  // default) the full graph verifier runs on the input and after every pass
   // and a violation throws VerifyError attributed to the offending pass;
   // otherwise only the cheap structural Graph::validate() runs.
   Graph run(Graph graph) const;

@@ -54,7 +54,7 @@ void PassManager::add(std::string name, Pass pass) {
 }
 
 Graph PassManager::run(Graph graph) const {
-  // Checked mode: the full GraphVerifier runs on the input and after every
+  // Checked mode: the full graph verifier runs on the input and after every
   // pass, so a rewrite that breaks an IR invariant is reported against the
   // pass that broke it (rule + node id) instead of surfacing as downstream
   // garbage. Opted out (set_verification_enabled(false)) it degrades to the

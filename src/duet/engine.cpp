@@ -4,7 +4,6 @@
 
 #include "analysis/lint/lint.hpp"
 #include "analysis/plan_validator.hpp"
-#include "analysis/race_checker.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
@@ -133,27 +132,9 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
         devices_);
   }
 
-  // (5) Build the execution plan for the chosen placement. Checked mode
-  // statically validates the scheduler's placement and the built plan (feeds,
-  // deps, transfer schedule, step order) before anything executes.
-  if (verification_enabled()) {
-    verify_placement(report_.schedule.placement, partition_)
-        .throw_if_failed("scheduler \"" + options_.scheduler +
-                         "\" produced an invalid placement");
-  }
-  plan_ = ExecutionPlan::build(model_, partition_, report_.schedule.placement,
-                               devices_, options_.compile);
-  if (verification_enabled()) {
-    verify_plan(plan_).throw_if_failed("execution plan for \"" + model_.name() +
-                                       "\" is invalid");
-    verify_races(plan_).throw_if_failed(
-        "execution plan for \"" + model_.name() +
-        "\" has conflicting accesses not ordered by happens-before");
-    // Error-severity lint (boundary types, sync elision, ...); warnings do
-    // not throw — `duet_cli lint` surfaces them.
-    lint::LintSuite::standard().run(plan_).throw_if_failed(
-        "execution plan for \"" + model_.name() + "\" fails lint");
-  }
+  // (5) Build the execution plan for the chosen placement, checked before
+  // anything executes.
+  plan_ = build_plan_for(report_.schedule.placement);
   executor_ = std::make_unique<SimExecutor>(devices_);
 
   DUET_LOG_INFO << "DUET ready: " << partition_.subgraphs.size() << " subgraphs, "
@@ -187,22 +168,16 @@ ExecutionResult DuetEngine::infer_threaded(const std::map<NodeId, Tensor>& feeds
 }
 
 ExecutionPlan DuetEngine::build_plan_for(const Placement& placement) const {
+  // Checked mode guards the build against a bad scheduler or recalibration,
+  // then runs the plan checker (validators, race checker, lint).
   if (verification_enabled()) {
     verify_placement(placement, partition_)
-        .throw_if_failed("recalibrated placement for \"" + model_.name() +
-                         "\" is invalid");
+        .throw_if_failed("placement for \"" + model_.name() + "\" is invalid");
   }
   ExecutionPlan plan = ExecutionPlan::build(model_, partition_, placement,
                                             devices_, options_.compile);
-  if (verification_enabled()) {
-    verify_plan(plan).throw_if_failed("recalibrated plan for \"" +
-                                      model_.name() + "\" is invalid");
-    verify_races(plan).throw_if_failed(
-        "recalibrated plan for \"" + model_.name() +
-        "\" has conflicting accesses not ordered by happens-before");
-    lint::LintSuite::standard().run(plan).throw_if_failed(
-        "recalibrated plan for \"" + model_.name() + "\" fails lint");
-  }
+  lint::check_plan(plan,
+                   "execution plan for \"" + model_.name() + "\" is invalid");
   return plan;
 }
 

@@ -74,9 +74,9 @@ class DuetEngine {
   // Same plan, real threads, wall-clock latency (correctness validation).
   ExecutionResult infer_threaded(const std::map<NodeId, Tensor>& feeds);
 
-  // Builds (and, in checked mode, verifies) a plan for an alternative
-  // placement of the same partition — how the serving runtime materializes
-  // an online-recalibrated placement before atomically swapping it in.
+  // Builds (and, in checked mode, checks) a plan for a placement of the
+  // engine's partition — the engine's own plan, and how the serving runtime
+  // materializes an online-recalibrated placement before swapping it in.
   ExecutionPlan build_plan_for(const Placement& placement) const;
 
  private:

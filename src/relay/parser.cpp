@@ -3,6 +3,7 @@
 // tests rely on.
 
 #include <cctype>
+#include <charconv>
 
 #include "common/error.hpp"
 #include "relay/relay.hpp"
@@ -76,8 +77,8 @@ class Lexer {
     return s;
   }
 
-  // Number; sets *is_float when a '.' / exponent appears.
-  double number(bool* is_float) {
+  // Numeric literal text; sets *is_float when a '.' / exponent appears.
+  std::string number(bool* is_float) {
     skip_ws();
     size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
@@ -96,7 +97,28 @@ class Lexer {
     }
     DUET_CHECK(pos_ > start) << "expected number at offset " << start;
     *is_float = saw_float;
-    return std::stod(text_.substr(start, pos_ - start));
+    return text_.substr(start, pos_ - start);
+  }
+
+  // An integer literal; a fractional or exponent literal is an error, and so
+  // is one outside the int64 range.
+  int64_t integer() {
+    bool is_float = false;
+    const std::string text = number(&is_float);
+    DUET_CHECK(!is_float) << "expected an integer, got '" << text << "'";
+    return to_int64(text);
+  }
+
+  static int64_t to_int64(const std::string& text) {
+    const char* begin = text.data() + (text[0] == '+' ? 1 : 0);
+    const char* end = text.data() + text.size();
+    int64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(begin, end, value);
+    DUET_CHECK(ec != std::errc::result_out_of_range)
+        << "integer '" << text << "' is out of range";
+    DUET_CHECK(ec == std::errc() && ptr == end)
+        << "malformed integer '" << text << "'";
+    return value;
   }
 
  private:
@@ -104,15 +126,28 @@ class Lexer {
   size_t pos_ = 0;
 };
 
-TensorType parse_type(Lexer& lex) {
+// Upper bound on the elements of one declared type. Constants are
+// materialized at parse time, so an unchecked declaration would let one line
+// of input allocate without limit. The largest paper-size zoo weight (VGG-16's
+// first classifier layer) holds about 103M elements.
+constexpr int64_t kMaxTypeElements = int64_t{1} << 28;
+
+// `what` names the binding or parameter the type declares, for errors.
+TensorType parse_type(Lexer& lex, const std::string& what) {
   lex.expect_word("Tensor");
   lex.expect('[');
   lex.expect('(');
   std::vector<int64_t> dims;
+  int64_t elements = 1;
   if (!lex.accept(')')) {
     for (;;) {
-      bool is_float = false;
-      dims.push_back(static_cast<int64_t>(lex.number(&is_float)));
+      const int64_t dim = lex.integer();
+      DUET_CHECK(dim >= 0) << "negative dimension in the type of %" << what;
+      DUET_CHECK(dim == 0 || elements <= kMaxTypeElements / dim)
+          << "type of %" << what << " declares more than " << kMaxTypeElements
+          << " elements";
+      elements *= dim;
+      dims.push_back(dim);
       if (lex.accept(')')) break;
       lex.expect(',');
     }
@@ -147,18 +182,15 @@ AttrMap parse_attrs(Lexer& lex) {
       attrs.set(key, lex.quoted_string());
     } else if (lex.accept('[')) {
       std::vector<int64_t> items;
-      while (!lex.accept(']')) {
-        bool is_float = false;
-        items.push_back(static_cast<int64_t>(lex.number(&is_float)));
-      }
+      while (!lex.accept(']')) items.push_back(lex.integer());
       attrs.set(key, std::move(items));
     } else {
       bool is_float = false;
-      const double v = lex.number(&is_float);
+      const std::string v = lex.number(&is_float);
       if (is_float) {
-        attrs.set(key, v);
+        attrs.set(key, std::stod(v));
       } else {
-        attrs.set(key, static_cast<int64_t>(v));
+        attrs.set(key, Lexer::to_int64(v));
       }
     }
     if (lex.accept('}')) break;
@@ -188,7 +220,7 @@ Module parse_module(const std::string& text,
       Param p;
       p.var = parse_var(lex);
       lex.expect(':');
-      p.type = parse_type(lex);
+      p.type = parse_type(lex, p.var);
       m.params.push_back(std::move(p));
       if (lex.accept(')')) break;
       lex.expect(',');
@@ -204,7 +236,7 @@ Module parse_module(const std::string& text,
     const std::string head = lex.ident();
     if (head == "constant") {
       b.kind = Binding::Kind::kConstant;
-      b.constant.type = parse_type(lex);
+      b.constant.type = parse_type(lex, b.var);
       b.type = b.constant.type;
       if (const_table != nullptr) {
         auto it = const_table->find(b.var);

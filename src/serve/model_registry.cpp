@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "analysis/diagnostics.hpp"
+#include "analysis/lint/lint.hpp"
 #include "analysis/plan_validator.hpp"
 #include "analysis/symbolic/crossover.hpp"
 #include "analysis/symbolic/sym_shape_inference.hpp"
@@ -137,8 +138,12 @@ ExecutionPlan ResidentModel::build_plan(int64_t batch,
   Partition partition = partition_phased(graph, options_.engine.partition);
   DUET_CHECK_EQ(partition.subgraphs.size(), placement.size())
       << "batched partition diverged for model " << name_;
-  return ExecutionPlan::build(graph, std::move(partition), placement,
-                              engine_->devices(), options_.engine.compile);
+  ExecutionPlan plan =
+      ExecutionPlan::build(graph, std::move(partition), placement,
+                           engine_->devices(), options_.engine.compile);
+  lint::check_plan(plan, "batch-" + std::to_string(batch) + " plan for \"" +
+                             name_ + "\" is invalid");
+  return plan;
 }
 
 ServingPlan ResidentModel::plan_for(int64_t batch, bool bucketed) {

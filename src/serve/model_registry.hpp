@@ -158,7 +158,8 @@ class ResidentModel {
   };
 
   ServingPlan plan_for(int64_t batch, bool bucketed);
-  // factory(batch) compiled under `placement`.
+  // factory(batch) compiled under `placement`; in checked mode it passes the
+  // plan checker (lint::check_plan) before any caller publishes or runs it.
   ExecutionPlan build_plan(int64_t batch, const Placement& placement) const;
   // Exact modeled makespan at `batch`; builds a throwaway plan on a cache
   // miss and memoizes only the scalar.

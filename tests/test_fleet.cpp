@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "analysis/diagnostics.hpp"
 #include "analysis/symbolic/crossover.hpp"
 #include "analysis/symbolic/sym_shape_inference.hpp"
 #include "compiler/compile_cache.hpp"
@@ -27,6 +28,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/simulator.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace duet {
 namespace {
@@ -364,6 +366,29 @@ TEST_F(FleetRegistryTest, PlanSnapshotsAreSharedAcrossLookups) {
   EXPECT_THROW(m.plan_for_batch(99), Error);
   EXPECT_GT(m.modeled_service_s(2), 0.0);
   EXPECT_GT(m.baseline_service_s(2), 0.0);
+}
+
+// Checked mode covers every plan the registry publishes, not only the
+// engine's: a lazily built batch-2 bucket plan passes the plan checker, and
+// the check shows up as its own span in a trace.
+TEST_F(FleetRegistryTest, LazyBucketPlanPassesThePlanChecker) {
+  ScopedVerification checked(true);
+  ModelRegistry registry(tiny_options());
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
+  serve::ResidentModel& m = registry.model(idx);
+  telemetry::ScopedTelemetry telemetry_on(true);
+  telemetry::SpanCollector::instance().clear();
+  ASSERT_NE(m.plan_for_batch(2), nullptr);
+  size_t checks = 0;
+  for (const telemetry::Span& span :
+       telemetry::SpanCollector::instance().drain()) {
+    if (span.name != "check-plan") continue;
+    ++checks;
+    EXPECT_EQ(span.category, "analysis");
+    EXPECT_EQ(span.detail, m.engine().model().name());
+  }
+  EXPECT_EQ(checks, 1u);
 }
 
 TEST_F(FleetRegistryTest, ApplyPlacementRebuildsBucketZeroPlans) {

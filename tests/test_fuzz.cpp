@@ -273,6 +273,61 @@ TEST(FuzzInputs, MutatedRelayParsesOrThrows) {
   EXPECT_GT(rejected, 0);
 }
 
+// Seeds for the Relay parser's numeric literals: a dim or an integer list
+// takes integers only — never a truncated fraction, an exponent, or a value
+// that overflows int64 — and a declared type is capped in elements, with an
+// error naming the binding. Each seed alone must be rejected; the untouched
+// module must still parse.
+TEST(FuzzInputs, RelayRejectsNonIntegerAndOversizedLiterals) {
+  const auto module = [](const std::string& param, const std::string& weight,
+                         const std::string& attrs) {
+    return "def @f(%x: Tensor[" + param + ", float32]) {\n" +
+           "  %w = constant Tensor[" + weight + ", float32];\n" +
+           "  %y = matmul(%x, %w);\n" +
+           "  %r = reshape(%y) " + attrs + ";\n" +
+           "  (%r)\n}\n";
+  };
+  const std::string kParam = "(2, 4)";
+  const std::string kWeight = "(4, 3)";
+  const std::string kAttrs = "{dims=[3 2]}";
+  ASSERT_NO_THROW(
+      relay::to_graph(relay::parse_module(module(kParam, kWeight, kAttrs))));
+
+  const std::vector<std::string> bad_params = {
+      "(2.5, 4)", "(2, 4.0)", "(1e8, 4)", "(1e30, 4)", "(2, 4e0)",
+      "(99999999999999999999, 4)", "(-2, 4)", "(-, 4)"};
+  for (const std::string& param : bad_params) {
+    EXPECT_THROW(relay::parse_module(module(param, kWeight, kAttrs)), Error)
+        << param;
+  }
+  const std::vector<std::string> bad_attrs = {
+      "{dims=[3.5 2]}", "{dims=[3 2e0]}", "{dims=[1e30 2]}",
+      "{dims=[3 99999999999999999999]}"};
+  for (const std::string& attrs : bad_attrs) {
+    EXPECT_THROW(relay::parse_module(module(kParam, kWeight, attrs)), Error)
+        << attrs;
+  }
+  // A scalar attribute keeps its float form, but an integer one is range
+  // checked too.
+  EXPECT_THROW(
+      relay::parse_module(module(
+          kParam, kWeight, "{dims=[3 2], axis=99999999999999999999}")),
+      Error);
+
+  // Over the element cap: rejected before the constant is materialized, and
+  // the error names the binding.
+  try {
+    relay::parse_module(module(kParam, "(4, 1000000, 1000000)", kAttrs));
+    ADD_FAILURE() << "oversized constant was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("%w"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(relay::parse_module(module(
+                   "(9223372036854775807, 9223372036854775807)", kWeight,
+                   kAttrs)),
+               Error);
+}
+
 // A corrupted profile-cache file loads without crashing, accounts for each
 // row at most once (loaded or rejected), and never hands out a non-finite or
 // negative statistic.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "analysis/lint/lint.hpp"
 #include "analysis/lint/rules.hpp"
@@ -64,7 +65,7 @@ struct PlanFixture {
     return lint::LintInput{
         PlanView{plan.parent(), plan.partition(), plan.placement(), subgraphs,
                  plan.consumers(), plan.transfers(), plan.step_order()},
-        plan.memory_plan(), nullptr, nullptr};
+        plan.memory_plan(), nullptr};
   }
 
   lint::LintInput input_with_transfers(
@@ -73,7 +74,7 @@ struct PlanFixture {
         PlanView{plan.parent(), plan.partition(), plan.placement(),
                  plan.subgraphs(), plan.consumers(), transfers,
                  plan.step_order()},
-        plan.memory_plan(), nullptr, nullptr};
+        plan.memory_plan(), nullptr};
   }
 };
 
@@ -107,6 +108,75 @@ TEST(LintSuite, OutputIsDeterministic) {
   EXPECT_EQ(a.to_string(), b.to_string());
 }
 
+TEST(LintSuite, ValidatorsRunBeforeLintPasses) {
+  const std::span<const lint::Check> checks = lint::standard_checks();
+  ASSERT_GE(checks.size(), 5u);
+  EXPECT_EQ(std::string(checks[0].id), "partition-coverage");
+  EXPECT_EQ(std::string(checks[1].id), "placement-size");
+  EXPECT_EQ(std::string(checks[2].id), "plan-size");
+  EXPECT_EQ(std::string(checks[3].id), "race-read-write");
+}
+
+// Each placement finding is reported once, by the placement validator's
+// check — not again by the plan validator that consumes the placement.
+TEST(LintSuite, CorruptedPlacementIsReportedOnce) {
+  PlanFixture f;
+  const auto run_with = [&f](const Placement& placement) {
+    const PlanView view{f.plan.parent(),    f.plan.partition(),
+                        placement,          f.plan.subgraphs(),
+                        f.plan.consumers(), f.plan.transfers(),
+                        f.plan.step_order()};
+    return lint::LintSuite::standard().run(
+        lint::LintInput{view, f.plan.memory_plan(), nullptr});
+  };
+  const auto expect_once = [](const VerifyResult& r, const std::string& rule,
+                              const std::string& check) {
+    std::set<std::string> seen;
+    size_t found = 0;
+    for (const Diagnostic& d : r.diagnostics()) {
+      EXPECT_TRUE(seen.insert(d.to_string()).second)
+          << "reported twice: " << d.to_string();
+      if (d.rule != rule) continue;
+      ++found;
+      EXPECT_EQ(d.context, check) << d.to_string();
+    }
+    EXPECT_EQ(found, 1u) << rule << " in\n" << r.to_string();
+  };
+
+  const Placement oversized(f.plan.placement().size() + 1);
+  expect_once(run_with(oversized), "placement-size", "placement-size");
+
+  Placement invalid = f.plan.placement();
+  invalid.set(0, static_cast<DeviceKind>(kNumDeviceKinds + 3));
+  const VerifyResult r = run_with(invalid);
+  expect_once(r, "placement-device", "placement-size");
+  expect_once(r, "placement-consistency", "plan-size");
+}
+
+// A partition corruption is the partition validator's finding alone; the
+// plan validator, which reads the same ownership, does not repeat it.
+TEST(LintSuite, CorruptedPartitionIsReportedOnce) {
+  PlanFixture f;
+  Partition partition = f.plan.partition();
+  ASSERT_GE(partition.subgraphs.size(), 2u);
+  ASSERT_FALSE(partition.subgraphs[0].parent_nodes.empty());
+  partition.subgraphs[1].parent_nodes.push_back(
+      partition.subgraphs[0].parent_nodes.front());
+  const PlanView view{f.plan.parent(),    partition,
+                      f.plan.placement(), f.plan.subgraphs(),
+                      f.plan.consumers(), f.plan.transfers(),
+                      f.plan.step_order()};
+  const VerifyResult r = lint::LintSuite::standard().run(
+      lint::LintInput{view, f.plan.memory_plan(), nullptr});
+  size_t overlaps = 0;
+  for (const Diagnostic& d : r.diagnostics()) {
+    if (d.rule != "partition-overlap") continue;
+    ++overlaps;
+    EXPECT_EQ(d.context, "partition-coverage") << d.to_string();
+  }
+  EXPECT_EQ(overlaps, 1u) << r.to_string();
+}
+
 // --- boundary-type --------------------------------------------------------------
 
 TEST(LintPasses, BoundaryTypeCatchesMutatedOutputShape) {
@@ -120,7 +190,7 @@ TEST(LintPasses, BoundaryTypeCatchesMutatedOutputShape) {
                                       subs[0].compiled.options(),
                                       subs[0].compiled.kernels());
   const VerifyResult r =
-      lint::make_boundary_type_pass()->run(f.input_with_subgraphs(subs));
+      lint::boundary_type(f.input_with_subgraphs(subs));
   EXPECT_TRUE(r.has_error("boundary-type")) << r.to_string();
 }
 
@@ -136,7 +206,7 @@ TEST(LintPasses, BoundaryTypeCatchesMutatedPlaceholder) {
                                    ps.compiled.options(),
                                    ps.compiled.kernels());
     const VerifyResult r =
-        lint::make_boundary_type_pass()->run(f.input_with_subgraphs(subs));
+        lint::boundary_type(f.input_with_subgraphs(subs));
     EXPECT_TRUE(r.has_error("boundary-type")) << r.to_string();
     return;
   }
@@ -150,13 +220,13 @@ TEST(LintPasses, SyncElisionCatchesElidedTransfer) {
   ASSERT_FALSE(f.plan.transfers().empty());
   // All staging edges gone: every cross-device read is now unsynchronized.
   const VerifyResult r =
-      lint::make_sync_elision_pass()->run(f.input_with_transfers({}));
+      lint::sync_elision(f.input_with_transfers({}));
   EXPECT_TRUE(r.has_error("sync-elision")) << r.to_string();
 }
 
 TEST(LintPasses, SyncElisionAcceptsCleanPlan) {
   PlanFixture f;
-  const VerifyResult r = lint::make_sync_elision_pass()->run(f.input());
+  const VerifyResult r = lint::sync_elision(f.input());
   EXPECT_TRUE(r.ok()) << r.to_string();
   EXPECT_EQ(r.diagnostics().size(), 0u);
 }
@@ -169,7 +239,7 @@ TEST(LintPasses, RedundantTransferCatchesDoubleShipment) {
   ASSERT_FALSE(transfers.empty());
   transfers.push_back(transfers.front());  // same value, same destination
   const VerifyResult r =
-      lint::make_redundant_transfer_pass()->run(f.input_with_transfers(transfers));
+      lint::redundant_transfer(f.input_with_transfers(transfers));
   ASSERT_TRUE(has_rule(r, "redundant-transfer")) << r.to_string();
   // An optimization opportunity, not a correctness bug: warning severity.
   EXPECT_EQ(r.error_count(), 0u);
@@ -191,7 +261,7 @@ TEST(LintPasses, DeadSubgraphCatchesOrphanedSink) {
         ps.produces.end());
   }
   const VerifyResult r =
-      lint::make_dead_subgraph_pass()->run(f.input_with_subgraphs(subs));
+      lint::dead_subgraph(f.input_with_subgraphs(subs));
   EXPECT_TRUE(has_rule(r, "dead-subgraph")) << r.to_string();
   EXPECT_TRUE(has_rule(r, "unreachable-step")) << r.to_string();
   // Step findings carry their launch-order position.
@@ -204,7 +274,7 @@ TEST(LintPasses, DeadSubgraphCatchesOrphanedSink) {
 
 TEST(LintPasses, DeadSubgraphAcceptsCleanPlan) {
   PlanFixture f;
-  const VerifyResult r = lint::make_dead_subgraph_pass()->run(f.input());
+  const VerifyResult r = lint::dead_subgraph(f.input());
   EXPECT_EQ(r.diagnostics().size(), 0u) << r.to_string();
 }
 
@@ -212,8 +282,9 @@ TEST(LintPasses, DeadSubgraphAcceptsCleanPlan) {
 
 TEST(LintPasses, SwapAuditIsSilentWithoutPreviousPlan) {
   PlanFixture f;
-  const VerifyResult r = lint::make_plan_swap_alias_pass()->run(f.input());
+  const VerifyResult r = lint::swap_arena_alias(f.input());
   EXPECT_EQ(r.diagnostics().size(), 0u) << r.to_string();
+  EXPECT_EQ(lint::swap_slot_size(f.input()).diagnostics().size(), 0u);
 }
 
 TEST(LintPasses, SwapSlotSizeCatchesResizedValue) {
@@ -232,10 +303,8 @@ TEST(LintPasses, SwapSlotSizeCatchesResizedValue) {
   }
   ASSERT_TRUE(mutated);
   lint::LintInput input = f.input();
-  const PlanView previous = lint::make_input(f.plan).view;
-  input.previous = &previous;
   input.previous_memory = &retired;
-  const VerifyResult r = lint::make_plan_swap_alias_pass()->run(input);
+  const VerifyResult r = lint::swap_slot_size(input);
   EXPECT_TRUE(r.has_error("swap-slot-size")) << r.to_string();
 }
 
@@ -246,10 +315,8 @@ TEST(LintPasses, SwapAliasReportsOverlapWithRetiredArena) {
   // its own range, so the audit must report (as a warning, not an error —
   // executors give each plan its own arena).
   lint::LintInput input = f.input();
-  const PlanView previous = lint::make_input(f.plan).view;
-  input.previous = &previous;
   input.previous_memory = f.plan.memory_plan();
-  const VerifyResult r = lint::make_plan_swap_alias_pass()->run(input);
+  const VerifyResult r = lint::swap_arena_alias(input);
   EXPECT_TRUE(has_rule(r, "swap-arena-alias")) << r.to_string();
   EXPECT_EQ(r.error_count(), 0u) << r.to_string();
 }
@@ -260,7 +327,7 @@ TEST(LintPasses, UnboundedSeriesCatchesPerRequestMetricFamilies) {
   PlanFixture f;
   // The pass audits process registry state, not the plan: before the bug is
   // committed, the rule must stay silent.
-  const VerifyResult clean = lint::make_unbounded_series_pass()->run(f.input());
+  const VerifyResult clean = lint::telemetry_unbounded_series(f.input());
   EXPECT_FALSE(has_rule(clean, "telemetry-unbounded-series"))
       << clean.to_string();
 
@@ -270,7 +337,7 @@ TEST(LintPasses, UnboundedSeriesCatchesPerRequestMetricFamilies) {
     telemetry::counter("lint_test.request." + std::to_string(i) +
                        ".latency_us");
   }
-  const VerifyResult r = lint::make_unbounded_series_pass()->run(f.input());
+  const VerifyResult r = lint::telemetry_unbounded_series(f.input());
   ASSERT_TRUE(has_rule(r, "telemetry-unbounded-series")) << r.to_string();
   // Hygiene advice, not a correctness bug: warning severity.
   EXPECT_EQ(r.error_count(), 0u);
@@ -291,7 +358,7 @@ TEST(LintPasses, UnboundedSeriesIgnoresFewInstantiations) {
   for (int i = 0; i < 3; ++i) {
     telemetry::counter("lint_test.shard." + std::to_string(i) + ".ops");
   }
-  const VerifyResult r = lint::make_unbounded_series_pass()->run(f.input());
+  const VerifyResult r = lint::telemetry_unbounded_series(f.input());
   for (const Diagnostic& d : r.diagnostics()) {
     EXPECT_EQ(d.message.find("lint_test.shard"), std::string::npos)
         << d.to_string();
@@ -312,14 +379,19 @@ TEST(RuleCatalogue, IdsAreUniqueAndResolvable) {
 }
 
 TEST(RuleCatalogue, CoversEveryEmittedRule) {
-  // Every rule the passes can emit must resolve (SARIF ruleIndex stability).
+  // Every rule the checks can emit must resolve (SARIF ruleIndex stability).
+  // The standard table names each check's primary rule; the secondary rules
+  // and the model checker's rules, which the table cannot enumerate, are
+  // listed by hand.
+  std::set<std::string> ids;
+  for (const lint::Check& check : lint::standard_checks()) {
+    EXPECT_TRUE(ids.insert(check.id).second) << "duplicate check " << check.id;
+    EXPECT_NE(lint::find_rule(check.id), nullptr) << check.id;
+  }
   for (const char* rule :
-       {"boundary-type", "sync-elision", "redundant-transfer", "dead-subgraph",
-        "unreachable-step", "swap-slot-size", "swap-arena-alias",
+       {"unreachable-step", "unbounded-dim",
         "mc-conservation", "mc-queue-accounting", "mc-lost-wakeup",
-        "mc-snapshot-retired", "mc-depth-bound", "symbolic-shape-contract",
-        "unbounded-dim", "transfer-blowup", "memo-bitset-fallback",
-        "telemetry-unbounded-series"}) {
+        "mc-snapshot-retired", "mc-depth-bound"}) {
     EXPECT_NE(lint::find_rule(rule), nullptr) << rule;
   }
 }

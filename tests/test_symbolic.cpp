@@ -370,7 +370,7 @@ lint::LintInput input_with_subgraphs(
   return lint::LintInput{
       PlanView{plan.parent(), plan.partition(), plan.placement(), subgraphs,
                plan.consumers(), plan.transfers(), plan.step_order()},
-      plan.memory_plan(), nullptr, nullptr};
+      plan.memory_plan(), nullptr};
 }
 
 ExecutionPlan cpu_plan(const Graph& graph) {
@@ -388,7 +388,7 @@ TEST(SymbolicLint, ShapeContractPassFiresThroughThePlanPipeline) {
   const ExecutionPlan plan = cpu_plan(b.finish({b.relu(r)}));
 
   const VerifyResult result =
-      lint::make_symbolic_shape_pass()->run(lint::make_input(plan));
+      lint::symbolic_shape_contract(lint::make_input(plan));
   EXPECT_TRUE(has_rule(result, "symbolic-shape-contract"))
       << result.to_string();
   EXPECT_EQ(result.error_count(), 0u);
@@ -402,7 +402,7 @@ TEST(SymbolicLint, TransferBlowupFiresOnEmbeddingOnlySubgraph) {
   const ExecutionPlan plan = cpu_plan(b.finish({b.embedding(idx, 100, 16)}));
 
   const VerifyResult result =
-      lint::make_transfer_blowup_pass()->run(lint::make_input(plan));
+      lint::transfer_blowup(lint::make_input(plan));
   EXPECT_TRUE(has_rule(result, "transfer-blowup")) << result.to_string();
   EXPECT_EQ(result.error_count(), 0u);
 }
@@ -414,7 +414,7 @@ TEST(SymbolicLint, TransferBlowupStaysSilentWhenComputeKeepsPace) {
   const ExecutionPlan plan = cpu_plan(b.finish({b.relu(b.dense(x, 8))}));
 
   const VerifyResult result =
-      lint::make_transfer_blowup_pass()->run(lint::make_input(plan));
+      lint::transfer_blowup(lint::make_input(plan));
   EXPECT_EQ(result.diagnostics().size(), 0u) << result.to_string();
 }
 
@@ -424,8 +424,7 @@ TEST(SymbolicLint, MemoBitsetFallbackFiresPast64Subgraphs) {
   const ExecutionPlan plan = cpu_plan(b.finish({b.relu(b.dense(x, 8))}));
 
   // Under the 64-subgraph cliff: silent.
-  EXPECT_EQ(lint::make_memo_bitset_pass()
-                ->run(lint::make_input(plan))
+  EXPECT_EQ(lint::memo_bitset_fallback(lint::make_input(plan))
                 .diagnostics()
                 .size(),
             0u);
@@ -435,7 +434,7 @@ TEST(SymbolicLint, MemoBitsetFallbackFiresPast64Subgraphs) {
   ASSERT_FALSE(subs.empty());
   while (subs.size() <= 64) subs.push_back(subs.front());
   const VerifyResult result =
-      lint::make_memo_bitset_pass()->run(input_with_subgraphs(plan, subs));
+      lint::memo_bitset_fallback(input_with_subgraphs(plan, subs));
   EXPECT_TRUE(has_rule(result, "memo-bitset-fallback")) << result.to_string();
   EXPECT_EQ(result.error_count(), 0u);
 }

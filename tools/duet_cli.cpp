@@ -32,11 +32,11 @@
 // interval and slot tables; exits nonzero when a device's arena exceeds its
 // naive footprint or any race diagnostic fires.
 //
-// `lint` runs the unified static-analysis suite (ISSUE 6): every checker in
-// src/analysis — graph verifier, partition/placement/plan validators,
-// happens-before race checker, and the lint passes (boundary types, sync
+// `lint` runs the unified static-analysis suite: the graph verifier, one run
+// of the plan checker's standard table (partition/placement/plan validators,
+// happens-before race checker, and the lint passes — boundary types, sync
 // elision, redundant transfers, dead subgraphs, plan-swap arena audit with a
-// recalibration-style flipped plan as the retired snapshot) — plus the
+// recalibration-style flipped plan as the retired snapshot), plus the
 // small-scope serve-protocol model checker. Diagnostics are deterministic
 // (sorted by severity/rule/artifact/subgraph/node); --json emits one
 // validated document per artifact and --sarif writes one SARIF 2.1.0 log
@@ -87,7 +87,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cinttypes>
-#include <optional>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -105,7 +104,6 @@
 #include "analysis/lint/sarif.hpp"
 #include "analysis/liveness.hpp"
 #include "analysis/model_check/explorer.hpp"
-#include "analysis/plan_validator.hpp"
 #include "analysis/race_checker.hpp"
 #include "analysis/symbolic/crossover.hpp"
 #include "analysis/symbolic/sym_shape_inference.hpp"
@@ -309,29 +307,16 @@ bool verify_one(const Args& a, const std::string& label, duet::Graph model) {
   // Stage 2: the whole-model pass pipeline in checked mode (the verifier
   // runs after every pass inside PassManager::run). DuetEngine then compiles
   // per-subgraph with the same checked pipeline, partitions, schedules, and
-  // validates placement + plan internally; we re-run the validators here to
-  // report stage-by-stage counts.
+  // runs the plan checker, throwing VerifyError on any error.
   try {
     ScopedVerification checked(true);
     PassManager::standard(options.compile).run(model);
     DuetEngine engine(std::move(model), options);
-    VerifyResult partition_result =
-        verify_partition(engine.model(), engine.partition());
-    VerifyResult placement_result =
-        verify_placement(engine.plan().placement(), engine.partition());
-    VerifyResult plan_result = verify_plan(engine.plan());
-    if (!partition_result.ok() || !placement_result.ok() || !plan_result.ok()) {
-      std::printf("FAIL\n%s%s%s", partition_result.to_string().c_str(),
-                  placement_result.to_string().c_str(),
-                  plan_result.to_string().c_str());
-      return false;
-    }
     std::printf(
         "OK  graph %zu nodes | %zu subgraphs | %s | %zu transfers | %zu warnings\n",
         engine.model().num_nodes(), engine.partition().subgraphs.size(),
         engine.report().fell_back ? "single-device" : "heterogeneous",
-        engine.plan().transfers().size(),
-        graph_result.warning_count() + plan_result.warning_count());
+        engine.plan().transfers().size(), graph_result.warning_count());
     return true;
   } catch (const VerifyError& e) {
     std::printf("FAIL\n%s\n", e.what());
@@ -453,10 +438,10 @@ std::string findings_json(const duet::VerifyResult& result) {
   return out + "]";
 }
 
-// The unified static-analysis suite over one model: every checker in
-// src/analysis plus the lint passes, collected (never thrown) so one run
-// reports every finding. The plan-swap audit gets a recalibration-style
-// flipped-placement plan as the retired snapshot.
+// The unified static-analysis suite over one model: the graph verifier plus
+// one plan-checker run, collected (never thrown) so one run reports every
+// finding. The plan-swap audit gets a recalibration-style flipped-placement
+// plan as the retired snapshot.
 duet::VerifyResult lint_model(const std::string& label, duet::Graph model,
                               duet::DuetOptions options) {
   using namespace duet;
@@ -464,29 +449,15 @@ duet::VerifyResult lint_model(const std::string& label, duet::Graph model,
   // passes nothing to check; the engine's own checked-mode hooks are off
   // because this run reports findings instead of throwing on the first.
   options.enable_fallback = false;
-  VerifyResult all;
-  all.merge(verify_graph(model));
+  VerifyResult all = verify_graph(model);
   ScopedVerification report_dont_throw(false);
   DuetEngine engine(std::move(model), options);
-  all.merge(verify_partition(engine.model(), engine.partition()));
-  all.merge(verify_placement(engine.plan().placement(), engine.partition()));
-  all.merge(verify_plan(engine.plan()));
-  all.merge(verify_races(engine.plan()));
 
+  Placement flipped = engine.plan().placement();
+  flipped.flip(0);
+  const ExecutionPlan previous = engine.build_plan_for(flipped);
   lint::LintInput input = lint::make_input(engine.plan());
-  ExecutionPlan previous;
-  std::optional<PlanView> previous_view;
-  if (engine.plan().placement().size() > 0) {
-    Placement flipped = engine.plan().placement();
-    flipped.flip(0);
-    previous = engine.build_plan_for(flipped);
-    previous_view.emplace(PlanView{
-        previous.parent(), previous.partition(), previous.placement(),
-        previous.subgraphs(), previous.consumers(), previous.transfers(),
-        previous.step_order()});
-    input.previous = &*previous_view;
-    input.previous_memory = previous.memory_plan();
-  }
+  input.previous_memory = previous.memory_plan();
   all.merge(lint::LintSuite::standard().run(input));
   all.set_artifact(label);
   all.sort();
