@@ -1,139 +1,31 @@
 #include "analysis/symbolic/sym_cost.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
-#include "graph/op.hpp"
+#include "graph/op_semantics.hpp"
 
 namespace duet::symbolic {
 namespace {
 
-// Symbolic shape of input `i` of `n`, looked up in the inference result.
-const SymShape& in_shape(const Graph&, const Node& n, size_t i,
-                         const SymbolicShapes& shapes) {
-  DUET_CHECK_LT(i, n.inputs.size()) << op_name(n.op) << " missing input " << i;
-  const NodeId id = n.inputs[i];
-  DUET_CHECK(id >= 0 && static_cast<size_t>(id) < shapes.shapes.size());
-  return shapes.shapes[static_cast<size_t>(id)];
-}
+// The symbolic cost context of the op-semantics table: shapes come from a
+// finished inference result, and every quantity is a SymExpr.
+struct SymCostOps {
+  using ShapeT = SymShape;
+  using DimT = SymExpr;
+  using FlopsT = SymExpr;
+  using BytesT = SymExpr;
 
-SymExpr out_bytes_sym(const Node& n, const SymbolicShapes& shapes) {
-  const SymShape& out = shapes.shapes[static_cast<size_t>(n.id)];
-  return out.numel() *
-         SymExpr{static_cast<int64_t>(dtype_size(n.out_dtype))};
-}
+  const Graph& g;
+  const SymbolicShapes& shapes;
 
-// Mirrors node_flops case by case; every concrete formula is an integer
-// polynomial of the dims, restated here over SymExpr.
-SymExpr flops_sym(const Graph& g, const Node& n, const SymbolicShapes& shapes) {
-  const SymShape& out = shapes.shapes[static_cast<size_t>(n.id)];
-  const SymExpr numel_out = out.numel();
-  switch (n.op) {
-    case OpType::kInput:
-    case OpType::kConstant:
-    case OpType::kReshape:
-    case OpType::kFlatten:
-    case OpType::kIdentity:
-    case OpType::kEmbedding:
-      return SymExpr{};
-    case OpType::kMatMul: {
-      const SymShape& a = in_shape(g, n, 0, shapes);
-      const SymShape& b = in_shape(g, n, 1, shapes);
-      return SymExpr{2} * a.dim(0) * a.dim(1) * b.dim(1);
-    }
-    case OpType::kDense: {
-      const SymShape& x = in_shape(g, n, 0, shapes);
-      const SymShape& w = in_shape(g, n, 1, shapes);
-      return SymExpr{2} * x.dim(0) * w.dim(0) * w.dim(1);
-    }
-    case OpType::kBatchMatMul: {
-      const SymShape& a = in_shape(g, n, 0, shapes);
-      return SymExpr{2} * a.numel() * out.dim(2);
-    }
-    case OpType::kConv2d: {
-      const SymShape& w = in_shape(g, n, 1, shapes);
-      return numel_out * SymExpr{2} * w.dim(1) * w.dim(2) * w.dim(3);
-    }
-    case OpType::kLSTM: {
-      const SymShape& x = in_shape(g, n, 0, shapes);
-      const SymExpr& hidden = out.dim(2);
-      const SymExpr& input = x.dim(2);
-      const SymExpr per_step =
-          SymExpr{8} * x.dim(0) * hidden * (input + hidden) +
-          SymExpr{10} * x.dim(0) * hidden;
-      return per_step * x.dim(1);
-    }
-    case OpType::kGRU: {
-      const SymShape& x = in_shape(g, n, 0, shapes);
-      const SymExpr& hidden = out.dim(2);
-      const SymExpr& input = x.dim(2);
-      const SymExpr per_step =
-          SymExpr{6} * x.dim(0) * hidden * (input + hidden) +
-          SymExpr{8} * x.dim(0) * hidden;
-      return per_step * x.dim(1);
-    }
-    case OpType::kMultiHeadAttention: {
-      const SymShape& x = in_shape(g, n, 0, shapes);
-      const SymExpr& b = x.dim(0);
-      const SymExpr& s = x.dim(1);
-      const SymExpr& m = x.dim(2);
-      return SymExpr{6} * b * s * m * m + SymExpr{2} * b * s * m * m +
-             SymExpr{4} * b * s * s * m;
-    }
-    case OpType::kSoftmax:
-    case OpType::kLayerNorm:
-      return SymExpr{5} * numel_out;
-    case OpType::kMaxPool2d:
-    case OpType::kAvgPool2d: {
-      const int64_t k = n.attrs.get_int("kernel");
-      return numel_out * SymExpr{k * k};
-    }
-    case OpType::kGlobalAvgPool:
-      return in_shape(g, n, 0, shapes).numel();
-    case OpType::kBatchNorm:
-      return SymExpr{2} * numel_out;
-    case OpType::kReduceSum:
-    case OpType::kReduceMean:
-    case OpType::kReduceMax:
-    case OpType::kArgMax:
-      return in_shape(g, n, 0, shapes).numel();
-    case OpType::kGelu:
-      return SymExpr{8} * numel_out;
-    case OpType::kSigmoid:
-    case OpType::kTanh:
-      return SymExpr{4} * numel_out;
-    case OpType::kElementwiseChain: {
-      const auto chain = n.attrs.get_string_or("chain", "");
-      const int64_t ops =
-          1 + static_cast<int64_t>(std::count(chain.begin(), chain.end(), ','));
-      return SymExpr{4 * ops} * numel_out;
-    }
-    default:
-      return numel_out;  // remaining elementwise / movement ops
+  const Graph& graph() const { return g; }
+  const SymShape& shape(const Node& t) const {
+    DUET_CHECK(t.id >= 0 && static_cast<size_t>(t.id) < shapes.shapes.size());
+    return shapes.shapes[static_cast<size_t>(t.id)];
   }
-}
-
-SymExpr launches_sym(const Graph& g, const Node& n,
-                     const SymbolicShapes& shapes) {
-  switch (n.op) {
-    case OpType::kInput:
-    case OpType::kConstant:
-    case OpType::kReshape:
-    case OpType::kFlatten:
-    case OpType::kIdentity:
-      return SymExpr{};
-    case OpType::kLSTM:
-    case OpType::kGRU:
-      // Three launches per timestep; the loop cannot batch.
-      return SymExpr{3} * in_shape(g, n, 0, shapes).dim(1);
-    case OpType::kMultiHeadAttention:
-      return SymExpr{6};
-    case OpType::kConv2d:
-      return SymExpr{2};
-    default:
-      return SymExpr{1};
-  }
-}
+};
 
 }  // namespace
 
@@ -142,24 +34,14 @@ SymNodeCost sym_node_cost(const Graph& graph, const Node& node,
   SymNodeCost c;
   c.metadata = is_metadata_op(node.op);
   if (c.metadata) return c;
-  c.flops = flops_sym(graph, node, shapes);
-  c.launches = launches_sym(graph, node, shapes);
-  // Bytes: a gather touches only the selected rows, not the whole table.
-  const SymExpr written = out_bytes_sym(node, shapes);
-  if (node.op == OpType::kEmbedding) {
-    const Node& idx = graph.node(node.inputs[0]);
-    c.read_bytes = in_shape(graph, node, 0, shapes).numel() *
-                       SymExpr{static_cast<int64_t>(dtype_size(idx.out_dtype))} +
-                   written;
-  } else {
-    for (NodeId in : node.inputs) {
-      c.read_bytes += out_bytes_sym(graph.node(in), shapes);
-    }
-  }
-  c.written_bytes = written;
-  const SymShape& out = shapes.shapes[static_cast<size_t>(node.id)];
-  if (out.rank() > 0) c.batch = out.dim(0);
-  c.layout_tagged = node.op == OpType::kConv2d && node.attrs.has("layout");
+  const SymCostOps ctx{graph, shapes};
+  auto q = op_semantics::op_cost(ctx, node);
+  c.flops = std::move(q.flops);
+  c.launches = std::move(q.launches);
+  c.read_bytes = std::move(q.read);
+  c.written_bytes = std::move(q.written);
+  c.batch = std::move(q.batch);
+  c.layout_tagged = q.layout_tagged;
   return c;
 }
 
@@ -185,6 +67,7 @@ std::vector<SymSubgraphCost> sym_partition_costs(const Graph& parent,
                                                  const SymbolicShapes& shapes) {
   std::vector<SymSubgraphCost> out;
   out.reserve(partition.subgraphs.size());
+  const SymCostOps ctx{parent, shapes};
   for (const Subgraph& sg : partition.subgraphs) {
     SymSubgraphCost c;
     c.subgraph = sg.id;
@@ -197,10 +80,10 @@ std::vector<SymSubgraphCost> sym_partition_costs(const Graph& parent,
     }
     for (const Subgraph::BoundaryInput& b : sg.boundary_inputs) {
       c.transfer_in_bytes +=
-          out_bytes_sym(parent.node(b.parent_producer), shapes);
+          op_semantics::tensor_bytes(ctx, parent.node(b.parent_producer));
     }
     for (NodeId id : sg.boundary_outputs) {
-      c.transfer_out_bytes += out_bytes_sym(parent.node(id), shapes);
+      c.transfer_out_bytes += op_semantics::tensor_bytes(ctx, parent.node(id));
     }
     out.push_back(std::move(c));
   }

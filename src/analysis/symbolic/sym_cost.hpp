@@ -1,13 +1,13 @@
 #pragma once
 
-// Symbolic cost derivation (ISSUE 7 tentpole, part 3): per-node and
-// per-subgraph flops / bytes / launch counts as polynomials of the shape
-// symbols, paralleling graph/shape_inference.cpp's node_flops /
-// node_kernel_launches / node_bytes and partition/subgraph.cpp's boundary
-// byte sums. Every formula there is an integer polynomial of the dims, so
-// the SymExpr forms are exact: specializing at a concrete binding reproduces
-// the concrete quantities bit-for-bit (all zoo costs are < 2^53, where
-// int64 -> double is lossless), which tests/test_symbolic.cpp certifies.
+// Symbolic cost derivation: per-node and per-subgraph flops / bytes / launch
+// counts as polynomials of the shape symbols. sym_node_cost instantiates the
+// op-semantics table's cost formulas (graph/op_semantics.hpp) over SymExpr,
+// the same formulas behind node_flops / node_bytes / node_kernel_launches;
+// the boundary byte sums parallel partition/subgraph.cpp's. Specializing at a
+// concrete binding reproduces the concrete quantities bit-for-bit (all zoo
+// costs are < 2^53, where int64 -> double is lossless), which
+// tests/test_symbolic.cpp certifies.
 
 #include <vector>
 

@@ -159,32 +159,12 @@ SymExpr& SymExpr::operator*=(const SymExpr& other) {
   return *this;
 }
 
-std::optional<SymExpr> SymExpr::divided_by(const SymExpr& divisor) const {
-  DUET_CHECK(!divisor.is_zero()) << "SymExpr division by zero";
-  if (is_zero()) return SymExpr{};
-  if (divisor.terms_.size() != 1) {
-    // Multi-term divisors only divide their exact multiples; try the one
-    // quotient a shape contract could produce — the dividend equal to the
-    // divisor — and give up otherwise.
-    return *this == divisor ? std::optional<SymExpr>(SymExpr{1}) : std::nullopt;
-  }
-  const auto& [dmono, dcoeff] = *divisor.terms_.begin();
+std::optional<SymExpr> SymExpr::divided_by(int64_t divisor) const {
+  DUET_CHECK_GT(divisor, 0) << "SymExpr division by a non-positive constant";
   SymExpr out;
   for (const auto& [mono, coeff] : terms_) {
-    if (coeff % dcoeff != 0) return std::nullopt;
-    Monomial quotient;
-    auto dit = dmono.factors.begin();
-    for (const auto& [name, exp] : mono.factors) {
-      int need = 0;
-      if (dit != dmono.factors.end() && dit->first == name) {
-        need = dit->second;
-        ++dit;
-      }
-      if (exp < need) return std::nullopt;
-      if (exp > need) quotient.factors.emplace_back(name, exp - need);
-    }
-    if (dit != dmono.factors.end()) return std::nullopt;  // divisor symbol absent
-    out.terms_.emplace(std::move(quotient), coeff / dcoeff);
+    if (coeff % divisor != 0) return std::nullopt;
+    out.terms_.emplace(mono, coeff / divisor);
   }
   return out;
 }

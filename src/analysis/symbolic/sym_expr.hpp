@@ -4,10 +4,11 @@
 // is a multivariate polynomial over named symbols (e.g. the batch dimension
 // `B`, a sequence length `T`) with int64 coefficients — "affine plus
 // product": closed under the +, -, * that shape inference and FLOP counting
-// need, with exact division for the few contracts (flatten, head split) that
-// divide. Expressions are kept in canonical form (sorted monomials, no zero
-// coefficients), so structural equality IS semantic equality, which is what
-// the symbolic shape-inference pass uses to prove dim contracts.
+// need, with exact division by a constant for the few contracts (strided
+// pooling, head split) that divide. Expressions are kept in canonical form
+// (sorted monomials, no zero coefficients), so structural equality IS
+// semantic equality, which is what the symbolic shape-inference pass uses to
+// prove dim contracts.
 //
 // All coefficient arithmetic is overflow-checked (a scheduler that silently
 // wraps a byte count is worse than one that throws); interval bounds over a
@@ -68,10 +69,10 @@ class SymExpr {
   bool operator==(const SymExpr& other) const { return terms_ == other.terms_; }
   bool operator!=(const SymExpr& other) const { return !(*this == other); }
 
-  // Exact polynomial division. Supports the cases shape contracts produce —
-  // a constant divisor or a single-term divisor — and returns nullopt when
-  // the quotient is not a polynomial with integer coefficients.
-  std::optional<SymExpr> divided_by(const SymExpr& divisor) const;
+  // Exact division by a positive constant (a stride, a head count): nullopt
+  // unless every coefficient divides, i.e. the quotient has integer
+  // coefficients.
+  std::optional<SymExpr> divided_by(int64_t divisor) const;
 
   // Exact value at a full binding. Throws on an unbound symbol or int64
   // overflow anywhere in the evaluation.

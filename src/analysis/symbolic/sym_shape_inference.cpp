@@ -1,11 +1,10 @@
 #include "analysis/symbolic/sym_shape_inference.hpp"
 
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
-#include "graph/op.hpp"
+#include "graph/op_semantics.hpp"
 
 namespace duet::symbolic {
 namespace {
@@ -13,11 +12,16 @@ namespace {
 constexpr const char* kRuleShapeContract = "symbolic-shape-contract";
 constexpr const char* kRuleUnboundedDim = "unbounded-dim";
 
-// Per-node inference state threaded through the op contracts below.
+// The symbolic context of the op-semantics table (graph/op_semantics.hpp):
+// SymShape dims, comparisons provable over the domain, exact division for
+// symbolic pool extents, and a warning plus fallback where a contract breaks.
 class Inference {
  public:
+  using ShapeT = SymShape;
+  using DimT = SymExpr;
+
   Inference(const Graph& graph, const SymbolicOptions& options)
-      : graph_(graph) {
+      : graph_(graph), options_(options) {
     result_.batch_symbol = options.batch_symbol;
     result_.domain = options.domain;
     if (result_.domain.empty() && !options.batch_symbol.empty()) {
@@ -25,12 +29,12 @@ class Inference {
     }
   }
 
-  SymbolicShapes run(const SymbolicOptions& options) {
+  SymbolicShapes run() {
     result_.shapes.reserve(graph_.num_nodes());
     result_.dtypes.reserve(graph_.num_nodes());
     for (const Node& n : graph_.nodes()) {
       result_.dtypes.push_back(n.out_dtype);
-      result_.shapes.push_back(infer(n, options));
+      result_.shapes.push_back(op_semantics::output_shape(*this, n));
     }
     check_domain_coverage();
     result_.diagnostics.attribute("symbolic-inference");
@@ -38,16 +42,40 @@ class Inference {
     return std::move(result_);
   }
 
- private:
-  // The symbolic shape of input `i` of node `n` (already inferred — node
-  // inputs precede the node in the table by construction).
-  const SymShape& in(const Node& n, size_t i) const {
-    DUET_CHECK_LT(i, n.inputs.size())
-        << op_name(n.op) << " missing input " << i;
-    const NodeId id = n.inputs[i];
-    DUET_CHECK(id >= 0 && static_cast<size_t>(id) < result_.shapes.size())
+  const Graph& graph() const { return graph_; }
+
+  // The symbolic shape of `t` (already inferred: node inputs precede the
+  // node in the table by construction).
+  const SymShape& shape(const Node& t) const {
+    DUET_CHECK(t.id >= 0 && static_cast<size_t>(t.id) < result_.shapes.size())
         << "input id out of inference order";
-    return result_.shapes[static_cast<size_t>(id)];
+    return result_.shapes[static_cast<size_t>(t.id)];
+  }
+
+  SymShape terminal(const Node& n) {
+    return n.is_input() ? input_shape(n) : SymShape(n.out_shape);
+  }
+
+  bool ge(const SymExpr& a, const SymExpr& b) const {
+    return provably_ge(a, b, result_.domain);
+  }
+  bool gt(const SymExpr& a, const SymExpr& b) const {
+    return provably_gt(a, b, result_.domain);
+  }
+  bool divisible(const SymExpr& a, int64_t d) const {
+    return a.divided_by(d).has_value();
+  }
+
+  // Floor division exactly as the concrete pass when the numerator is
+  // constant; exact polynomial division (or nullopt) otherwise.
+  std::optional<SymExpr> pool_extent(const SymExpr& numerator,
+                                     int64_t stride) const {
+    if (numerator.is_constant()) {
+      return SymExpr{numerator.constant_value() / stride + 1};
+    }
+    auto q = numerator.divided_by(stride);
+    if (!q) return std::nullopt;
+    return *q + SymExpr{1};
   }
 
   // Records a symbolic-shape-contract finding and falls back to the node's
@@ -55,13 +83,15 @@ class Inference {
   // deliberately drops symbols: downstream consumers see a constant shape,
   // which keeps specialization consistent with what the runtime would do
   // after re-tracing at a concrete batch.
-  SymShape contract(const Node& n, const std::string& why) {
+  template <typename Why>
+  SymShape fail(const Node& n, const Why& why) {
     result_.diagnostics.warning(kRuleShapeContract, n.id,
                                 std::string(op_name(n.op)) + " '" + n.name +
-                                    "': " + why);
+                                    "': " + why());
     return SymShape(n.out_shape);
   }
 
+ private:
   // Emits unbounded-dim once per offending symbol.
   void note_unbounded(const Node& n, const SymExpr& dim) {
     for (const std::string& sym : dim.symbols()) {
@@ -97,13 +127,13 @@ class Inference {
     }
   }
 
-  SymShape input_shape(const Node& n, const SymbolicOptions& options) {
+  SymShape input_shape(const Node& n) {
     SymShape s(n.out_shape);
-    if (!options.batch_symbol.empty() && options.batch_dim < s.rank()) {
-      s = s.with_dim(options.batch_dim, SymExpr::symbol(options.batch_symbol));
+    if (!options_.batch_symbol.empty() && options_.batch_dim < s.rank()) {
+      s = s.with_dim(options_.batch_dim, SymExpr::symbol(options_.batch_symbol));
     }
-    const auto it = options.input_dims.find(n.name);
-    if (it != options.input_dims.end()) {
+    const auto it = options_.input_dims.find(n.name);
+    if (it != options_.input_dims.end()) {
       for (const auto& [dim, sym] : it->second) {
         if (dim < s.rank()) s = s.with_dim(dim, SymExpr::symbol(sym));
       }
@@ -112,270 +142,8 @@ class Inference {
     return s;
   }
 
-  // Mirrors infer_node_type case by case; every DUET_CHECK there becomes a
-  // provable-over-the-domain check here, with a contract() fallback.
-  SymShape infer(const Node& n, const SymbolicOptions& options) {
-    switch (n.op) {
-      case OpType::kInput:
-        return input_shape(n, options);
-      case OpType::kConstant:
-        return SymShape(n.out_shape);
-      case OpType::kAdd:
-      case OpType::kSub:
-      case OpType::kMul: {
-        const SymShape& a = in(n, 0);
-        const SymShape& b = in(n, 1);
-        if (a != b) {
-          return contract(n, "operand shapes differ symbolically: " +
-                                 a.to_string() + " vs " + b.to_string());
-        }
-        return a;
-      }
-      case OpType::kReLU:
-      case OpType::kSigmoid:
-      case OpType::kTanh:
-      case OpType::kGelu:
-      case OpType::kAddScalar:
-      case OpType::kMulScalar:
-      case OpType::kIdentity:
-      case OpType::kSoftmax:
-      case OpType::kElementwiseChain:
-      case OpType::kLayerNorm:
-      case OpType::kBatchNorm:
-        return in(n, 0);
-      case OpType::kBiasAdd: {
-        const SymShape& x = in(n, 0);
-        const SymShape& b = in(n, 1);
-        if (b.rank() != 1 || x.rank() == 0) {
-          return contract(n, "bias must be rank 1 against ranked input");
-        }
-        if (b.dim(0) != x.dim(x.rank() - 1)) {
-          return contract(n, "bias width " + b.dim(0).to_string() +
-                                 " vs feature dim " +
-                                 x.dim(x.rank() - 1).to_string());
-        }
-        return x;
-      }
-      case OpType::kMatMul: {
-        const SymShape& a = in(n, 0);
-        const SymShape& b = in(n, 1);
-        if (a.rank() != 2 || b.rank() != 2) {
-          return contract(n, "matmul operands must be rank 2");
-        }
-        if (a.dim(1) != b.dim(0)) {
-          return contract(n, "K mismatch: " + a.dim(1).to_string() + " vs " +
-                                 b.dim(0).to_string());
-        }
-        return SymShape({a.dim(0), b.dim(1)});
-      }
-      case OpType::kBatchMatMul: {
-        const SymShape& a = in(n, 0);
-        const SymShape& b = in(n, 1);
-        if (a.rank() != 3) return contract(n, "lhs must be rank 3");
-        if (b.rank() != 2 && b.rank() != 3) {
-          return contract(n, "rhs must be rank 2 or 3");
-        }
-        const SymExpr nb = b.rank() == 2 ? b.dim(1) : b.dim(2);
-        return SymShape({a.dim(0), a.dim(1), nb});
-      }
-      case OpType::kDense: {
-        const SymShape& x = in(n, 0);
-        const SymShape& w = in(n, 1);
-        if (x.rank() != 2 || w.rank() != 2) {
-          return contract(n, "dense operands must be rank 2");
-        }
-        if (x.dim(1) != w.dim(0)) {
-          return contract(n, "in-features mismatch: " + x.dim(1).to_string() +
-                                 " vs " + w.dim(0).to_string());
-        }
-        return SymShape({x.dim(0), w.dim(1)});
-      }
-      case OpType::kConv2d: {
-        const SymShape& x = in(n, 0);
-        const SymShape& w = in(n, 1);
-        if (x.rank() != 4 || w.rank() != 4) {
-          return contract(n, "conv2d operands must be rank 4");
-        }
-        if (x.dim(1) != w.dim(1)) {
-          return contract(n, "channel mismatch: " + x.dim(1).to_string() +
-                                 " vs " + w.dim(1).to_string());
-        }
-        const int64_t s = n.attrs.get_int_or("stride", 1);
-        const int64_t p = n.attrs.get_int_or("padding", 0);
-        auto oh = pool_out_sym(n, x.dim(2), w.dim(2), s, p);
-        auto ow = pool_out_sym(n, x.dim(3), w.dim(3), s, p);
-        if (!oh || !ow) {
-          return contract(n, "spatial extent not divisible by stride " +
-                                 std::to_string(s) + " symbolically");
-        }
-        if (!provably_gt(*oh, SymExpr{0}, result_.domain) ||
-            !provably_gt(*ow, SymExpr{0}, result_.domain)) {
-          return contract(n, "cannot prove conv output positive over domain");
-        }
-        return SymShape({x.dim(0), w.dim(0), *oh, *ow});
-      }
-      case OpType::kMaxPool2d:
-      case OpType::kAvgPool2d: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() != 4) return contract(n, "pool input must be rank 4");
-        const int64_t k = n.attrs.get_int("kernel");
-        const int64_t s = n.attrs.get_int_or("stride", k);
-        const int64_t p = n.attrs.get_int_or("padding", 0);
-        auto oh = pool_out_sym(n, x.dim(2), SymExpr{k}, s, p);
-        auto ow = pool_out_sym(n, x.dim(3), SymExpr{k}, s, p);
-        if (!oh || !ow) {
-          return contract(n, "spatial extent not divisible by stride " +
-                                 std::to_string(s) + " symbolically");
-        }
-        return SymShape({x.dim(0), x.dim(1), *oh, *ow});
-      }
-      case OpType::kGlobalAvgPool: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() != 4) return contract(n, "input must be rank 4");
-        return SymShape({x.dim(0), x.dim(1)});
-      }
-      case OpType::kLSTM:
-      case OpType::kGRU: {
-        const SymShape& x = in(n, 0);
-        const SymShape& whh = in(n, 2);
-        if (x.rank() != 3) return contract(n, "rnn input must be rank 3");
-        if (whh.rank() == 0) return contract(n, "recurrent weight missing rank");
-        return SymShape({x.dim(0), x.dim(1), whh.dim(0)});
-      }
-      case OpType::kEmbedding: {
-        const SymShape& idx = in(n, 0);
-        const SymShape& table = in(n, 1);
-        if (idx.rank() != 2 || table.rank() != 2) {
-          return contract(n, "embedding expects rank-2 indices and table");
-        }
-        return SymShape({idx.dim(0), idx.dim(1), table.dim(1)});
-      }
-      case OpType::kReduceSum:
-      case OpType::kReduceMean:
-      case OpType::kReduceMax: {
-        const SymShape& x = in(n, 0);
-        const int64_t axis = n.attrs.get_int("axis");
-        if (axis < 0 || static_cast<size_t>(axis) >= x.rank()) {
-          return contract(n, "reduce axis out of range");
-        }
-        std::vector<SymExpr> dims;
-        for (size_t i = 0; i < x.rank(); ++i) {
-          if (static_cast<int64_t>(i) != axis) dims.push_back(x.dim(i));
-        }
-        if (dims.empty()) dims.emplace_back(1);
-        return SymShape(std::move(dims));
-      }
-      case OpType::kArgMax: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() == 0) return contract(n, "argmax input must be ranked");
-        std::vector<SymExpr> dims(x.dims().begin(), x.dims().end() - 1);
-        if (dims.empty()) dims.emplace_back(1);
-        return SymShape(std::move(dims));
-      }
-      case OpType::kConcat: {
-        if (n.inputs.empty()) return contract(n, "concat needs inputs");
-        const int64_t axis = n.attrs.get_int("axis");
-        const SymShape& first = in(n, 0);
-        if (axis < 0 || static_cast<size_t>(axis) >= first.rank()) {
-          return contract(n, "concat axis out of range");
-        }
-        SymExpr total;
-        for (size_t i = 0; i < n.inputs.size(); ++i) {
-          const SymShape& part = in(n, i);
-          if (part.rank() != first.rank()) {
-            return contract(n, "rank mismatch at input " + std::to_string(i));
-          }
-          for (size_t d = 0; d < first.rank(); ++d) {
-            if (static_cast<int64_t>(d) == axis) continue;
-            if (part.dim(d) != first.dim(d)) {
-              return contract(n, "non-axis dim mismatch at input " +
-                                     std::to_string(i) + ": " +
-                                     part.dim(d).to_string() + " vs " +
-                                     first.dim(d).to_string());
-            }
-          }
-          total += part.dim(static_cast<size_t>(axis));
-        }
-        return first.with_dim(static_cast<size_t>(axis), total);
-      }
-      case OpType::kReshape: {
-        const SymShape& x = in(n, 0);
-        const SymShape target{Shape(n.attrs.get_ints("dims"))};
-        // Target dims are concrete attrs: expressible only when the input's
-        // numel is itself constant and matches.
-        if (!x.numel().is_constant() || x.numel() != target.numel()) {
-          return contract(n, "reshape to concrete dims folds symbolic numel " +
-                                 x.numel().to_string());
-        }
-        return target;
-      }
-      case OpType::kFlatten: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() == 0) return contract(n, "flatten input must be ranked");
-        auto rest = x.numel().divided_by(x.dim(0));
-        if (!rest) {
-          return contract(n, "numel " + x.numel().to_string() +
-                                 " not divisible by dim0 " +
-                                 x.dim(0).to_string());
-        }
-        return SymShape({x.dim(0), *rest});
-      }
-      case OpType::kTranspose2d: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() != 2) return contract(n, "transpose input must be rank 2");
-        return SymShape({x.dim(1), x.dim(0)});
-      }
-      case OpType::kSliceRows: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() == 0) return contract(n, "slice input must be ranked");
-        const int64_t begin = n.attrs.get_int("begin");
-        const int64_t end = n.attrs.get_int("end");
-        if (!(begin >= 0 && begin < end)) {
-          return contract(n, "bad slice bounds");
-        }
-        if (!provably_ge(x.dim(0), SymExpr{end}, result_.domain)) {
-          return contract(n, "cannot prove end " + std::to_string(end) +
-                                 " <= rows " + x.dim(0).to_string() +
-                                 " over domain");
-        }
-        return x.with_dim(0, SymExpr{end - begin});
-      }
-      case OpType::kSeqLast: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() != 3) return contract(n, "seq-last input must be rank 3");
-        return SymShape({x.dim(0), x.dim(2)});
-      }
-      case OpType::kMultiHeadAttention: {
-        const SymShape& x = in(n, 0);
-        if (x.rank() != 3) return contract(n, "attention input must be rank 3");
-        const int64_t heads = n.attrs.get_int("heads");
-        if (heads <= 0 || !x.dim(2).divided_by(SymExpr{heads})) {
-          return contract(n, "model dim " + x.dim(2).to_string() +
-                                 " not divisible by heads " +
-                                 std::to_string(heads));
-        }
-        return x;
-      }
-    }
-    return contract(n, "unhandled op");
-  }
-
-  // Symbolic (in + 2p - k) / s + 1; nullopt when the division is inexact.
-  std::optional<SymExpr> pool_out_sym(const Node& n, const SymExpr& in_dim,
-                                      const SymExpr& kernel, int64_t stride,
-                                      int64_t padding) {
-    const SymExpr numerator = in_dim + SymExpr{2 * padding} - kernel;
-    if (numerator.is_constant()) {
-      // Concrete path: floor division, exactly as the concrete pass.
-      return SymExpr{numerator.constant_value() / stride + 1};
-    }
-    auto q = numerator.divided_by(SymExpr{stride});
-    if (!q) return std::nullopt;
-    (void)n;
-    return *q + SymExpr{1};
-  }
-
   const Graph& graph_;
+  const SymbolicOptions& options_;
   SymbolicShapes result_;
   std::set<std::string> reported_unbounded_;
   std::set<size_t> reported_saturated_;
@@ -392,7 +160,7 @@ bool SymbolicShapes::has(const std::string& rule) const {
 
 SymbolicShapes infer_symbolic(const Graph& graph,
                               const SymbolicOptions& options) {
-  return Inference(graph, options).run(options);
+  return Inference(graph, options).run();
 }
 
 }  // namespace duet::symbolic

@@ -1,13 +1,12 @@
 #pragma once
 
-// Symbolic shape inference (ISSUE 7 tentpole, part 2): the whole-graph
-// abstract-interpretation twin of graph/shape_inference.cpp. Input dims named
-// by SymbolicOptions become symbols (by default dim 0 of every kInput is the
-// batch symbol `B`); every op contract in infer_node_type is re-stated over
-// SymExpr dims and propagated through the graph. Where the concrete pass
-// throws, this pass reports a lint-grade diagnostic and keeps going with the
-// node's recorded concrete shape, so one run surfaces every inexpressible
-// contract:
+// Symbolic shape inference: the whole-graph instantiation of the op-semantics
+// table (graph/op_semantics.hpp) over SymExpr dims. Input dims named by
+// SymbolicOptions become symbols (by default dim 0 of every kInput is the
+// batch symbol `B`), and every op contract infer_node_type checks is checked
+// here over the symbol domain. Where the concrete pass throws, this pass
+// reports a lint-grade diagnostic and keeps going with the node's recorded
+// concrete shape, so one run surfaces every inexpressible contract:
 //
 //   * symbolic-shape-contract — an op's output shape cannot be expressed as
 //     a polynomial of the symbols (a reshape that folds the batch away, a
@@ -17,7 +16,8 @@
 //     saturates int64), so downstream cost/bucket reasoning is unbounded.
 //
 // Specializing the result at a concrete binding reproduces infer_node_type
-// exactly (tests/test_symbolic.cpp proves bit-identity across the zoo).
+// exactly (tests/test_symbolic.cpp checks bit-identity across the zoo and
+// randomized twin graphs).
 
 #include <map>
 #include <string>

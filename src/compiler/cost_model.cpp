@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "graph/shape_inference.hpp"
+#include "graph/op_semantics.hpp"
 
 namespace duet {
 namespace {
@@ -26,25 +26,7 @@ const OpClassCost& class_of(const DeviceCostParams& p, OpType op) {
   }
 }
 
-int64_t node_batch(const Node& node) {
-  if (node.out_shape.rank() == 0) return 1;
-  return std::max<int64_t>(1, node.out_shape.dim(0));
-}
-
 }  // namespace
-
-bool is_metadata_op(OpType op) {
-  switch (op) {
-    case OpType::kInput:
-    case OpType::kConstant:
-    case OpType::kReshape:
-    case OpType::kFlatten:
-    case OpType::kIdentity:
-      return true;
-    default:
-      return false;
-  }
-}
 
 const char* device_kind_name(DeviceKind kind) {
   return kind == DeviceKind::kCpu ? "cpu" : "gpu";
@@ -63,13 +45,13 @@ NodeCostQuantities node_cost_quantities(const Graph& graph, const Node& node) {
   q.op = node.op;
   q.metadata = is_metadata_op(node.op);
   if (q.metadata) return q;
-  q.flops = node_flops(graph, node);
-  const NodeBytes bytes = node_bytes(graph, node);
-  q.read_bytes = bytes.read;
-  q.written_bytes = bytes.written;
-  q.launches = node_kernel_launches(graph, node);
-  q.batch = node_batch(node);
-  q.layout_tagged = node.op == OpType::kConv2d && node.attrs.has("layout");
+  const auto c = op_semantics::op_cost(op_semantics::ConcreteOps(graph), node);
+  q.flops = c.flops;
+  q.read_bytes = c.read;
+  q.written_bytes = c.written;
+  q.launches = c.launches;
+  q.batch = std::max<int64_t>(1, c.batch);
+  q.layout_tagged = c.layout_tagged;
   return q;
 }
 

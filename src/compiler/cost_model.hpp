@@ -76,9 +76,6 @@ struct NodeCostQuantities {
   bool layout_tagged = false; // conv rewarded by the layout pass
 };
 
-// True for ops the cost model treats as free metadata/movement.
-bool is_metadata_op(OpType op);
-
 // Extracts the quantities for one concrete node.
 NodeCostQuantities node_cost_quantities(const Graph& graph, const Node& node);
 

@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "compiler/compile_cache.hpp"
 #include "graph/fingerprint.hpp"
+#include "graph/op_semantics.hpp"
 #include "graph/shape_inference.hpp"
 
 namespace duet {
@@ -18,11 +19,11 @@ CompiledSubgraph compile_uncached(const Graph& graph, DeviceKind device,
     if (node.is_input() || node.is_constant()) continue;
     CompiledKernel k;
     k.node = node.id;
-    k.flops = node_flops(optimized, node);
-    const NodeBytes b = node_bytes(optimized, node);
-    k.bytes_read = b.read;
-    k.bytes_written = b.written;
-    k.launches = node_kernel_launches(optimized, node);
+    const auto c = op_semantics::op_cost(op_semantics::ConcreteOps(optimized), node);
+    k.flops = c.flops;
+    k.bytes_read = c.read;
+    k.bytes_written = c.written;
+    k.launches = c.launches;
     k.est_time_s = node_time_seconds(optimized, node, params, options);
     kernels.push_back(k);
   }

@@ -149,6 +149,19 @@ std::string AttrMap::to_string() const {
 
 bool op_produces_int(OpType op) { return op == OpType::kArgMax; }
 
+bool is_metadata_op(OpType op) {
+  switch (op) {
+    case OpType::kInput:
+    case OpType::kConstant:
+    case OpType::kReshape:
+    case OpType::kFlatten:
+    case OpType::kIdentity:
+      return true;
+    default:
+      return false;
+  }
+}
+
 bool is_fusible_unary(OpType op) {
   switch (op) {
     case OpType::kReLU:

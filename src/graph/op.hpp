@@ -97,6 +97,10 @@ class AttrMap {
 // True for ops whose output dtype is int32 (index-producing ops).
 bool op_produces_int(OpType op);
 
+// True for terminals and the free metadata/movement ops (reshape, flatten,
+// identity): no flops, no kernel launch, zero modeled time.
+bool is_metadata_op(OpType op);
+
 // True for unary elementwise ops that the fusion pass may collapse into an
 // epilogue / chain.
 bool is_fusible_unary(OpType op);

@@ -1,367 +1,26 @@
 #include "graph/shape_inference.hpp"
 
-#include <algorithm>
-
-#include "common/error.hpp"
+#include "graph/op_semantics.hpp"
 
 namespace duet {
-namespace {
-
-const Shape& in_shape(const Graph& g, const Node& n, size_t i) {
-  DUET_CHECK_LT(i, n.inputs.size()) << op_name(n.op) << " missing input " << i;
-  return g.node(n.inputs[i]).out_shape;
-}
-
-int64_t pool_out(int64_t in, int64_t k, int64_t s, int64_t p) {
-  return (in + 2 * p - k) / s + 1;
-}
-
-}  // namespace
 
 InferredType infer_node_type(const Graph& g, const Node& n) {
-  InferredType t;
-  t.dtype = op_produces_int(n.op) ? DType::kInt32 : DType::kFloat32;
-  switch (n.op) {
-    case OpType::kInput:
-    case OpType::kConstant:
-      DUET_THROW("terminals carry explicit shapes; no inference");
-    case OpType::kAdd:
-    case OpType::kSub:
-    case OpType::kMul: {
-      const Shape& a = in_shape(g, n, 0);
-      const Shape& b = in_shape(g, n, 1);
-      DUET_CHECK(a == b) << op_name(n.op) << ": " << a.to_string() << " vs "
-                         << b.to_string();
-      t.shape = a;
-      return t;
-    }
-    case OpType::kReLU:
-    case OpType::kSigmoid:
-    case OpType::kTanh:
-    case OpType::kGelu:
-    case OpType::kAddScalar:
-    case OpType::kMulScalar:
-    case OpType::kIdentity:
-    case OpType::kSoftmax:
-    case OpType::kElementwiseChain:
-      t.shape = in_shape(g, n, 0);
-      return t;
-    case OpType::kBiasAdd: {
-      const Shape& x = in_shape(g, n, 0);
-      const Shape& b = in_shape(g, n, 1);
-      DUET_CHECK_EQ(b.rank(), 1u);
-      DUET_CHECK_EQ(b.dim(0), x.dim(x.rank() - 1));
-      t.shape = x;
-      return t;
-    }
-    case OpType::kLayerNorm: {
-      t.shape = in_shape(g, n, 0);
-      return t;
-    }
-    case OpType::kMatMul: {
-      const Shape& a = in_shape(g, n, 0);
-      const Shape& b = in_shape(g, n, 1);
-      DUET_CHECK_EQ(a.rank(), 2u);
-      DUET_CHECK_EQ(b.rank(), 2u);
-      DUET_CHECK_EQ(a.dim(1), b.dim(0)) << "matmul K mismatch";
-      t.shape = Shape{a.dim(0), b.dim(1)};
-      return t;
-    }
-    case OpType::kBatchMatMul: {
-      const Shape& a = in_shape(g, n, 0);
-      const Shape& b = in_shape(g, n, 1);
-      DUET_CHECK_EQ(a.rank(), 3u);
-      const int64_t nb = b.rank() == 2 ? b.dim(1) : b.dim(2);
-      t.shape = Shape{a.dim(0), a.dim(1), nb};
-      return t;
-    }
-    case OpType::kDense: {
-      const Shape& x = in_shape(g, n, 0);
-      const Shape& w = in_shape(g, n, 1);
-      DUET_CHECK_EQ(x.rank(), 2u) << "dense input must be [batch, in]";
-      DUET_CHECK_EQ(w.rank(), 2u);
-      DUET_CHECK_EQ(x.dim(1), w.dim(0)) << "dense in-features mismatch";
-      t.shape = Shape{x.dim(0), w.dim(1)};
-      return t;
-    }
-    case OpType::kConv2d: {
-      const Shape& x = in_shape(g, n, 0);
-      const Shape& w = in_shape(g, n, 1);
-      DUET_CHECK_EQ(x.rank(), 4u);
-      DUET_CHECK_EQ(w.rank(), 4u);
-      DUET_CHECK_EQ(x.dim(1), w.dim(1)) << "conv2d channels";
-      const int64_t s = n.attrs.get_int_or("stride", 1);
-      const int64_t p = n.attrs.get_int_or("padding", 0);
-      const int64_t oh = pool_out(x.dim(2), w.dim(2), s, p);
-      const int64_t ow = pool_out(x.dim(3), w.dim(3), s, p);
-      DUET_CHECK(oh > 0 && ow > 0) << "conv2d output collapsed";
-      t.shape = Shape{x.dim(0), w.dim(0), oh, ow};
-      return t;
-    }
-    case OpType::kMaxPool2d:
-    case OpType::kAvgPool2d: {
-      const Shape& x = in_shape(g, n, 0);
-      DUET_CHECK_EQ(x.rank(), 4u);
-      const int64_t k = n.attrs.get_int("kernel");
-      const int64_t s = n.attrs.get_int_or("stride", k);
-      const int64_t p = n.attrs.get_int_or("padding", 0);
-      t.shape = Shape{x.dim(0), x.dim(1), pool_out(x.dim(2), k, s, p),
-                      pool_out(x.dim(3), k, s, p)};
-      return t;
-    }
-    case OpType::kGlobalAvgPool: {
-      const Shape& x = in_shape(g, n, 0);
-      DUET_CHECK_EQ(x.rank(), 4u);
-      t.shape = Shape{x.dim(0), x.dim(1)};
-      return t;
-    }
-    case OpType::kBatchNorm: {
-      t.shape = in_shape(g, n, 0);
-      return t;
-    }
-    case OpType::kLSTM:
-    case OpType::kGRU: {
-      const Shape& x = in_shape(g, n, 0);
-      const Shape& whh = in_shape(g, n, 2);
-      DUET_CHECK_EQ(x.rank(), 3u) << "rnn input must be [batch, seq, input]";
-      t.shape = Shape{x.dim(0), x.dim(1), whh.dim(0)};
-      return t;
-    }
-    case OpType::kEmbedding: {
-      const Shape& idx = in_shape(g, n, 0);
-      const Shape& table = in_shape(g, n, 1);
-      DUET_CHECK_EQ(idx.rank(), 2u);
-      DUET_CHECK_EQ(table.rank(), 2u);
-      t.shape = Shape{idx.dim(0), idx.dim(1), table.dim(1)};
-      return t;
-    }
-    case OpType::kReduceSum:
-    case OpType::kReduceMean:
-    case OpType::kReduceMax: {
-      const Shape& x = in_shape(g, n, 0);
-      const int64_t axis = n.attrs.get_int("axis");
-      DUET_CHECK(axis >= 0 && static_cast<size_t>(axis) < x.rank());
-      std::vector<int64_t> dims;
-      for (size_t i = 0; i < x.rank(); ++i) {
-        if (static_cast<int64_t>(i) != axis) dims.push_back(x.dim(i));
-      }
-      if (dims.empty()) dims.push_back(1);
-      t.shape = Shape(std::move(dims));
-      return t;
-    }
-    case OpType::kArgMax: {
-      const Shape& x = in_shape(g, n, 0);
-      std::vector<int64_t> dims(x.dims().begin(), x.dims().end() - 1);
-      if (dims.empty()) dims.push_back(1);
-      t.shape = Shape(std::move(dims));
-      return t;
-    }
-    case OpType::kConcat: {
-      DUET_CHECK_GE(n.inputs.size(), 1u);
-      const int64_t axis = n.attrs.get_int("axis");
-      Shape first = in_shape(g, n, 0);
-      DUET_CHECK(axis >= 0 && static_cast<size_t>(axis) < first.rank());
-      int64_t total = 0;
-      for (size_t i = 0; i < n.inputs.size(); ++i) {
-        const Shape& part = in_shape(g, n, i);
-        DUET_CHECK_EQ(part.rank(), first.rank()) << "concat rank mismatch";
-        for (size_t d = 0; d < first.rank(); ++d) {
-          if (static_cast<int64_t>(d) == axis) continue;
-          DUET_CHECK_EQ(part.dim(d), first.dim(d))
-              << "concat non-axis dim mismatch at input " << i;
-        }
-        total += part.dim(static_cast<size_t>(axis));
-      }
-      t.shape = first.with_dim(static_cast<size_t>(axis), total);
-      return t;
-    }
-    case OpType::kReshape: {
-      const Shape& x = in_shape(g, n, 0);
-      Shape target(n.attrs.get_ints("dims"));
-      DUET_CHECK_EQ(target.numel(), x.numel()) << "reshape numel mismatch";
-      t.shape = target;
-      return t;
-    }
-    case OpType::kFlatten: {
-      const Shape& x = in_shape(g, n, 0);
-      DUET_CHECK_GE(x.rank(), 1u);
-      t.shape = Shape{x.dim(0), x.numel() / x.dim(0)};
-      return t;
-    }
-    case OpType::kTranspose2d: {
-      const Shape& x = in_shape(g, n, 0);
-      DUET_CHECK_EQ(x.rank(), 2u);
-      t.shape = Shape{x.dim(1), x.dim(0)};
-      return t;
-    }
-    case OpType::kSliceRows: {
-      const Shape& x = in_shape(g, n, 0);
-      const int64_t begin = n.attrs.get_int("begin");
-      const int64_t end = n.attrs.get_int("end");
-      DUET_CHECK(begin >= 0 && begin < end && end <= x.dim(0));
-      t.shape = x.with_dim(0, end - begin);
-      return t;
-    }
-    case OpType::kSeqLast: {
-      const Shape& x = in_shape(g, n, 0);
-      DUET_CHECK_EQ(x.rank(), 3u);
-      t.shape = Shape{x.dim(0), x.dim(2)};
-      return t;
-    }
-    case OpType::kMultiHeadAttention: {
-      const Shape& x = in_shape(g, n, 0);
-      DUET_CHECK_EQ(x.rank(), 3u);
-      const int64_t heads = n.attrs.get_int("heads");
-      DUET_CHECK_EQ(x.dim(2) % heads, 0);
-      t.shape = x;
-      return t;
-    }
-  }
-  DUET_THROW("infer_node_type: unhandled op " << op_name(n.op));
+  op_semantics::ConcreteOps ctx(g);
+  return {op_semantics::output_shape(ctx, n),
+          op_produces_int(n.op) ? DType::kInt32 : DType::kFloat32};
 }
 
 double node_flops(const Graph& g, const Node& n) {
-  const auto numel_out = static_cast<double>(n.out_shape.numel());
-  switch (n.op) {
-    case OpType::kInput:
-    case OpType::kConstant:
-    case OpType::kReshape:
-    case OpType::kFlatten:
-    case OpType::kIdentity:
-      return 0.0;
-    case OpType::kMatMul: {
-      const Shape& a = in_shape(g, n, 0);
-      const Shape& b = in_shape(g, n, 1);
-      return 2.0 * static_cast<double>(a.dim(0)) * static_cast<double>(a.dim(1)) *
-             static_cast<double>(b.dim(1));
-    }
-    case OpType::kDense: {
-      const Shape& x = in_shape(g, n, 0);
-      const Shape& w = in_shape(g, n, 1);
-      return 2.0 * static_cast<double>(x.dim(0)) * static_cast<double>(w.dim(0)) *
-             static_cast<double>(w.dim(1));
-    }
-    case OpType::kBatchMatMul: {
-      const Shape& a = in_shape(g, n, 0);
-      return 2.0 * static_cast<double>(a.numel()) *
-             static_cast<double>(n.out_shape.dim(2));
-    }
-    case OpType::kConv2d: {
-      const Shape& w = in_shape(g, n, 1);
-      // out elements * (2 * C * kh * kw)
-      return numel_out * 2.0 * static_cast<double>(w.dim(1)) *
-             static_cast<double>(w.dim(2)) * static_cast<double>(w.dim(3));
-    }
-    case OpType::kLSTM: {
-      const Shape& x = in_shape(g, n, 0);
-      const int64_t hidden = n.out_shape.dim(2);
-      const int64_t input = x.dim(2);
-      // Per step: two GEMMs into 4H gates + gate nonlinearities.
-      const double per_step =
-          2.0 * static_cast<double>(x.dim(0)) * 4.0 * static_cast<double>(hidden) *
-              static_cast<double>(input + hidden) +
-          10.0 * static_cast<double>(x.dim(0)) * static_cast<double>(hidden);
-      return per_step * static_cast<double>(x.dim(1));
-    }
-    case OpType::kGRU: {
-      const Shape& x = in_shape(g, n, 0);
-      const int64_t hidden = n.out_shape.dim(2);
-      const int64_t input = x.dim(2);
-      const double per_step =
-          2.0 * static_cast<double>(x.dim(0)) * 3.0 * static_cast<double>(hidden) *
-              static_cast<double>(input + hidden) +
-          8.0 * static_cast<double>(x.dim(0)) * static_cast<double>(hidden);
-      return per_step * static_cast<double>(x.dim(1));
-    }
-    case OpType::kMultiHeadAttention: {
-      const Shape& x = in_shape(g, n, 0);
-      const double b = static_cast<double>(x.dim(0));
-      const double s = static_cast<double>(x.dim(1));
-      const double m = static_cast<double>(x.dim(2));
-      // qkv + out projections + 2 * (S x S x M) score/context matmuls.
-      return 2.0 * b * s * m * 3.0 * m + 2.0 * b * s * m * m + 4.0 * b * s * s * m;
-    }
-    case OpType::kEmbedding:
-      return 0.0;  // pure gather
-    case OpType::kSoftmax:
-    case OpType::kLayerNorm:
-      return 5.0 * numel_out;
-    case OpType::kMaxPool2d:
-    case OpType::kAvgPool2d: {
-      const int64_t k = n.attrs.get_int("kernel");
-      return numel_out * static_cast<double>(k * k);
-    }
-    case OpType::kGlobalAvgPool: {
-      const Shape& x = in_shape(g, n, 0);
-      return static_cast<double>(x.numel());
-    }
-    case OpType::kBatchNorm:
-      return 2.0 * numel_out;
-    case OpType::kReduceSum:
-    case OpType::kReduceMean:
-    case OpType::kReduceMax:
-    case OpType::kArgMax: {
-      const Shape& x = in_shape(g, n, 0);
-      return static_cast<double>(x.numel());
-    }
-    case OpType::kGelu:
-      return 8.0 * numel_out;
-    case OpType::kSigmoid:
-    case OpType::kTanh:
-      return 4.0 * numel_out;
-    case OpType::kElementwiseChain: {
-      const auto chain = n.attrs.get_string_or("chain", "");
-      const double ops =
-          1.0 + static_cast<double>(std::count(chain.begin(), chain.end(), ','));
-      return 4.0 * ops * numel_out;
-    }
-    default:
-      return numel_out;  // remaining elementwise / movement ops
-  }
+  return op_semantics::op_cost(op_semantics::ConcreteOps(g), n).flops;
 }
 
 int64_t node_kernel_launches(const Graph& g, const Node& n) {
-  switch (n.op) {
-    case OpType::kInput:
-    case OpType::kConstant:
-    case OpType::kReshape:
-    case OpType::kFlatten:
-    case OpType::kIdentity:
-      return 0;
-    case OpType::kLSTM:
-    case OpType::kGRU: {
-      // Two GEMM launches + one fused pointwise launch per timestep; the
-      // timestep loop cannot batch because of the recurrent dependence.
-      const Shape& x = in_shape(g, n, 0);
-      return 3 * x.dim(1);
-    }
-    case OpType::kMultiHeadAttention:
-      return 6;  // qkv, split, scores, softmax, context, out-proj
-    case OpType::kConv2d:
-      return 2;  // im2col + gemm style lowering
-    case OpType::kBatchMatMul:
-      return 1;
-    default:
-      return 1;
-  }
+  return op_semantics::op_cost(op_semantics::ConcreteOps(g), n).launches;
 }
 
 NodeBytes node_bytes(const Graph& g, const Node& n) {
-  NodeBytes b;
-  if (n.op == OpType::kEmbedding) {
-    // A gather touches only the selected rows, not the whole table.
-    const Node& idx = g.node(n.inputs[0]);
-    b.read = static_cast<uint64_t>(idx.out_shape.numel()) * dtype_size(idx.out_dtype) +
-             node_output_bytes(n);
-    b.written = node_output_bytes(n);
-    return b;
-  }
-  for (NodeId in : n.inputs) {
-    const Node& p = g.node(in);
-    b.read += static_cast<uint64_t>(p.out_shape.numel()) * dtype_size(p.out_dtype);
-  }
-  b.written = node_output_bytes(n);
-  return b;
+  const auto c = op_semantics::op_cost(op_semantics::ConcreteOps(g), n);
+  return {c.read, c.written};
 }
 
 uint64_t node_output_bytes(const Node& n) {

@@ -328,6 +328,42 @@ TEST(FuzzInputs, RelayRejectsNonIntegerAndOversizedLiterals) {
                Error);
 }
 
+// Degenerate op attributes (a zero stride, kernel or head count) are a clean
+// Error naming the op and its binding, never a division by zero. A zero batch
+// is a valid shape: flatten takes the product of the trailing dims instead of
+// dividing numel by the batch.
+TEST(FuzzInputs, RelayRejectsDegenerateOpAttributes) {
+  const auto module = [](const std::string& param, const std::string& body) {
+    return "def @f(%x: Tensor[" + param + ", float32]) {\n" + body +
+           "  (%y)\n}\n";
+  };
+  const std::vector<std::pair<std::string, std::string>> degenerate = {
+      {"(1, 2, 4, 4)", "  %y = max_pool2d(%x) {kernel=2, stride=0};\n"},
+      {"(1, 2, 4, 4)", "  %y = max_pool2d(%x) {kernel=0};\n"},
+      {"(1, 4, 8)", "  %y = multi_head_attention(%x) {heads=0};\n"},
+      {"(1, 2, 4, 4)",
+       "  %w = constant Tensor[(3, 2, 3, 3), float32];\n"
+       "  %y = conv2d(%x, %w) {stride=0};\n"},
+  };
+  for (const auto& [param, body] : degenerate) {
+    const relay::Module m = relay::parse_module(module(param, body));
+    try {
+      relay::to_graph(m);
+      ADD_FAILURE() << "degenerate attributes accepted:\n" << body;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(op_name(m.bindings.back().call.op)) + " 'y'"),
+                std::string::npos)
+          << what;
+    }
+  }
+
+  const Graph g =
+      relay::to_graph(relay::parse_module(module("(0, 4)", "  %y = flatten(%x);\n")));
+  ASSERT_EQ(g.outputs().size(), 1u);
+  EXPECT_EQ(g.node(g.outputs()[0]).out_shape, Shape({0, 4}));
+}
+
 // A corrupted profile-cache file loads without crashing, accounts for each
 // row at most once (loaded or rejected), and never hands out a non-finite or
 // negative statistic.

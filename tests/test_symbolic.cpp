@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/lint/lint.hpp"
@@ -75,14 +77,15 @@ TEST(SymExpr, ArithmeticIdentities) {
 TEST(SymExpr, ExactDivision) {
   const SymExpr b = SymExpr::symbol("B");
   const SymExpr t = SymExpr::symbol("T");
-  auto q = (SymExpr(6) * b * t).divided_by(SymExpr(3) * t);
+  auto q = (SymExpr(6) * b * t).divided_by(3);
   ASSERT_TRUE(q.has_value());
-  EXPECT_EQ(*q, SymExpr(2) * b);
-  q = (b * b + b).divided_by(b);
+  EXPECT_EQ(*q, SymExpr(2) * b * t);
+  q = (SymExpr(4) * b * b - SymExpr(6) * b + 8).divided_by(2);
   ASSERT_TRUE(q.has_value());
-  EXPECT_EQ(*q, b + 1);
-  EXPECT_FALSE((b + 1).divided_by(SymExpr(2)).has_value());  // 1/2 not integer
-  EXPECT_FALSE(b.divided_by(t).has_value());                 // B/T not polynomial
+  EXPECT_EQ(*q, SymExpr(2) * b * b - SymExpr(3) * b + 4);
+  EXPECT_EQ(SymExpr().divided_by(7).value(), SymExpr());
+  EXPECT_FALSE((b + 1).divided_by(2).has_value());  // 1/2 not integer
+  EXPECT_THROW((void)b.divided_by(0), Error);
 }
 
 TEST(SymExpr, EvalIsExactAndThrowsOnUnboundSymbol) {
@@ -216,21 +219,43 @@ TEST(SymbolicZoo, NativeSpecializationIsBitIdentical) {
 }
 
 TEST(SymbolicZoo, OnlyBatchFoldingModelsCarryDiagnostics) {
-  // mtdnn and dlrm hard-code the batch inside reshape targets (and mtdnn
-  // adds a [1, ...] constant to a batched tensor); the contract pass must
-  // flag exactly those, at warning severity, and nothing else.
-  const std::set<std::string> expected_warnings = {"mtdnn", "dlrm"};
+  // mtdnn and dlrm hard-code the batch inside reshape targets. mtdnn also
+  // adds a [1, ...] constant to a batched tensor, and dlrm's concat meets its
+  // folded (now concrete) embeddings next to the batched dense features. The
+  // contract pass must flag exactly those nodes, with exactly these messages,
+  // at warning severity.
+  using Finding = std::tuple<std::string, NodeId, std::string>;
+  const std::string rule = "symbolic-shape-contract";
+  std::map<std::string, std::vector<Finding>> expected;
+  expected["mtdnn"] = {
+      {rule, 8,
+       "reshape 'reshape_8': reshape to concrete dims folds symbolic numel "
+       "49152*B"},
+      {rule, 16,
+       "add 'add_16': operand shapes differ symbolically: [B, 64, 768] vs "
+       "[1, 64, 768]"}};
+  for (NodeId id = 16; id <= 116; id += 4) {
+    const std::string name = "reshape_" + std::to_string(id);
+    expected["dlrm"].emplace_back(
+        rule, id,
+        "reshape '" + name +
+            "': reshape to concrete dims folds symbolic numel 64*B");
+  }
+  expected["dlrm"].emplace_back(
+      rule, 117, "concat 'concat_117': non-axis dim mismatch at input 1: 1 vs B");
+  ASSERT_EQ(expected["dlrm"].size(), 27u);
+
   for (const std::string& name : models::zoo_model_names()) {
     const symbolic::SymbolicShapes sym =
         symbolic::infer_symbolic(models::build_by_name(name));
     EXPECT_EQ(sym.diagnostics.error_count(), 0u) << name;
-    if (expected_warnings.count(name)) {
-      EXPECT_TRUE(sym.has("symbolic-shape-contract"))
-          << name << " should report its batch-folding reshapes";
-    } else {
-      EXPECT_TRUE(sym.clean())
-          << name << "\n" << sym.diagnostics.to_string();
+    std::vector<Finding> got;
+    for (const Diagnostic& d : sym.diagnostics.diagnostics()) {
+      got.emplace_back(d.rule, d.node, d.message);
     }
+    const auto it = expected.find(name);
+    EXPECT_EQ(got, it == expected.end() ? std::vector<Finding>{} : it->second)
+        << name << "\n" << sym.diagnostics.to_string();
   }
 }
 
@@ -327,6 +352,86 @@ TEST(SymbolicFuzz, SpecializationMatchesTwinGraphs) {
           g, sym, {{"B", batch}}, twin,
           "seed " + std::to_string(seed) + " B=" + std::to_string(batch));
     }
+  }
+}
+
+// The twin generator for the ops lane_graph leaves out: each seed strings one
+// conv, both pools, a global pool or flatten, an LSTM or GRU, an embedding, a
+// batch matmul, attention, a reduce, argmax, seq-last, transpose and
+// slice_rows off batch-major inputs, with seeded dims, strides, kernels and
+// axes. As in lane_graph, the batch size never perturbs the rng stream.
+Graph op_graph(uint64_t seed, int64_t batch) {
+  Rng rng(seed);
+  GraphBuilder b("ops_" + std::to_string(seed), seed * 13 + 1);
+  Graph& g = b.graph();
+  const auto with = [](std::vector<std::pair<std::string, int64_t>> kv) {
+    AttrMap attrs;
+    for (auto& [key, value] : kv) attrs.set(key, value);
+    return attrs;
+  };
+  std::vector<NodeId> outputs;
+
+  // Image lane: conv -> max pool -> avg pool -> global pool or flatten.
+  const int64_t hw = 12 + 4 * rng.uniform_int(0, 2);
+  NodeId img = b.input(Shape{batch, 2 << rng.uniform_int(0, 2), hw, hw});
+  img = b.conv2d(img, 4, static_cast<int>(rng.uniform_int(1, 3)),
+                 static_cast<int>(rng.uniform_int(1, 2)),
+                 static_cast<int>(rng.uniform_int(0, 1)));
+  img = b.max_pool2d(img, 2, static_cast<int>(rng.uniform_int(1, 2)), 0);
+  img = g.add_node(OpType::kAvgPool2d, {img},
+                   with({{"kernel", rng.uniform_int(1, 2)}, {"stride", 1}}));
+  outputs.push_back(rng.coin() ? b.global_avg_pool(img) : b.flatten(img));
+
+  // Sequence lane: recurrence -> attention -> batch matmul, reduce, seq-last.
+  const int64_t seq = rng.uniform_int(2, 5);
+  const int64_t model = 8 << rng.uniform_int(0, 1);
+  NodeId x = b.input(Shape{batch, seq, 4 << rng.uniform_int(0, 2)});
+  x = rng.coin() ? b.lstm(x, model) : b.gru(x, model);
+  x = b.attention(x, rng.coin() ? 2 : 4);
+  outputs.push_back(g.add_node(OpType::kBatchMatMul,
+                               {x, b.weight(Shape{model, 4 << rng.uniform_int(0, 2)})}));
+  const OpType reduce[] = {OpType::kReduceSum, OpType::kReduceMean,
+                           OpType::kReduceMax};
+  outputs.push_back(g.add_node(reduce[rng.uniform_int(0, 2)], {x},
+                               with({{"axis", rng.uniform_int(0, 2)}})));
+  const NodeId last = b.last_timestep(x);
+  outputs.push_back(g.add_node(OpType::kArgMax, {last}));
+  outputs.push_back(g.add_node(OpType::kTranspose2d, {last}));
+  // end <= rows must hold over the whole domain B in [1, 64].
+  outputs.push_back(b.slice_rows(last, 0, 1));
+
+  // Gather lane.
+  const NodeId ids = b.input(Shape{batch, seq}, "ids", DType::kInt32);
+  outputs.push_back(b.embedding(ids, 16 << rng.uniform_int(0, 2), model));
+  return b.finish(std::move(outputs));
+}
+
+TEST(SymbolicFuzz, SpecializationMatchesTwinOpGraphs) {
+  std::set<OpType> covered;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const Graph g = op_graph(seed, /*batch=*/2);
+    for (const Node& n : g.nodes()) covered.insert(n.op);
+    const symbolic::SymbolicShapes sym = symbolic::infer_symbolic(g);
+    EXPECT_TRUE(sym.clean())
+        << "seed " << seed << "\n" << sym.diagnostics.to_string();
+
+    expect_specialization_matches(g, sym, {{"B", 2}}, g,
+                                  "op seed " + std::to_string(seed) + " B=2");
+    for (const int64_t batch : {1, 5, 33}) {
+      const Graph twin = op_graph(seed, batch);
+      expect_specialization_matches(
+          g, sym, {{"B", batch}}, twin,
+          "op seed " + std::to_string(seed) + " B=" + std::to_string(batch));
+    }
+  }
+  for (const OpType op :
+       {OpType::kConv2d, OpType::kMaxPool2d, OpType::kAvgPool2d,
+        OpType::kGlobalAvgPool, OpType::kFlatten, OpType::kLSTM, OpType::kGRU,
+        OpType::kEmbedding, OpType::kBatchMatMul, OpType::kMultiHeadAttention,
+        OpType::kSliceRows, OpType::kSeqLast, OpType::kReduceSum,
+        OpType::kReduceMean, OpType::kReduceMax, OpType::kArgMax,
+        OpType::kTranspose2d}) {
+    EXPECT_TRUE(covered.count(op)) << op_name(op) << " never generated";
   }
 }
 
