@@ -18,7 +18,7 @@ struct SimMetrics {
   telemetry::Counter& transfer_bytes =
       telemetry::counter("executor.sim.transfer_bytes");
   telemetry::Counter& transfers = telemetry::counter("executor.sim.transfers");
-  telemetry::Histogram& subgraph_us =
+  telemetry::SharedHistogram& subgraph_us =
       telemetry::histogram("executor.sim.subgraph_us");
 
   static SimMetrics& get() {

@@ -25,7 +25,7 @@ namespace duet {
 namespace {
 
 struct ThreadedMetrics {
-  telemetry::Histogram& queue_wait_us =
+  telemetry::SharedHistogram& queue_wait_us =
       telemetry::histogram("executor.threaded.queue_wait_us");
   telemetry::Counter& queue_pops =
       telemetry::counter("executor.threaded.queue_pops");
@@ -35,7 +35,7 @@ struct ThreadedMetrics {
       telemetry::counter("executor.threaded.transfer_bytes");
   telemetry::Counter& transfers =
       telemetry::counter("executor.threaded.transfers");
-  telemetry::Histogram& subgraph_us =
+  telemetry::SharedHistogram& subgraph_us =
       telemetry::histogram("executor.threaded.subgraph_us");
 
   static ThreadedMetrics& get() {

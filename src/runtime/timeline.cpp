@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/string_util.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace duet {
@@ -69,10 +68,7 @@ std::string Timeline::render_ascii(int width) const {
 std::string Timeline::to_chrome_trace() const {
   // One shared emission path for all trace-event JSON (telemetry's writer
   // escapes labels; the historical pid layout is preserved).
-  telemetry::ChromeTraceWriter writer;
-  telemetry::detail::set_virtual_process_names(writer);
-  telemetry::detail::append_timeline_events(writer, *this);
-  return writer.to_json();
+  return telemetry::export_chrome_trace({}, this);
 }
 
 std::string Timeline::to_csv() const {

@@ -285,15 +285,10 @@ void FleetServer::worker_loop() {
 
     ExecutionResult result;
     {
-      const bool telemetry_on = telemetry::enabled();
-      telemetry::ScopedSpan span(
-          telemetry_on
-              ? "request:" + std::to_string(batch_pending.front().trace_id)
-              : std::string(),
-          "serve", resident.name());
-      // Request context for the executor: timeline events and flight
-      // launch/transfer records inside run() tag themselves with this id.
+      // Request context: the request span, and the timeline events, flight
+      // launch/transfer records and spans inside run(), carry this id.
       telemetry::TraceScope trace(batch_pending.front().trace_id);
+      telemetry::ScopedSpan span("request", "serve", resident.name());
       result = executor.run(*serving.plan, stacked, options_.with_noise);
     }
     std::vector<std::vector<Tensor>> rows =
@@ -412,6 +407,11 @@ void FleetServer::maybe_flight_dump(const std::string& reason) {
   if (options_.observability.dump_dir.empty()) return;
   const telemetry::FlightDumpSummary summary = FlightRecorder::instance().dump(
       options_.observability.dump_dir, reason, /*window_ms=*/0.0);
+  if (summary.trace_path.empty()) {
+    DUET_LOG_WARN << "flight dump (" << reason << ") could not be written to "
+                  << options_.observability.dump_dir;
+    return;
+  }
   flight_dumps_.fetch_add(1, std::memory_order_relaxed);
   telemetry::counter("serve.flight_dumps").add(1);
   DUET_LOG_WARN << "flight dump (" << reason << "): " << summary.events

@@ -232,7 +232,7 @@ class FleetServer {
   // Per-tenant admission counters (atomics; index = tenant class).
   std::vector<AdmissionCounters> counters_;
   std::vector<TenantMetrics> tenant_metrics_;
-  telemetry::Histogram& batch_size_metric_;
+  telemetry::SharedHistogram& batch_size_metric_;
 
   mutable std::mutex stats_mutex_;
   LatencyRecorder modeled_latency_;

@@ -58,11 +58,6 @@ ChromeTraceWriter::Arg ChromeTraceWriter::Arg::str(std::string key,
   return {std::move(key), std::move(quoted)};
 }
 
-ChromeTraceWriter::Arg ChromeTraceWriter::Arg::num(std::string key,
-                                                   double value) {
-  return {std::move(key), json_number(value)};
-}
-
 ChromeTraceWriter::Arg ChromeTraceWriter::Arg::integer(std::string key,
                                                        int64_t value) {
   return {std::move(key), std::to_string(value)};
@@ -99,29 +94,6 @@ void ChromeTraceWriter::add_complete(const std::string& name,
      << "\",\"cat\":\"" << json_escape(cat) << "\",\"ph\":\"X\",\"pid\":" << pid
      << ",\"tid\":" << tid << ",\"ts\":" << json_number(ts_us)
      << ",\"dur\":" << json_number(dur_us);
-  if (!args.empty()) {
-    os << ",\"args\":{";
-    bool first = true;
-    for (const Arg& arg : args) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << json_escape(arg.key) << "\":" << arg.json_value;
-    }
-    os << "}";
-  }
-  os << "}";
-  events_.push_back(os.str());
-}
-
-void ChromeTraceWriter::add_instant(const std::string& name,
-                                    const std::string& cat, int pid, int tid,
-                                    double ts_us,
-                                    const std::vector<Arg>& args) {
-  std::ostringstream os;
-  os << "{\"name\":\"" << json_escape(name.empty() ? "instant" : name)
-     << "\",\"cat\":\"" << json_escape(cat) << "\",\"ph\":\"i\",\"s\":\"t\""
-     << ",\"pid\":" << pid << ",\"tid\":" << tid
-     << ",\"ts\":" << json_number(ts_us);
   if (!args.empty()) {
     os << ",\"args\":{";
     bool first = true;

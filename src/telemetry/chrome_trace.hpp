@@ -31,7 +31,6 @@ class ChromeTraceWriter {
     std::string json_value;
 
     static Arg str(std::string key, const std::string& value);
-    static Arg num(std::string key, double value);
     static Arg integer(std::string key, int64_t value);
   };
 
@@ -44,10 +43,6 @@ class ChromeTraceWriter {
                     int tid, double ts_us, double dur_us,
                     const std::vector<Arg>& args = {});
 
-  // One instant ("i") event, thread-scoped.
-  void add_instant(const std::string& name, const std::string& cat, int pid,
-                   int tid, double ts_us, const std::vector<Arg>& args = {});
-
   // One flow event: phase must be 's' (start), 't' (step) or 'f' (finish);
   // events sharing `id` (and name/cat) render as one connected arrow chain
   // across threads. Each flow event binds to the slice enclosing its
@@ -55,8 +50,6 @@ class ChromeTraceWriter {
   // enclosing slice rather than requiring an exact start match.
   void add_flow(const std::string& name, const std::string& cat, int pid,
                 int tid, double ts_us, uint64_t id, char phase);
-
-  size_t event_count() const { return metadata_.size() + events_.size(); }
 
   // {"traceEvents":[...],"displayTimeUnit":"ms"}
   std::string to_json() const;

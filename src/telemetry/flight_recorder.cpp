@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -10,16 +11,17 @@
 
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace duet::telemetry {
 namespace {
 
 constexpr size_t kDefaultRingCapacity = 4096;
 
-// One per-thread ring. Single writer (its owning thread); readers only via
-// the freeze handshake. `head` counts lifetime records — slot = head %
-// capacity — so overwrites are head - capacity. `active` is the writer's
-// half of the Dekker handshake with the dumper's `g_frozen`.
+// One per-thread ring. Single writer (its current owning thread); readers
+// only via the freeze handshake. `head` counts lifetime records — slot =
+// head % capacity — so overwrites are head - capacity. `active` is the
+// writer's half of the Dekker handshake with the dumper's `g_frozen`.
 struct Ring {
   explicit Ring(size_t capacity) : slots(capacity) {}
   std::vector<FlightEvent> slots;
@@ -30,8 +32,10 @@ struct Ring {
 
 struct RingRegistry {
   std::mutex mutex;
-  std::vector<std::shared_ptr<Ring>> rings;
+  std::vector<std::unique_ptr<Ring>> rings;  // every ring ever made
+  std::vector<Ring*> free;                   // rings of exited threads, LIFO
   size_t capacity = kDefaultRingCapacity;
+  uint32_t next_tid = 0;  // small sequential thread ids, by first record
 };
 
 RingRegistry& ring_registry() {
@@ -39,45 +43,71 @@ RingRegistry& ring_registry() {
   return *r;
 }
 
+// A thread's claim on one ring: taken from the free list (or made) on the
+// thread's first record, handed back when the thread exits.
+struct RingLease {
+  Ring* ring;
+  RingLease() {
+    RingRegistry& r = ring_registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    if (r.free.empty()) {
+      r.rings.push_back(std::make_unique<Ring>(r.capacity));
+      ring = r.rings.back().get();
+    } else {
+      ring = r.free.back();
+      r.free.pop_back();
+    }
+    ring->tid = r.next_tid++;
+  }
+  ~RingLease() {
+    RingRegistry& r = ring_registry();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.free.push_back(ring);
+  }
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+};
+
 Ring& local_ring() {
-  thread_local std::shared_ptr<Ring> ring = [] {
-    std::lock_guard<std::mutex> lock(ring_registry().mutex);
-    auto r = std::make_shared<Ring>(ring_registry().capacity);
-    r->tid = thread_id();
-    ring_registry().rings.push_back(r);
-    return r;
-  }();
-  return *ring;
+  thread_local RingLease lease;
+  return *lease.ring;
 }
 
 std::atomic<bool> g_recording{true};  // always-on by default
 std::atomic<bool> g_frozen{false};
 std::mutex g_dump_mutex;
 
+// The one slot write every event takes. `fill` sets every field but tid;
+// it runs only when the event is kept, so record()'s clock read stays off
+// the dropped path.
+template <typename Fill>
+inline void write_slot(Fill&& fill) {
+  if (!g_recording.load(std::memory_order_relaxed)) return;
+  Ring& ring = local_ring();
+  // Dekker handshake with freeze(): publish "writing" before checking
+  // frozen, both seq_cst, so either the dumper sees active and waits, or we
+  // see frozen and abort — never a concurrent slot read/write.
+  ring.active.store(1, std::memory_order_seq_cst);
+  if (g_frozen.load(std::memory_order_seq_cst)) {
+    ring.active.store(0, std::memory_order_release);
+    return;
+  }
+  const uint64_t head = ring.head.load(std::memory_order_relaxed);
+  FlightEvent& slot = ring.slots[head % ring.slots.size()];
+  fill(slot);
+  slot.tid = ring.tid;
+  ring.head.store(head + 1, std::memory_order_release);
+  ring.active.store(0, std::memory_order_release);
+}
+
 }  // namespace
 
 const char* flight_kind_name(FlightKind kind) {
-  switch (kind) {
-    case FlightKind::kEnqueue:
-      return "enqueue";
-    case FlightKind::kReject:
-      return "reject";
-    case FlightKind::kPickup:
-      return "pickup";
-    case FlightKind::kShed:
-      return "shed";
-    case FlightKind::kLaunch:
-      return "launch";
-    case FlightKind::kTransfer:
-      return "transfer";
-    case FlightKind::kSwap:
-      return "swap";
-    case FlightKind::kComplete:
-      return "complete";
-    case FlightKind::kCoalesce:
-      return "coalesce";
-  }
-  return "unknown";
+  static constexpr const char* kNames[kNumFlightKinds] = {
+      "enqueue", "reject",   "pickup",   "shed",     "launch",
+      "transfer", "swap",    "complete", "coalesce", "span"};
+  const auto index = static_cast<size_t>(kind);
+  return index < kNumFlightKinds ? kNames[index] : "unknown";
 }
 
 FlightRecorder& FlightRecorder::instance() {
@@ -95,27 +125,29 @@ void FlightRecorder::set_recording_enabled(bool on) {
 
 void FlightRecorder::record(FlightKind kind, uint64_t trace_id, uint64_t arg0,
                             uint64_t arg1, uint8_t device) {
-  if (!g_recording.load(std::memory_order_relaxed)) return;
-  Ring& ring = local_ring();
-  // Dekker handshake with freeze(): publish "writing" before checking
-  // frozen, both seq_cst, so either the dumper sees active and waits, or we
-  // see frozen and abort — never a concurrent slot read/write.
-  ring.active.store(1, std::memory_order_seq_cst);
-  if (g_frozen.load(std::memory_order_seq_cst)) {
-    ring.active.store(0, std::memory_order_release);
-    return;
-  }
-  const uint64_t head = ring.head.load(std::memory_order_relaxed);
-  FlightEvent& slot = ring.slots[head % ring.slots.size()];
-  slot.t_us = now_us();
-  slot.trace_id = trace_id;
-  slot.arg0 = arg0;
-  slot.arg1 = arg1;
-  slot.tid = ring.tid;
-  slot.kind = kind;
-  slot.device = device;
-  ring.head.store(head + 1, std::memory_order_release);
-  ring.active.store(0, std::memory_order_release);
+  write_slot([&](FlightEvent& slot) {
+    slot.t_us = now_us();
+    slot.trace_id = trace_id;
+    slot.arg0 = arg0;
+    slot.arg1 = arg1;
+    slot.kind = kind;
+    slot.device = device;
+    slot.depth = 0;
+  });
+}
+
+void FlightRecorder::record_span(double start_us, double dur_us,
+                                 uint32_t label, uint16_t depth) {
+  const uint64_t trace_id = current_trace_id();
+  write_slot([&](FlightEvent& slot) {
+    slot.t_us = start_us;
+    slot.trace_id = trace_id;
+    slot.arg0 = static_cast<uint64_t>(std::max(0.0, dur_us) * 1e3);
+    slot.arg1 = label;
+    slot.kind = FlightKind::kSpan;
+    slot.device = 255;
+    slot.depth = depth;
+  });
 }
 
 bool FlightRecorder::frozen() const {
@@ -150,10 +182,10 @@ std::vector<FlightEvent> FlightRecorder::collect(double window_ms) const {
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.t_us < b.t_us;
-            });
+  std::stable_sort(out.begin(), out.end(),
+                   [](const FlightEvent& a, const FlightEvent& b) {
+                     return a.t_us < b.t_us;
+                   });
   if (window_ms > 0.0 && !out.empty()) {
     const double cutoff = out.back().t_us - window_ms * 1000.0;
     out.erase(std::remove_if(out.begin(), out.end(),
@@ -185,11 +217,6 @@ uint64_t FlightRecorder::overwritten() const {
   return total;
 }
 
-size_t FlightRecorder::ring_capacity() const {
-  std::lock_guard<std::mutex> lock(ring_registry().mutex);
-  return ring_registry().capacity;
-}
-
 void FlightRecorder::set_ring_capacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(ring_registry().mutex);
   ring_registry().capacity = capacity == 0 ? 1 : capacity;
@@ -208,6 +235,31 @@ void FlightRecorder::clear() {
 
 // --- serialization -----------------------------------------------------------
 
+namespace {
+
+// Trace ids whose surviving events cover the full request path (enqueue ->
+// pickup -> launch -> complete), ascending.
+std::vector<uint64_t> complete_trace_ids(const std::vector<FlightEvent>& events) {
+  constexpr uint32_t kFullPath =
+      (1u << static_cast<int>(FlightKind::kEnqueue)) |
+      (1u << static_cast<int>(FlightKind::kPickup)) |
+      (1u << static_cast<int>(FlightKind::kLaunch)) |
+      (1u << static_cast<int>(FlightKind::kComplete));
+  std::map<uint64_t, uint32_t> kinds_seen;
+  for (const FlightEvent& e : events) {
+    if (e.trace_id != 0) {
+      kinds_seen[e.trace_id] |= 1u << static_cast<int>(e.kind);
+    }
+  }
+  std::vector<uint64_t> ids;
+  for (const auto& [id, mask] : kinds_seen) {
+    if ((mask & kFullPath) == kFullPath) ids.push_back(id);
+  }
+  return ids;
+}
+
+}  // namespace
+
 void summarize_flight_events(const std::vector<FlightEvent>& events,
                              FlightDumpSummary* summary) {
   summary->events = events.size();
@@ -216,78 +268,72 @@ void summarize_flight_events(const std::vector<FlightEvent>& events,
     summary->window_end_us = events.back().t_us;
   }
   std::vector<uint32_t> tids;
-  // Per trace id: which lifecycle kinds survived in the window.
-  std::map<uint64_t, uint32_t> kinds_seen;
   for (const FlightEvent& e : events) {
     summary->kind_counts[static_cast<int>(e.kind)]++;
     tids.push_back(e.tid);
-    if (e.trace_id != 0) {
-      kinds_seen[e.trace_id] |= 1u << static_cast<int>(e.kind);
-    }
   }
   std::sort(tids.begin(), tids.end());
   summary->threads = std::unique(tids.begin(), tids.end()) - tids.begin();
-  constexpr uint32_t kFullPath =
-      (1u << static_cast<int>(FlightKind::kEnqueue)) |
-      (1u << static_cast<int>(FlightKind::kPickup)) |
-      (1u << static_cast<int>(FlightKind::kLaunch)) |
-      (1u << static_cast<int>(FlightKind::kComplete));
-  summary->complete_paths = 0;
-  for (const auto& [id, mask] : kinds_seen) {
-    (void)id;
-    if ((mask & kFullPath) == kFullPath) summary->complete_paths++;
-  }
+  summary->complete_paths = complete_trace_ids(events).size();
 }
 
-std::string flight_trace_json(const std::vector<FlightEvent>& events) {
-  constexpr int kFlightPid = 30;
-  ChromeTraceWriter writer;
-  writer.set_process_name(kFlightPid, "flight-recorder");
+void append_wall_events(ChromeTraceWriter& writer,
+                        const std::vector<FlightEvent>& events) {
+  using Arg = ChromeTraceWriter::Arg;
+  if (events.empty()) return;
+  writer.set_process_name(kWallClockPid, "duet (wall clock)");
   std::vector<uint32_t> tids;
   for (const FlightEvent& e : events) tids.push_back(e.tid);
   std::sort(tids.begin(), tids.end());
   tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
   for (const uint32_t tid : tids) {
-    writer.set_thread_name(kFlightPid, static_cast<int>(tid),
+    writer.set_thread_name(kWallClockPid, static_cast<int>(tid),
                            "thread " + std::to_string(tid));
   }
 
-  // Events in one request's arc, in time order (events are pre-sorted).
-  std::map<uint64_t, std::vector<size_t>> arcs;
+  // A span's slice lasts the span; a point event is a thin 1 us slice (flow
+  // arrows need an enclosing slice to bind to).
+  const auto slice_us = [](const FlightEvent& e) {
+    return e.kind == FlightKind::kSpan ? static_cast<double>(e.arg0) / 1e3 : 1.0;
+  };
+  std::map<uint64_t, SpanLabel> labels;  // resolved once per distinct id
+  std::map<uint64_t, std::vector<size_t>> arcs;  // trace id -> event indices
   for (size_t i = 0; i < events.size(); ++i) {
     const FlightEvent& e = events[i];
-    std::vector<ChromeTraceWriter::Arg> args;
+    const int tid = static_cast<int>(e.tid);
+    std::vector<Arg> args;
     if (e.trace_id != 0) {
-      args.push_back(ChromeTraceWriter::Arg::integer(
-          "trace_id", static_cast<int64_t>(e.trace_id)));
+      args.push_back(Arg::integer("trace_id", static_cast<int64_t>(e.trace_id)));
       arcs[e.trace_id].push_back(i);
     }
-    args.push_back(ChromeTraceWriter::Arg::integer(
-        "arg0", static_cast<int64_t>(e.arg0)));
-    args.push_back(ChromeTraceWriter::Arg::integer(
-        "arg1", static_cast<int64_t>(e.arg1)));
-    if (e.device != 255) {
-      args.push_back(ChromeTraceWriter::Arg::integer("device", e.device));
+    if (e.kind == FlightKind::kSpan) {
+      auto it = labels.find(e.arg1);
+      if (it == labels.end()) it = labels.emplace(e.arg1, span_label(e.arg1)).first;
+      const SpanLabel& label = it->second;
+      args.push_back(Arg::integer("depth", e.depth));
+      if (!label.detail.empty()) args.push_back(Arg::str("detail", label.detail));
+      writer.add_complete(label.name, label.category, kWallClockPid, tid, e.t_us,
+                          slice_us(e), args);
+    } else {
+      args.push_back(Arg::integer("arg0", static_cast<int64_t>(e.arg0)));
+      args.push_back(Arg::integer("arg1", static_cast<int64_t>(e.arg1)));
+      if (e.device != 255) args.push_back(Arg::integer("device", e.device));
+      writer.add_complete(flight_kind_name(e.kind), "flight", kWallClockPid, tid,
+                          e.t_us, slice_us(e), args);
     }
-    // A thin slice per event: flow arrows need an enclosing slice to bind
-    // to, and slices carry the args for inspection.
-    writer.add_complete(flight_kind_name(e.kind), "flight", kFlightPid,
-                        static_cast<int>(e.tid), e.t_us, 1.0, args);
   }
 
   for (const auto& [trace_id, indices] : arcs) {
     if (indices.size() < 2) continue;  // an arc needs two ends
     for (size_t j = 0; j < indices.size(); ++j) {
       const FlightEvent& e = events[indices[j]];
-      const char phase =
-          j == 0 ? 's' : (j + 1 == indices.size() ? 'f' : 't');
-      // ts inside the slice (slice start + half its 1us duration) so the
-      // arrow binds to the slice we just emitted for this event.
-      writer.add_flow("request", "flight", kFlightPid,
-                      static_cast<int>(e.tid), e.t_us + 0.5, trace_id, phase);
+      const char phase = j == 0 ? 's' : (j + 1 == indices.size() ? 'f' : 't');
+      // ts inside the event's own slice (at most 0.5 us past its start) so
+      // the arrow binds to it rather than to an enclosing span.
+      writer.add_flow("request", "flight", kWallClockPid, static_cast<int>(e.tid),
+                      e.t_us + std::min(slice_us(e), 1.0) / 2.0, trace_id, phase);
     }
   }
-  return writer.to_json();
 }
 
 std::string flight_summary_json(const FlightDumpSummary& summary,
@@ -309,29 +355,12 @@ std::string flight_summary_json(const FlightDumpSummary& summary,
   os << "}";
   // One reconstructed path as a worked example for the post-mortem reader:
   // the first trace id whose full lifecycle survived.
-  std::map<uint64_t, uint32_t> kinds_seen;
-  for (const FlightEvent& e : events) {
-    if (e.trace_id != 0) {
-      kinds_seen[e.trace_id] |= 1u << static_cast<int>(e.kind);
-    }
-  }
-  constexpr uint32_t kFullPath =
-      (1u << static_cast<int>(FlightKind::kEnqueue)) |
-      (1u << static_cast<int>(FlightKind::kPickup)) |
-      (1u << static_cast<int>(FlightKind::kLaunch)) |
-      (1u << static_cast<int>(FlightKind::kComplete));
-  uint64_t example = 0;
-  for (const auto& [id, mask] : kinds_seen) {
-    if ((mask & kFullPath) == kFullPath) {
-      example = id;
-      break;
-    }
-  }
+  const std::vector<uint64_t> complete = complete_trace_ids(events);
   os << ",\"example_path\":[";
-  if (example != 0) {
+  if (!complete.empty()) {
     bool first = true;
     for (const FlightEvent& e : events) {
-      if (e.trace_id != example) continue;
+      if (e.trace_id != complete.front()) continue;
       if (!first) os << ",";
       first = false;
       os << "{\"kind\":\"" << flight_kind_name(e.kind)
@@ -342,6 +371,24 @@ std::string flight_summary_json(const FlightDumpSummary& summary,
   os << "]}";
   return os.str();
 }
+
+namespace {
+
+// Writes `text` to `<path>.tmp`, checks the stream, then renames it onto
+// `path`; on any failure removes the temp file and returns false.
+bool write_file_atomically(const std::string& path, const std::string& text) {
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  out << text;
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 FlightDumpSummary FlightRecorder::dump(const std::string& dir,
                                        const std::string& reason,
@@ -354,17 +401,23 @@ FlightDumpSummary FlightRecorder::dump(const std::string& dir,
   summary.overwritten = overwritten();
   summarize_flight_events(events, &summary);
 
+  ChromeTraceWriter writer;
+  append_wall_events(writer, events);
+  const std::string trace = writer.to_json();
+  const std::string summary_text = flight_summary_json(summary, events);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const std::string trace = flight_trace_json(events);
-  const std::string summary_text = flight_summary_json(summary, events);
-  std::string error;
-  if (validate_json(trace, &error) && validate_json(summary_text, &error)) {
-    const std::filesystem::path base(dir);
-    summary.trace_path = (base / "flight_trace.json").string();
-    summary.summary_path = (base / "flight_summary.json").string();
-    std::ofstream(summary.trace_path) << trace;
-    std::ofstream(summary.summary_path) << summary_text;
+  const std::filesystem::path base(dir);
+  const std::string trace_path = (base / "flight_trace.json").string();
+  const std::string summary_path = (base / "flight_summary.json").string();
+  if (!ec && validate_json(trace) && validate_json(summary_text) &&
+      write_file_atomically(trace_path, trace)) {
+    if (write_file_atomically(summary_path, summary_text)) {
+      summary.trace_path = trace_path;
+      summary.summary_path = summary_path;
+    } else {
+      std::remove(trace_path.c_str());  // half a dump is no dump
+    }
   }
   unfreeze();
   return summary;

@@ -1,19 +1,21 @@
 #pragma once
 
-// Flight recorder — always-on incident capture for the serving runtime.
+// Flight recorder — the one wall-clock event store, always on for incident
+// capture in the serving runtime.
 //
-// PR-3's span tracer is opt-in and post-hoc: by the time an operator turns
-// it on, the deadline-miss storm that paged them is gone. The flight
-// recorder is the opposite contract: it is ON by default, bounded, and
-// cheap enough to leave on under production load (the overhead gate in
-// bench/serve_obs.cpp holds it to <= 5% p99 on the serving benchmark).
+// It is ON by default, bounded, and cheap enough to leave on under
+// production load (the overhead gate in bench/serve_obs.cpp holds it to
+// <= 5% p99 on the serving benchmark). Telemetry spans (telemetry.hpp) land
+// here too, as `kSpan` events, whenever `telemetry::enabled()`.
 //
 // Design: each recording thread owns a fixed-capacity ring of compact POD
 // `FlightEvent`s (40 bytes each). The writer never locks and never blocks —
 // a record is a slot write plus an atomic head bump, overwriting the oldest
-// event when the ring wraps. Rings are registered globally (same pattern as
-// the span tracer's per-thread buffers) so a dump can walk threads that
-// have since exited.
+// event when the ring wraps. Rings are registered globally so a dump can
+// walk threads that have since exited. When a thread exits, its ring goes to
+// a LIFO free list and the next new recording thread takes it over, head
+// and all: the old events stay readable until they are overwritten, and the
+// ring count is bounded by the peak number of concurrent recording threads.
 //
 // Dump protocol: `freeze()` stops all writers, then `dump()` collects the
 // surviving window across rings and writes two validated artifacts — a
@@ -49,8 +51,9 @@ enum class FlightKind : uint8_t {
   kSwap,          // plan swap (recalibration)
   kComplete,      // response resolved back to the caller
   kCoalesce,      // batched pickup merged multiple requests (fleet serving)
+  kSpan,          // one completed telemetry::ScopedSpan
 };
-inline constexpr int kNumFlightKinds = 9;
+inline constexpr int kNumFlightKinds = 10;
 
 const char* flight_kind_name(FlightKind kind);
 
@@ -62,6 +65,9 @@ const char* flight_kind_name(FlightKind kind);
 //   kSwap:            arg0 = new plan version
 //   kComplete:        arg0 = plan version, arg1 = latency in microseconds
 //   kCoalesce:        arg0 = batch size, arg1 = registry model index
+//   kSpan:            t_us = span start, arg0 = duration in ns,
+//                     arg1 = label id (telemetry::span_label), depth = nesting
+//                     depth on its thread
 struct FlightEvent {
   double t_us = 0.0;
   uint64_t trace_id = 0;
@@ -70,7 +76,7 @@ struct FlightEvent {
   uint32_t tid = 0;
   FlightKind kind = FlightKind::kEnqueue;
   uint8_t device = 255;  // DeviceKind index; 255 = not device-bound
-  uint16_t pad = 0;
+  uint16_t depth = 0;    // kSpan only
 };
 static_assert(sizeof(FlightEvent) == 40, "flight events must stay compact");
 
@@ -86,9 +92,13 @@ struct FlightDumpSummary {
   // Trace ids whose surviving events form a full request path
   // (enqueue -> pickup -> launch -> complete).
   size_t complete_paths = 0;
-  std::string trace_path;    // written Chrome trace file
-  std::string summary_path;  // written summary JSON file
+  // Written files; both empty when the dump could not be written.
+  std::string trace_path;    // Chrome trace file
+  std::string summary_path;  // summary JSON file
 };
+
+// Chrome pid hosting every wall-clock event (one tid per recording thread).
+inline constexpr int kWallClockPid = 10;
 
 class FlightRecorder {
  public:
@@ -119,8 +129,10 @@ class FlightRecorder {
 
   // Freezes, collects the last `window_ms`, writes `<dir>/flight_trace.json`
   // (Chrome trace with per-request flow arcs) and `<dir>/flight_summary.json`
-  // (both validated before write), unfreezes, and returns what happened.
-  // Creates `dir` if needed. Thread-safe; concurrent dumps serialize.
+  // (both validated, each written to `<name>.tmp` and renamed into place),
+  // unfreezes, and returns what happened. Creates `dir` if needed. When a
+  // file cannot be written, nothing is left behind and both paths in the
+  // result are empty. Thread-safe; concurrent dumps serialize.
   FlightDumpSummary dump(const std::string& dir, const std::string& reason,
                          double window_ms = 0.0);
 
@@ -128,7 +140,6 @@ class FlightRecorder {
   uint64_t recorded() const;
   uint64_t overwritten() const;
 
-  size_t ring_capacity() const;
   // Re-allocates every registered ring and resets heads. Only safe while no
   // other thread records (tests / process start).
   void set_ring_capacity(size_t capacity);
@@ -136,13 +147,29 @@ class FlightRecorder {
   void clear();
 
  private:
+  friend class ScopedSpan;
   FlightRecorder() = default;
+  // ~ScopedSpan's write: one kSpan event through the same slot write as
+  // record(), stamped with the thread's current trace id.
+  void record_span(double start_us, double dur_us, uint32_t label,
+                   uint16_t depth);
 };
 
+class ChromeTraceWriter;
+
+// The one Chrome rendering of wall-clock events, used by every trace the
+// repo writes (`export_chrome_trace` adds the modeled timeline); renders
+// nothing for no events. Layout: pid kWallClockPid, one "thread N" row per recording thread; spans become
+// slices with their real duration (args: depth, detail, trace_id), point
+// events 1 us slices named after their kind (args: trace_id, arg0, arg1,
+// device); events sharing a trace id are chained by one flow arc in time
+// order ("s", then "t" steps, then "f"). `events` must be sorted by t_us,
+// as collect() returns them.
+void append_wall_events(ChromeTraceWriter& writer,
+                        const std::vector<FlightEvent>& events);
+
 // Pure serialization helpers (unit-testable without touching the global
-// recorder). `flight_trace_json` renders events as Chrome complete events
-// plus per-trace-id flow arcs; `flight_summary_json` renders the summary.
-std::string flight_trace_json(const std::vector<FlightEvent>& events);
+// recorder): `flight_summary_json` renders the summary.
 std::string flight_summary_json(const FlightDumpSummary& summary,
                                 const std::vector<FlightEvent>& events);
 // Fills kind_counts / complete_paths / window bounds from `events`.

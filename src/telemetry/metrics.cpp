@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,13 +13,7 @@
 namespace duet::telemetry {
 namespace {
 
-// CAS-loop fetch_add / fetch_max for pre-C++20-style atomic doubles.
-void atomic_add(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
+// CAS-loop fetch_max for pre-C++20-style atomic doubles.
 void atomic_max(std::atomic<double>& target, double v) {
   double cur = target.load(std::memory_order_relaxed);
   while (cur < v &&
@@ -26,12 +21,7 @@ void atomic_max(std::atomic<double>& target, double v) {
   }
 }
 
-void atomic_min(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (cur > v &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
+double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
 }  // namespace
 
@@ -49,99 +39,122 @@ double Gauge::value() const { return value_.load(std::memory_order_relaxed); }
 
 void Gauge::reset() { value_.store(0.0, std::memory_order_relaxed); }
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(bounds.empty() ? default_time_bounds() : std::move(bounds)),
-      buckets_(bounds_.size() + 1) {
-  for (size_t i = 1; i < bounds_.size(); ++i) {
-    if (bounds_[i] <= bounds_[i - 1]) {
-      throw std::runtime_error("histogram bounds must be strictly ascending");
-    }
-  }
+// --- LogHistogram ------------------------------------------------------------
+
+int LogHistogram::bucket_index(double v) {
+  if (!(v > 0.0)) return 0;  // underflow bucket (also catches NaN)
+  int exp = 0;
+  const double m = std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1)
+  const int octave = exp - 1;            // v in [2^octave, 2^(octave+1))
+  if (octave < kMinExponent) return 0;
+  if (octave > kMaxExponent + 1) return kNumBuckets - 1;
+  const double scaled = (m - 0.5) * 2.0 * kSubBucketsPerOctave;  // [0, 4)
+  const int sub = static_cast<int>(scaled);
+  // Buckets are (lower, upper], the way Prometheus reads `le`: a value
+  // exactly on a bound belongs to the bucket below it.
+  const int on_bound = static_cast<double>(sub) == scaled ? 1 : 0;
+  return std::min(kNumBuckets - 1, (octave - kMinExponent) * kSubBucketsPerOctave +
+                                       sub + 1 - on_bound);
 }
 
-void Histogram::observe(double v) {
+double LogHistogram::bucket_lower(int index) {
+  if (index <= 0) return 0.0;
+  if (index >= kNumBuckets - 1) return std::ldexp(1.0, kMaxExponent + 1);
+  const int octave = (index - 1) / kSubBucketsPerOctave + kMinExponent;
+  const int sub = (index - 1) % kSubBucketsPerOctave;
+  return std::ldexp(1.0 + static_cast<double>(sub) / kSubBucketsPerOctave,
+                    octave);
+}
+
+double LogHistogram::bucket_upper(int index) {
+  if (index <= 0) return std::ldexp(1.0, kMinExponent);
+  if (index >= kNumBuckets - 1) return std::ldexp(1.0, kMaxExponent + 2);
+  const int octave = (index - 1) / kSubBucketsPerOctave + kMinExponent;
+  const int sub = (index - 1) % kSubBucketsPerOctave;
+  return std::ldexp(
+      1.0 + static_cast<double>(sub + 1) / kSubBucketsPerOctave, octave);
+}
+
+void LogHistogram::observe(double v) {
+  buckets_[static_cast<size_t>(bucket_index(v))]++;
+  if (count_ == 0) {
+    min_ = max_ = v;
+  } else {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+  ++count_;
+  sum_ += v;
+}
+
+void LogHistogram::merge(const LogHistogram& other) {
+  if (other.count_ == 0) return;
+  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (count_ == 0) {
+    min_ = other.min_;
+    max_ = other.max_;
+  } else {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+  }
+  count_ += other.count_;
+  sum_ += other.sum_;
+}
+
+void LogHistogram::clear() {
+  buckets_.fill(0);
+  count_ = 0;
+  sum_ = 0.0;
+  min_ = 0.0;
+  max_ = 0.0;
+}
+
+double LogHistogram::observed_min() const { return count_ ? min_ : 0.0; }
+double LogHistogram::observed_max() const { return count_ ? max_ : 0.0; }
+double LogHistogram::mean() const {
+  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+}
+
+double LogHistogram::percentile(double q) const {
+  if (count_ == 0) return 0.0;
+  const double target = clamp01(q) * static_cast<double>(count_);
+  uint64_t cumulative = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    if (buckets_[static_cast<size_t>(i)] == 0) continue;
+    const uint64_t before = cumulative;
+    cumulative += buckets_[static_cast<size_t>(i)];
+    if (static_cast<double>(cumulative) >= target) {
+      const double within =
+          clamp01((target - static_cast<double>(before)) /
+                  static_cast<double>(buckets_[static_cast<size_t>(i)]));
+      const double lo = bucket_lower(i);
+      const double hi = bucket_upper(i);
+      const double v = lo + (hi - lo) * within;
+      return std::min(max_, std::max(min_, v));
+    }
+  }
+  return max_;
+}
+
+// --- SharedHistogram ---------------------------------------------------------
+
+void SharedHistogram::observe(double v) {
   if (!enabled()) return;
-  const size_t bucket =
-      static_cast<size_t>(std::lower_bound(bounds_.begin(), bounds_.end(), v) -
-                          bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  const uint64_t before = count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(sum_, v);
-  if (before == 0) {
-    // First observation seeds min/max; races with concurrent observers are
-    // resolved by the CAS loops below.
-    min_.store(v, std::memory_order_relaxed);
-    max_.store(v, std::memory_order_relaxed);
-  }
-  atomic_min(min_, v);
-  atomic_max(max_, v);
+  std::lock_guard<std::mutex> lock(mutex_);
+  histogram_.observe(v);
 }
 
-double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
-double Histogram::observed_min() const {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-}
-double Histogram::observed_max() const {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
-}
-double Histogram::mean() const {
-  const uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+LogHistogram SharedHistogram::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return histogram_;
 }
 
-double Histogram::percentile(double q) const {
-  const uint64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(n);
-  double cumulative = 0.0;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    const double in_bucket =
-        static_cast<double>(buckets_[b].load(std::memory_order_relaxed));
-    if (in_bucket == 0.0) continue;
-    if (cumulative + in_bucket >= rank) {
-      // Linear interpolation inside [lo, hi), clamped to the observed range
-      // so the first and last buckets do not over-report.
-      double lo = b == 0 ? observed_min() : bounds_[b - 1];
-      double hi = b < bounds_.size() ? bounds_[b] : observed_max();
-      lo = std::max(lo, observed_min());
-      hi = std::min(hi, observed_max());
-      if (hi <= lo) return lo;
-      const double frac = (rank - cumulative) / in_bucket;
-      return lo + (hi - lo) * frac;
-    }
-    cumulative += in_bucket;
-  }
-  return observed_max();
+void SharedHistogram::reset() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  histogram_.clear();
 }
 
-std::vector<uint64_t> Histogram::bucket_counts() const {
-  std::vector<uint64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    out.push_back(b.load(std::memory_order_relaxed));
-  }
-  return out;
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
-std::vector<double> Histogram::default_time_bounds() {
-  // 1us .. ~100s, four buckets per decade.
-  std::vector<double> bounds;
-  double decade = 1.0;  // microseconds
-  for (int d = 0; d < 8; ++d) {
-    for (double step : {1.0, 1.8, 3.2, 5.6}) bounds.push_back(decade * step);
-    decade *= 10.0;
-  }
-  return bounds;
-}
+// --- registry ----------------------------------------------------------------
 
 namespace {
 
@@ -149,7 +162,7 @@ struct RegistryState {
   mutable std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms;
+  std::map<std::string, std::unique_ptr<SharedHistogram>> histograms;
 };
 
 RegistryState& state() {
@@ -157,7 +170,7 @@ RegistryState& state() {
   return *s;
 }
 
-HistogramStats summarize(const Histogram& h) {
+HistogramStats summarize(const LogHistogram& h) {
   HistogramStats s;
   s.count = h.count();
   s.sum = h.sum();
@@ -207,19 +220,13 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
+SharedHistogram& MetricsRegistry::histogram(const std::string& name) {
   RegistryState& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
   check_unique(s, name, "histogram");
-  auto it = s.histograms.find(name);
-  if (it == s.histograms.end()) {
-    // Construct before inserting: a throwing constructor (bad bounds) must
-    // not leave a null entry behind for reset()/to_json() to trip over.
-    auto made = std::make_unique<Histogram>(std::move(bounds));
-    it = s.histograms.emplace(name, std::move(made)).first;
-  }
-  return *it->second;
+  auto& slot = s.histograms[name];
+  if (!slot) slot = std::make_unique<SharedHistogram>();
+  return *slot;
 }
 
 void MetricsRegistry::reset() {
@@ -255,18 +262,20 @@ std::vector<std::pair<std::string, HistogramStats>> MetricsRegistry::histograms(
   std::vector<std::pair<std::string, HistogramStats>> out;
   out.reserve(s.histograms.size());
   for (const auto& [name, h] : s.histograms) {
-    out.emplace_back(name, summarize(*h));
+    out.emplace_back(name, summarize(h->snapshot()));
   }
   return out;
 }
 
-std::vector<std::pair<std::string, const Histogram*>>
+std::vector<std::pair<std::string, LogHistogram>>
 MetricsRegistry::histogram_series() const {
   RegistryState& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
-  std::vector<std::pair<std::string, const Histogram*>> out;
+  std::vector<std::pair<std::string, LogHistogram>> out;
   out.reserve(s.histograms.size());
-  for (const auto& [name, h] : s.histograms) out.emplace_back(name, h.get());
+  for (const auto& [name, h] : s.histograms) {
+    out.emplace_back(name, h->snapshot());
+  }
   return out;
 }
 
@@ -311,8 +320,8 @@ Gauge& gauge(const std::string& name) {
   return MetricsRegistry::instance().gauge(name);
 }
 
-Histogram& histogram(const std::string& name, std::vector<double> bounds) {
-  return MetricsRegistry::instance().histogram(name, std::move(bounds));
+SharedHistogram& histogram(const std::string& name) {
+  return MetricsRegistry::instance().histogram(name);
 }
 
 }  // namespace duet::telemetry

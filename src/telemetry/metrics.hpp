@@ -1,10 +1,9 @@
 #pragma once
 
 // Metrics registry — the second pillar of the observability layer: named
-// counters, gauges, and fixed-bucket histograms, all safe for concurrent
-// recording. Like the span tracer, every record path is guarded by the
-// single relaxed `telemetry::enabled()` check so disabled-mode overhead is
-// one atomic load.
+// counters, gauges, and log-scale histograms, all safe for concurrent
+// recording. Like spans, every record path is guarded by the single relaxed
+// `telemetry::enabled()` check so disabled-mode overhead is one atomic load.
 //
 // Metrics are registered on first use and live for the process; `reset()`
 // zeroes values but never invalidates references, so call sites may cache
@@ -12,8 +11,10 @@
 // Hot paths should additionally pre-check `enabled()` to skip the registry
 // lookup entirely.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -48,42 +49,65 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Fixed-bucket histogram with atomic bucket counts. Percentiles are linearly
-// interpolated within the containing bucket (and clamped to the observed
-// min/max), which is exact enough for p50/p95/p99 reporting at our scale.
-class Histogram {
+// Log-scale histogram over positive values (microseconds by convention) —
+// HDR-style: buckets are sub-divided powers of two (kSubBucketsPerOctave
+// per octave), so relative error is bounded (a bucket spans at most 25% of
+// its lower edge) across nine decades without choosing bounds up front.
+// Merging is bucket-wise addition, which is what makes the SLO monitor's
+// windowing cheap. Not thread-safe by itself; the registry wraps it in
+// SharedHistogram.
+class LogHistogram {
  public:
-  // `bounds` are ascending bucket upper limits; an overflow bucket catches
-  // everything above the last bound. Empty bounds = default_time_bounds().
-  explicit Histogram(std::vector<double> bounds);
+  static constexpr int kSubBucketsPerOctave = 4;
+  static constexpr int kMinExponent = -1;  // ~0.5 and below
+  static constexpr int kMaxExponent = 37;  // ~1.4e11 us ≈ 38 h
+  static constexpr int kNumBuckets =
+      (kMaxExponent - kMinExponent + 1) * kSubBucketsPerOctave + 2;
 
   void observe(double v);
+  void merge(const LogHistogram& other);
+  void clear();
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const;
+  uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
   double observed_min() const;
   double observed_max() const;
   double mean() const;
-  // q in [0, 1]; 0 with no observations.
+  // q in [0,1]; 0 with no observations. Linear interpolation inside the
+  // containing bucket, clamped to the observed min/max.
   double percentile(double q) const;
+  uint64_t bucket_count(int index) const {
+    return buckets_[static_cast<size_t>(index)];
+  }
 
-  const std::vector<double>& bounds() const { return bounds_; }
-  // Point-in-time copy of all bucket counts (bounds().size() + 1 entries,
-  // the last being the overflow bucket). Feeds the Prometheus exporter.
-  std::vector<uint64_t> bucket_counts() const;
-  void reset();
-
-  // Log-spaced bounds from 1us to ~100s — the default for duration metrics
-  // recorded in microseconds.
-  static std::vector<double> default_time_bounds();
+  // Bucket 0 takes everything up to 2^kMinExponent (and non-positive
+  // values), bucket kNumBuckets - 1 everything above 2^(kMaxExponent + 1);
+  // every other bucket is (bucket_lower, bucket_upper], so each bucket's
+  // count is exactly the samples a Prometheus `le` = bucket_upper adds.
+  static int bucket_index(double v);
+  static double bucket_lower(int index);
+  static double bucket_upper(int index);
 
  private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  std::array<uint64_t, kNumBuckets> buckets_{};
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
+
+// The registry's histogram: one LogHistogram shared by every recording
+// thread under a mutex (an uncontended lock is far below the subgraph run
+// or batch it annotates).
+class SharedHistogram {
+ public:
+  void observe(double v);
+  LogHistogram snapshot() const;
+  void reset();
+
+ private:
+  mutable std::mutex mutex_;
+  LogHistogram histogram_;
 };
 
 // Point-in-time histogram summary for reports.
@@ -107,8 +131,7 @@ class MetricsRegistry {
   // throws duet-style std::runtime_error.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = {});
+  SharedHistogram& histogram(const std::string& name);
 
   // Zeroes every metric value; registrations (and references) survive.
   void reset();
@@ -117,10 +140,8 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, uint64_t>> counters() const;
   std::vector<std::pair<std::string, double>> gauges() const;
   std::vector<std::pair<std::string, HistogramStats>> histograms() const;
-  // Raw histogram references (process-lifetime stable, like all registry
-  // references) for exporters that need bucket-level detail.
-  std::vector<std::pair<std::string, const Histogram*>> histogram_series()
-      const;
+  // Bucket-level snapshots for exporters (Prometheus).
+  std::vector<std::pair<std::string, LogHistogram>> histogram_series() const;
 
   // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string to_json() const;
@@ -129,6 +150,6 @@ class MetricsRegistry {
 // Convenience accessors onto the global registry.
 Counter& counter(const std::string& name);
 Gauge& gauge(const std::string& name);
-Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
+SharedHistogram& histogram(const std::string& name);
 
 }  // namespace duet::telemetry

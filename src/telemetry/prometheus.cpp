@@ -52,18 +52,17 @@ std::string to_prometheus_text(const MetricsRegistry& registry) {
     const std::string prom = prometheus_name(name);
     os << "# HELP " << prom << " duet histogram " << name << "\n";
     os << "# TYPE " << prom << " histogram\n";
-    const std::vector<uint64_t> buckets = histogram->bucket_counts();
-    const std::vector<double>& bounds = histogram->bounds();
+    // One fixed le set for every histogram: each finite LogHistogram
+    // bucket's upper bound, then +Inf (which adds the overflow bucket).
     uint64_t cumulative = 0;
-    for (size_t b = 0; b < bounds.size(); ++b) {
-      cumulative += buckets[b];
-      os << prom << "_bucket{le=\"" << prom_number(bounds[b]) << "\"} "
-         << cumulative << "\n";
+    for (int b = 0; b + 1 < LogHistogram::kNumBuckets; ++b) {
+      cumulative += histogram.bucket_count(b);
+      os << prom << "_bucket{le=\"" << prom_number(LogHistogram::bucket_upper(b))
+         << "\"} " << cumulative << "\n";
     }
-    cumulative += buckets.empty() ? 0 : buckets.back();
-    os << prom << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-    os << prom << "_sum " << prom_number(histogram->sum()) << "\n";
-    os << prom << "_count " << histogram->count() << "\n";
+    os << prom << "_bucket{le=\"+Inf\"} " << histogram.count() << "\n";
+    os << prom << "_sum " << prom_number(histogram.sum()) << "\n";
+    os << prom << "_count " << histogram.count() << "\n";
   }
   return os.str();
 }

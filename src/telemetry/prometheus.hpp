@@ -4,8 +4,9 @@
 // piece of the PR-8 observability layer. The registry's dotted metric names
 // are sanitized into the Prometheus grammar ([a-zA-Z_:][a-zA-Z0-9_:]*,
 // dots and dashes become underscores) and prefixed "duet_"; counters map to
-// `counter`, gauges to `gauge`, and fixed-bucket histograms to the full
-// `histogram` family (cumulative `_bucket{le="..."}` series ending in
+// `counter`, gauges to `gauge`, and log-scale histograms to the full
+// `histogram` family (cumulative `_bucket{le="..."}` series over one fixed
+// le set — every finite LogHistogram bucket's upper bound — ending in
 // le="+Inf", plus `_sum` and `_count`), so a scrape of the written file is
 // directly ingestible. `duet_cli serve-bench --metrics-out <path>` writes
 // one exposition after the run; the obs-smoke CI job validates the grammar.

@@ -5,102 +5,6 @@
 
 namespace duet::telemetry {
 
-namespace {
-
-double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
-
-}  // namespace
-
-// --- LogHistogram ------------------------------------------------------------
-
-int LogHistogram::bucket_index(double v) {
-  if (!(v > 0.0)) return 0;  // underflow bucket (also catches NaN)
-  int exp = 0;
-  const double m = std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1)
-  const int octave = exp - 1;            // v in [2^octave, 2^(octave+1))
-  if (octave < kMinExponent) return 0;
-  if (octave > kMaxExponent) return kNumBuckets - 1;
-  int sub = static_cast<int>((m - 0.5) * 2.0 * kSubBucketsPerOctave);
-  sub = std::min(kSubBucketsPerOctave - 1, std::max(0, sub));
-  return 1 + (octave - kMinExponent) * kSubBucketsPerOctave + sub;
-}
-
-double LogHistogram::bucket_lower(int index) {
-  if (index <= 0) return 0.0;
-  if (index >= kNumBuckets - 1) return std::ldexp(1.0, kMaxExponent + 1);
-  const int octave = (index - 1) / kSubBucketsPerOctave + kMinExponent;
-  const int sub = (index - 1) % kSubBucketsPerOctave;
-  return std::ldexp(1.0 + static_cast<double>(sub) / kSubBucketsPerOctave,
-                    octave);
-}
-
-double LogHistogram::bucket_upper(int index) {
-  if (index <= 0) return std::ldexp(1.0, kMinExponent);
-  if (index >= kNumBuckets - 1) return std::ldexp(1.0, kMaxExponent + 2);
-  const int octave = (index - 1) / kSubBucketsPerOctave + kMinExponent;
-  const int sub = (index - 1) % kSubBucketsPerOctave;
-  return std::ldexp(
-      1.0 + static_cast<double>(sub + 1) / kSubBucketsPerOctave, octave);
-}
-
-void LogHistogram::observe(double v) {
-  buckets_[static_cast<size_t>(bucket_index(v))]++;
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void LogHistogram::clear() {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
-double LogHistogram::observed_min() const { return count_ ? min_ : 0.0; }
-double LogHistogram::observed_max() const { return count_ ? max_ : 0.0; }
-
-double LogHistogram::percentile(double q) const {
-  if (count_ == 0) return 0.0;
-  const double target = clamp01(q) * static_cast<double>(count_);
-  uint64_t cumulative = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[static_cast<size_t>(i)] == 0) continue;
-    const uint64_t before = cumulative;
-    cumulative += buckets_[static_cast<size_t>(i)];
-    if (static_cast<double>(cumulative) >= target) {
-      const double within =
-          clamp01((target - static_cast<double>(before)) /
-                  static_cast<double>(buckets_[static_cast<size_t>(i)]));
-      const double lo = bucket_lower(i);
-      const double hi = bucket_upper(i);
-      const double v = lo + (hi - lo) * within;
-      return std::min(max_, std::max(min_, v));
-    }
-  }
-  return max_;
-}
-
 // --- SloMonitor --------------------------------------------------------------
 
 SloMonitor::SloMonitor(double window_s, int buckets)

@@ -6,61 +6,25 @@
 // windowed latency quantiles, queue wait, queue depth, shed/reject rates,
 // SLO breaches, and the plan version that produced them.
 //
-// Two building blocks:
-//  * `LogHistogram` — HDR-style log-scale histogram: buckets are
-//    sub-divided powers of two (kSubBucketsPerOctave per octave), so
-//    relative error is bounded (~9%) across nine decades without choosing
-//    bounds up front. Merging is bucket-wise addition, which is what makes
-//    windowing cheap.
-//  * `SloWindow` — a ring of B buckets each covering window/B seconds.
-//    Recording rotates stale buckets forward (zeroing them) and adds to the
-//    current one; a snapshot merges the live buckets. The window therefore
-//    "forgets" with bucket granularity, like every production SLO pipeline.
+// The window is a ring of B buckets each covering window/B seconds, each
+// holding counts and `LogHistogram`s (metrics.hpp — the registry's
+// histogram too). Recording rotates stale buckets forward (zeroing them) and
+// adds to the current one; a snapshot merges the live buckets' histograms.
+// The window therefore "forgets" with bucket granularity, like every
+// production SLO pipeline.
 //
 // The monitor serializes internally with one mutex: records are a few
 // array increments under an uncontended lock, far below the executor run
 // they annotate, and snapshot() is called off the hot path.
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
+
 namespace duet::telemetry {
-
-// Log-scale histogram over positive values (microseconds by convention).
-class LogHistogram {
- public:
-  static constexpr int kSubBucketsPerOctave = 4;
-  static constexpr int kMinExponent = -1;  // ~0.5 and below
-  static constexpr int kMaxExponent = 37;  // ~1.4e11 us ≈ 38 h
-  static constexpr int kNumBuckets =
-      (kMaxExponent - kMinExponent + 1) * kSubBucketsPerOctave + 2;
-
-  void observe(double v);
-  void merge(const LogHistogram& other);
-  void clear();
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double observed_min() const;
-  double observed_max() const;
-  // q in [0,1]; 0 with no observations. Linear interpolation inside the
-  // containing bucket, clamped to the observed min/max.
-  double percentile(double q) const;
-
-  static int bucket_index(double v);
-  static double bucket_lower(int index);
-  static double bucket_upper(int index);
-
- private:
-  std::array<uint64_t, kNumBuckets> buckets_{};
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 // Point-in-time view of the last window. Latencies in microseconds.
 struct SloSnapshot {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
+#include <deque>
 #include <mutex>
+#include <unordered_map>
+
+#include "telemetry/flight_recorder.hpp"
 
 namespace duet::telemetry {
 namespace {
@@ -17,34 +20,35 @@ Clock::time_point process_start() {
   return start;
 }
 
-// Per-thread span buffer. Registered globally so the collector can drain
-// buffers of threads that have since exited; the shared_ptr keeps a buffer
-// alive past its thread. The buffer's mutex is only contended while a drain
-// is in flight, so the record path is an uncontended lock + push_back.
-struct ThreadBuffer {
+// Process-lifetime label table: id -> label, and the reverse index keyed by
+// the three fields joined with '\0'. Id 0 is the overflow label.
+struct LabelTable {
   std::mutex mutex;
-  std::vector<Span> spans;
+  std::deque<SpanLabel> labels{{"span-label-overflow", "telemetry", ""}};
+  std::unordered_map<std::string, uint32_t> ids;
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  std::atomic<uint32_t> next_thread_id{0};
-};
-
-Registry& registry() {
-  static Registry* r = new Registry();  // leaked: threads may outlive main
-  return *r;
+LabelTable& label_table() {
+  static LabelTable* t = new LabelTable();  // leaked: threads may outlive main
+  return *t;
 }
 
-ThreadBuffer& local_buffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto b = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> lock(registry().mutex);
-    registry().buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
+uint32_t intern_label(std::string name, std::string category,
+                      std::string detail) {
+  std::string key = name;
+  key += '\0';
+  key += category;
+  key += '\0';
+  key += detail;
+  LabelTable& t = label_table();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  const auto it = t.ids.find(key);
+  if (it != t.ids.end()) return it->second;
+  if (t.labels.size() >= kMaxSpanLabels) return 0;
+  const auto id = static_cast<uint32_t>(t.labels.size());
+  t.labels.push_back({std::move(name), std::move(category), std::move(detail)});
+  t.ids.emplace(std::move(key), id);
+  return id;
 }
 
 thread_local int tl_depth = 0;
@@ -61,73 +65,26 @@ double now_us() {
       .count();
 }
 
-uint32_t thread_id() {
-  thread_local const uint32_t id =
-      registry().next_thread_id.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
-SpanCollector& SpanCollector::instance() {
-  static SpanCollector* collector = new SpanCollector();
-  return *collector;
-}
-
-void SpanCollector::record(Span span) {
-  ThreadBuffer& buffer = local_buffer();
-  std::lock_guard<std::mutex> lock(buffer.mutex);
-  buffer.spans.push_back(std::move(span));
-}
-
-std::vector<Span> SpanCollector::drain() {
-  std::vector<Span> out;
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  for (const auto& buffer : registry().buffers) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    out.insert(out.end(), std::make_move_iterator(buffer->spans.begin()),
-               std::make_move_iterator(buffer->spans.end()));
-    buffer->spans.clear();
-  }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    return a.start_us < b.start_us;
-  });
-  return out;
-}
-
-void SpanCollector::clear() {
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  for (const auto& buffer : registry().buffers) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    buffer->spans.clear();
-  }
-}
-
-size_t SpanCollector::pending() const {
-  size_t total = 0;
-  std::lock_guard<std::mutex> lock(registry().mutex);
-  for (const auto& buffer : registry().buffers) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    total += buffer->spans.size();
-  }
-  return total;
+SpanLabel span_label(uint64_t id) {
+  LabelTable& t = label_table();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  return t.labels[id < t.labels.size() ? static_cast<size_t>(id) : 0];
 }
 
 ScopedSpan::ScopedSpan(std::string name, std::string category,
                        std::string detail) {
   if (!enabled()) return;
   active_ = true;
-  span_.name = std::move(name);
-  span_.category = std::move(category);
-  span_.detail = std::move(detail);
-  span_.tid = thread_id();
-  span_.depth = tl_depth++;
-  span_.start_us = now_us();
+  label_ = intern_label(std::move(name), std::move(category), std::move(detail));
+  depth_ = static_cast<uint16_t>(std::min(tl_depth++, 0xffff));
+  start_us_ = now_us();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (!active_) return;
   --tl_depth;
-  span_.dur_us = now_us() - span_.start_us;
-  SpanCollector::instance().record(std::move(span_));
+  FlightRecorder::instance().record_span(start_us_, now_us() - start_us_,
+                                         label_, depth_);
 }
 
 }  // namespace duet::telemetry

@@ -1,25 +1,25 @@
 #pragma once
 
-// Wall-clock span tracer — the first pillar of the observability layer.
+// Wall-clock spans — the first pillar of the observability layer.
 //
 // Telemetry is compiled in everywhere but runtime-toggleable: every record
 // path starts with a single relaxed atomic load (`telemetry::enabled()`), so
 // the disabled mode costs one predictable branch and the benchmark numbers
-// are unaffected. When enabled, RAII `ScopedSpan`s append to a per-thread
-// buffer (each buffer has its own mutex, contended only while the collector
-// drains), carrying a small sequential thread id and the nesting depth of
-// the span on its thread. `SpanCollector::drain()` moves everything recorded
-// so far out, ready for `telemetry::export_chrome_trace` (trace_export.hpp).
+// are unaffected. When enabled, an RAII `ScopedSpan` interns its (name,
+// category, detail) label once and, on destruction, writes one `kSpan`
+// event into the calling thread's flight-recorder ring
+// (flight_recorder.hpp): start time, duration, label id, nesting depth and
+// the active request trace id. The rings are the only wall-clock event
+// store; `FlightRecorder::collect()` reads spans and point events alike,
+// ready for `telemetry::export_chrome_trace` (trace_export.hpp).
 //
-// The tracer deliberately knows nothing about the rest of the library; the
-// metrics registry (metrics.hpp) and the Chrome-trace writer
+// The metrics registry (metrics.hpp) and the Chrome-trace writer
 // (chrome_trace.hpp) complete the layer, and sit below duet_common so even
 // the logger can feed them.
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace duet::telemetry {
 
@@ -43,46 +43,26 @@ class ScopedTelemetry {
 // Microseconds of wall clock since process start (steady, monotonic).
 double now_us();
 
-// Small sequential id of the calling thread (assigned on first use).
-uint32_t thread_id();
-
-// One completed wall-clock span.
-struct Span {
+// What a span event's label id (FlightEvent::arg1 of a kSpan) stands for.
+// Labels are interned for the process lifetime, so callers must draw them
+// from a bounded set: per-request detail belongs in the trace id, not the
+// name. Past kMaxSpanLabels distinct labels every new one maps to id 0,
+// {"span-label-overflow", "telemetry", ""}.
+struct SpanLabel {
   std::string name;
   std::string category;  // "compiler", "profile", "sched", "plan", "exec", ...
   std::string detail;    // free-form annotation (device, pass, model, ...)
-  uint32_t tid = 0;
-  int depth = 0;  // nesting depth on its thread at record time
-  double start_us = 0.0;
-  double dur_us = 0.0;
 };
+inline constexpr uint32_t kMaxSpanLabels = 1u << 16;
 
-// Global sink for completed spans. Thread-safe; spans arrive in per-thread
-// order (cross-thread order is by timestamp only).
-class SpanCollector {
- public:
-  static SpanCollector& instance();
-
-  // Appends to the calling thread's buffer. Called by ~ScopedSpan.
-  void record(Span span);
-
-  // Moves out everything recorded so far, across all threads, sorted by
-  // start time.
-  std::vector<Span> drain();
-
-  // Drops everything recorded so far.
-  void clear();
-
-  // Total spans currently buffered (for tests).
-  size_t pending() const;
-
- private:
-  SpanCollector() = default;
-};
+// The label behind `id`; the overflow label for an id never handed out.
+SpanLabel span_label(uint64_t id);
 
 // RAII scoped span: captures the start time at construction and records the
 // completed span at destruction. A span constructed while telemetry is
-// disabled records nothing (and skips the clock reads).
+// disabled records nothing (and skips the clock reads); like every flight
+// event, a span is also dropped while the recorder is frozen or switched
+// off.
 class ScopedSpan {
  public:
   ScopedSpan(std::string name, std::string category, std::string detail = "");
@@ -94,7 +74,9 @@ class ScopedSpan {
 
  private:
   bool active_ = false;
-  Span span_;
+  uint32_t label_ = 0;
+  uint16_t depth_ = 0;
+  double start_us_ = 0.0;
 };
 
 }  // namespace duet::telemetry

@@ -1,57 +1,26 @@
 #include "telemetry/trace_export.hpp"
 
-#include <map>
-#include <set>
-
 #include "telemetry/chrome_trace.hpp"
 
 namespace duet::telemetry {
 
-namespace detail {
-
-void set_virtual_process_names(ChromeTraceWriter& writer) {
-  writer.set_process_name(0, "CPU (modeled)");
-  writer.set_process_name(1, "GPU (modeled)");
-  writer.set_process_name(2, "PCIe link (modeled)");
-}
-
-void append_timeline_events(ChromeTraceWriter& writer,
-                            const Timeline& timeline) {
-  for (const TimelineEvent& e : timeline.events()) {
-    const bool exec = e.kind == TimelineEvent::Kind::kExec;
-    // pids: 0 = CPU, 1 = GPU, 2 = PCIe link (the historical layout).
-    const int pid = exec ? static_cast<int>(e.device) : 2;
-    writer.add_complete(e.label, exec ? "exec" : "transfer", pid, 0,
-                        e.start * 1e6, e.duration() * 1e6,
-                        {ChromeTraceWriter::Arg::integer("subgraph", e.subgraph)});
-  }
-}
-
-}  // namespace detail
-
-std::string export_chrome_trace(const std::vector<Span>& spans,
+std::string export_chrome_trace(const std::vector<FlightEvent>& events,
                                 const Timeline* modeled) {
   ChromeTraceWriter writer;
-  writer.set_process_name(kWallClockPid, "duet (wall clock)");
-  std::set<uint32_t> named_threads;
-  for (const Span& s : spans) {
-    if (named_threads.insert(s.tid).second) {
-      writer.set_thread_name(kWallClockPid, static_cast<int>(s.tid),
-                             "thread-" + std::to_string(s.tid));
+  append_wall_events(writer, events);
+  if (modeled != nullptr) {
+    // pids: 0 = CPU, 1 = GPU, 2 = PCIe link (the historical layout).
+    writer.set_process_name(0, "CPU (modeled)");
+    writer.set_process_name(1, "GPU (modeled)");
+    writer.set_process_name(2, "PCIe link (modeled)");
+    for (const TimelineEvent& e : modeled->events()) {
+      const bool exec = e.kind == TimelineEvent::Kind::kExec;
+      const int pid = exec ? static_cast<int>(e.device) : 2;
+      writer.add_complete(e.label, exec ? "exec" : "transfer", pid, 0,
+                          e.start * 1e6, e.duration() * 1e6,
+                          {ChromeTraceWriter::Arg::integer("subgraph", e.subgraph)});
     }
   }
-  if (modeled != nullptr) detail::set_virtual_process_names(writer);
-
-  for (const Span& s : spans) {
-    std::vector<ChromeTraceWriter::Arg> args;
-    args.push_back(ChromeTraceWriter::Arg::integer("depth", s.depth));
-    if (!s.detail.empty()) {
-      args.push_back(ChromeTraceWriter::Arg::str("detail", s.detail));
-    }
-    writer.add_complete(s.name, s.category, kWallClockPid,
-                        static_cast<int>(s.tid), s.start_us, s.dur_us, args);
-  }
-  if (modeled != nullptr) detail::append_timeline_events(writer, *modeled);
   return writer.to_json();
 }
 

@@ -1,35 +1,26 @@
 #pragma once
 
-// Merged Chrome-trace export: the wall-clock spans recorded by the telemetry
-// tracer (compiler passes, profiling, scheduling, plan build, threaded
-// execution) and the modeled virtual-time timeline of a SimExecutor run,
-// side by side in one document. Virtual devices keep the pids
-// Timeline::to_chrome_trace has always used (0 = CPU, 1 = GPU, 2 = PCIe
-// link); wall-clock spans live under their own process with one Chrome tid
-// per recorded thread.
+// Merged Chrome-trace export: the wall-clock events collected from the
+// flight-recorder rings (spans of compiler passes, profiling, scheduling,
+// plan build and execution, plus serving point events) and the modeled
+// virtual-time timeline of a SimExecutor run, side by side in one document.
+// Virtual devices keep the pids Timeline::to_chrome_trace has always used
+// (0 = CPU, 1 = GPU, 2 = PCIe link); wall-clock events live under
+// kWallClockPid, rendered by `append_wall_events` (flight_recorder.hpp).
 
 #include <string>
 #include <vector>
 
 #include "runtime/timeline.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/flight_recorder.hpp"
 
 namespace duet::telemetry {
 
-// Chrome pid hosting the wall-clock spans.
-inline constexpr int kWallClockPid = 10;
-
-// `modeled` may be null (wall-clock spans only).
-std::string export_chrome_trace(const std::vector<Span>& spans,
+// `events` as FlightRecorder::collect() returns them; `modeled` may be null
+// (wall-clock events only). With no events it is the modeled timeline
+// alone: Timeline::to_chrome_trace is export_chrome_trace({}, this), so
+// timeline events have exactly one encoding, merged or standalone.
+std::string export_chrome_trace(const std::vector<FlightEvent>& events,
                                 const Timeline* modeled);
-
-class ChromeTraceWriter;
-
-// Shared with Timeline::to_chrome_trace so there is exactly one encoding of
-// timeline events, merged or standalone.
-namespace detail {
-void set_virtual_process_names(ChromeTraceWriter& writer);
-void append_timeline_events(ChromeTraceWriter& writer, const Timeline& timeline);
-}  // namespace detail
 
 }  // namespace duet::telemetry

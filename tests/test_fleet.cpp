@@ -27,6 +27,7 @@
 #include "serve/fleet_policy.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/simulator.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -378,11 +379,13 @@ TEST_F(FleetRegistryTest, LazyBucketPlanPassesThePlanChecker) {
       "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
   serve::ResidentModel& m = registry.model(idx);
   telemetry::ScopedTelemetry telemetry_on(true);
-  telemetry::SpanCollector::instance().clear();
+  telemetry::FlightRecorder::instance().clear();
   ASSERT_NE(m.plan_for_batch(2), nullptr);
   size_t checks = 0;
-  for (const telemetry::Span& span :
-       telemetry::SpanCollector::instance().drain()) {
+  for (const telemetry::FlightEvent& e :
+       telemetry::FlightRecorder::instance().collect()) {
+    if (e.kind != telemetry::FlightKind::kSpan) continue;
+    const telemetry::SpanLabel span = telemetry::span_label(e.arg1);
     if (span.name != "check-plan") continue;
     ++checks;
     EXPECT_EQ(span.category, "analysis");

@@ -1,7 +1,8 @@
-// Tests for the PR-8 observability layer: the always-on flight recorder
-// (ring semantics, freeze handshake, dump artifacts), dump triggers, the
-// log-scale histogram + sliding-window SLO monitor, request trace context,
-// and the Prometheus text exposition.
+// Tests for the serving observability layer: the always-on flight recorder
+// (ring semantics, ring reuse across threads, freeze handshake, dump
+// artifacts and dump failures), dump triggers, the log-scale histogram +
+// sliding-window SLO monitor, request trace context, and the Prometheus text
+// exposition.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "telemetry/slo_monitor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
+#include "telemetry/trace_export.hpp"
 
 namespace duet::telemetry {
 namespace {
@@ -136,12 +138,51 @@ TEST(FlightRecorder, DumpWritesValidatedArtifacts) {
   std::string err;
   const std::string trace = slurp(summary.trace_path);
   EXPECT_TRUE(validate_json(trace, &err)) << err;
-  EXPECT_NE(trace.find("flight-recorder"), std::string::npos);
+  EXPECT_NE(trace.find("duet (wall clock)"), std::string::npos);
   const std::string summary_text = slurp(summary.summary_path);
   EXPECT_TRUE(validate_json(summary_text, &err)) << err;
   EXPECT_NE(summary_text.find("\"complete_paths\":1"), std::string::npos);
   EXPECT_NE(summary_text.find("\"example_path\":[{"), std::string::npos);
   fs::remove_all(dir);
+}
+
+// A dump that cannot be written reports no files and leaves none behind.
+TEST(FlightRecorder, DumpUnderARegularFileReportsNoFiles) {
+  RecorderReset reset;
+  namespace fs = std::filesystem;
+  const fs::path file = fs::path(::testing::TempDir()) / "duet-flight-not-a-dir";
+  fs::remove_all(file);
+  std::ofstream(file) << "x";
+  FlightRecorder& rec = FlightRecorder::instance();
+  rec.record(Kind::kEnqueue, 1);
+
+  const FlightDumpSummary summary = rec.dump((file / "sub").string(), "r");
+  EXPECT_TRUE(summary.trace_path.empty());
+  EXPECT_TRUE(summary.summary_path.empty());
+  EXPECT_FALSE(rec.frozen()) << "a failed dump must unfreeze too";
+  EXPECT_EQ(summary.events, 1u) << "the summary itself is still computed";
+  fs::remove_all(file);
+}
+
+// A ring outlives its thread: an exited thread's ring goes to a LIFO free
+// list and the next new recording thread takes it over, head and all. Eight
+// threads joined one after another therefore share one ring of capacity 4.
+TEST(FlightRecorder, ExitedThreadRingsAreReused) {
+  RecorderReset reset;
+  FlightRecorder& rec = FlightRecorder::instance();
+  rec.set_ring_capacity(4);
+  for (uint64_t i = 1; i <= 8; ++i) {
+    std::thread([&rec, i] { rec.record(Kind::kLaunch, i); }).join();
+  }
+  EXPECT_EQ(rec.recorded(), 8u);
+  EXPECT_EQ(rec.overwritten(), 4u) << "one shared ring wrapped";
+  const std::vector<FlightEvent> events = rec.collect();
+  ASSERT_EQ(events.size(), 4u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].trace_id, 5u + i) << "the newest four survive";
+  }
+  EXPECT_NE(events.front().tid, events.back().tid)
+      << "each event keeps the id of the thread that wrote it";
 }
 
 TEST(FlightTrace, FlowEventsConnectTheRequestArc) {
@@ -157,7 +198,7 @@ TEST(FlightTrace, FlowEventsConnectTheRequestArc) {
   events[1].trace_id = 99;
   events[1].tid = 2;
   events[1].kind = Kind::kComplete;
-  const std::string trace = flight_trace_json(events);
+  const std::string trace = export_chrome_trace(events, nullptr);
   std::string err;
   EXPECT_TRUE(validate_json(trace, &err)) << err;
   EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);
@@ -166,7 +207,7 @@ TEST(FlightTrace, FlowEventsConnectTheRequestArc) {
 
   // A lone event has no arc: no flow phases at all.
   events.resize(1);
-  const std::string lone = flight_trace_json(events);
+  const std::string lone = export_chrome_trace(events, nullptr);
   EXPECT_EQ(lone.find("\"ph\":\"s\""), std::string::npos);
 }
 
@@ -382,7 +423,7 @@ TEST(Prometheus, ExposesCounterGaugeHistogram) {
   reg.reset();
   counter("promtest.hits").add(3);
   gauge("promtest.depth").set(2.5);
-  Histogram& h = histogram("promtest.latency_us", {10.0, 100.0, 1000.0});
+  SharedHistogram& h = histogram("promtest.latency_us");
   h.observe(5.0);
   h.observe(50.0);
   h.observe(5000.0);
@@ -394,17 +435,45 @@ TEST(Prometheus, ExposesCounterGaugeHistogram) {
   EXPECT_NE(text.find("duet_promtest_depth 2.5"), std::string::npos);
   EXPECT_NE(text.find("# TYPE duet_promtest_latency_us histogram"),
             std::string::npos);
-  // Cumulative buckets: le="10" holds 1, le="100" holds 2, le="1000" still
-  // 2, +Inf equals _count.
-  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"10\"} 1"),
+  // Cumulative log buckets (le = bucket upper bounds): le="10" holds 1,
+  // le="64" holds 2, le="1024" still 2, +Inf equals _count.
+  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"10\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"100\"} 2"),
+  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"64\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"1000\"} 2"),
+  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"1024\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"+Inf\"} 3"),
+  EXPECT_NE(text.find("duet_promtest_latency_us_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
   EXPECT_NE(text.find("duet_promtest_latency_us_count 3"), std::string::npos);
+  // One fixed le set: every LogHistogram bucket, the overflow one as +Inf.
+  size_t buckets = 0;
+  for (size_t at = text.find("duet_promtest_latency_us_bucket{");
+       at != std::string::npos;
+       at = text.find("duet_promtest_latency_us_bucket{", at + 1)) {
+    ++buckets;
+  }
+  EXPECT_EQ(buckets, static_cast<size_t>(LogHistogram::kNumBuckets));
+  reg.reset();
+}
+
+// `le` is inclusive: a sample exactly on a bucket bound counts at that le.
+TEST(Prometheus, SampleOnABoundCountsAtThatLe) {
+  ScopedTelemetry on(true);
+  MetricsRegistry& reg = MetricsRegistry::instance();
+  reg.reset();
+  SharedHistogram& h = histogram("promtest.batch");
+  h.observe(1.0);
+  h.observe(2.0);
+  const std::string text = to_prometheus_text(reg);
+  EXPECT_NE(text.find("duet_promtest_batch_bucket{le=\"0.875\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("duet_promtest_batch_bucket{le=\"1\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("duet_promtest_batch_bucket{le=\"1.75\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("duet_promtest_batch_bucket{le=\"2\"} 2\n"),
+            std::string::npos);
   reg.reset();
 }
 

@@ -681,6 +681,40 @@ TEST(ServeServer, DeadlineMissStormTriggersFlightDump) {
   fs::remove_all(dir);
 }
 
+// A dump directory that cannot be created (it sits under a regular file):
+// the storm still fires the trigger, but no dump is written, so none is
+// counted, and the server keeps serving.
+TEST(ServeServer, UnwritableDumpDirCountsNoFlightDump) {
+  namespace fs = std::filesystem;
+  const fs::path file =
+      fs::path(::testing::TempDir()) / "duet-flight-storm-not-a-dir";
+  fs::remove_all(file);
+  std::ofstream(file) << "x";
+
+  serve::FleetOptions opts = single_options(2, 32);
+  opts.observability.dump_dir = (file / "sub").string();
+  opts.observability.trigger.miss_burst = 3;
+  opts.observability.trigger.miss_window_ms = 10e3;
+  SingleModelServer s(opts);
+  const auto feeds = s.feeds(23);
+
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(s.submit(feeds, /*deadline_s=*/1e-9));
+  }
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
+  }
+  EXPECT_EQ(s.submit(feeds).get().status, serve::RequestStatus::kOk)
+      << "the server survives the failed dump";
+  s.server.drain();
+
+  EXPECT_EQ(s.server.stats().flight_dumps, 0u);
+  EXPECT_FALSE(fs::exists(file / "sub"));
+  EXPECT_TRUE(fs::is_regular_file(file));
+  fs::remove_all(file);
+}
+
 // ---------------------------------------------------------------------------
 // PipelinedRunner properties the serving stack relies on
 

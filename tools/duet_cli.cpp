@@ -655,7 +655,7 @@ TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
   options.enable_fallback = false;
   telemetry::ScopedTelemetry on(true);
   telemetry::MetricsRegistry::instance().reset();
-  telemetry::SpanCollector::instance().clear();
+  telemetry::FlightRecorder::instance().clear();
 
   Graph serve_model = model;  // the serving registry needs its own copy
   DuetEngine engine(std::move(model), options);
@@ -697,9 +697,8 @@ TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
       label, "threaded", engine.partition(), engine.plan().placement(),
       engine.report().profiles, threaded.timeline,
       engine.report().schedule.est_latency_s, threaded.latency_s);
-  const std::vector<telemetry::Span> spans =
-      telemetry::SpanCollector::instance().drain();
-  cap.trace_json = telemetry::export_chrome_trace(spans, &sim.timeline);
+  cap.trace_json = telemetry::export_chrome_trace(
+      telemetry::FlightRecorder::instance().collect(), &sim.timeline);
   cap.metrics_json = telemetry::MetricsRegistry::instance().to_json();
   return cap;
 }
@@ -946,7 +945,7 @@ bool serve_bench_one(const Args& a, const std::string& label, duet::Graph model)
   const bool want_trace = !cfg.out_dir.empty();
   const bool want_metrics = !cfg.metrics_out.empty();
   telemetry::ScopedTelemetry telemetry_on(want_trace || want_metrics);
-  if (want_trace) telemetry::SpanCollector::instance().clear();
+  if (want_trace) telemetry::FlightRecorder::instance().clear();
   if (want_metrics) telemetry::MetricsRegistry::instance().reset();
 
   DuetOptions engine;
@@ -1024,9 +1023,8 @@ bool serve_bench_one(const Args& a, const std::string& label, duet::Graph model)
 
   bool trace_ok = true;
   if (want_trace) {
-    const std::vector<telemetry::Span> spans =
-        telemetry::SpanCollector::instance().drain();
-    const std::string trace = telemetry::export_chrome_trace(spans, nullptr);
+    const std::string trace = telemetry::export_chrome_trace(
+        telemetry::FlightRecorder::instance().collect(), nullptr);
     std::string err;
     const std::filesystem::path path =
         std::filesystem::path(cfg.out_dir) / (label + ".serve.trace.json");
