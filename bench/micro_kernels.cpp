@@ -8,6 +8,9 @@
 
 #include "common/counter_normal.hpp"
 #include "common/rng.hpp"
+#include "graph/fingerprint.hpp"
+#include "models/model_zoo.hpp"
+#include "partition/partitioner.hpp"
 #include "tensor/kernels.hpp"
 
 namespace {
@@ -119,6 +122,39 @@ void BM_InitNormal(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_InitNormal)->Arg(1 << 20);
+
+// Fingerprinting resnet50 the way an engine does: every subgraph of its
+// phased partition, then the whole model. Arg 0 hashes every payload each
+// time; arg 1 shares one PayloadDigestMemo per pass, as DuetEngine does, so
+// the whole model's payloads are memo hits. bytes_per_second counts
+// the payload bytes fingerprinted, whether hashed or served by the memo.
+void BM_FingerprintGraph(benchmark::State& state) {
+  static const duet::Graph model = duet::models::build_by_name("resnet50");
+  static const duet::Partition partition =
+      duet::partition_phased(model, duet::PartitionOptions{});
+  const auto payload_bytes = [](const duet::Graph& g) {
+    int64_t n = 0;
+    for (const duet::Node& node : g.nodes()) {
+      if (node.is_constant()) n += static_cast<int64_t>(node.value.byte_size());
+    }
+    return n;
+  };
+  int64_t bytes = payload_bytes(model);
+  for (const duet::Subgraph& sub : partition.subgraphs) {
+    bytes += payload_bytes(sub.graph);
+  }
+  const bool shared = state.range(0) != 0;
+  for (auto _ : state) {
+    duet::PayloadDigestMemo memo;
+    duet::PayloadDigestMemo* digests = shared ? &memo : nullptr;
+    for (const duet::Subgraph& sub : partition.subgraphs) {
+      benchmark::DoNotOptimize(duet::fingerprint_graph(sub.graph, digests));
+    }
+    benchmark::DoNotOptimize(duet::fingerprint_graph(model, digests));
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_FingerprintGraph)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

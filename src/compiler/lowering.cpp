@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "compiler/compile_cache.hpp"
-#include "graph/fingerprint.hpp"
 #include "graph/op_semantics.hpp"
 #include "graph/shape_inference.hpp"
 
@@ -64,7 +63,8 @@ std::vector<Tensor> CompiledSubgraph::run(const std::map<NodeId, Tensor>& feeds)
 
 CompiledSubgraph compile_for_device(const Graph& graph, DeviceKind device,
                                     const CompileOptions& options,
-                                    const DeviceCostParams& params) {
+                                    const DeviceCostParams& params,
+                                    const GraphFingerprint* fingerprint) {
   DUET_CHECK(params.kind == device) << "cost params are for the wrong device";
   CompileCache& cache = CompileCache::instance();
   const uint64_t options_key = compile_options_key(options);
@@ -76,7 +76,8 @@ CompiledSubgraph compile_for_device(const Graph& graph, DeviceKind device,
   // tensors, so structure alone is not a safe identity for numeric reuse.
   // Node names fold in on top — the artifact embeds those too, and the plan
   // matches feeds against the compiled graph's input names.
-  const GraphFingerprint fp = fingerprint_graph(graph);
+  const GraphFingerprint fp =
+      fingerprint != nullptr ? *fingerprint : fingerprint_graph(graph);
   const uint64_t key = hash_mix(
       CompileCache::make_key(fp, device, options_key, device_params_key(params)),
       fingerprint_names(graph));

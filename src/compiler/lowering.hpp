@@ -10,6 +10,7 @@
 
 #include "compiler/cost_model.hpp"
 #include "compiler/pass.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/graph.hpp"
 
 namespace duet {
@@ -52,9 +53,12 @@ class CompiledSubgraph {
 };
 
 // Full pipeline: graph-level passes (per `options`) then per-node cost
-// assignment for `device`.
+// assignment for `device`. `fingerprint`, when given, is the caller's
+// fingerprint_graph(graph): the compile-cache key is built from it instead
+// of hashing the graph again.
 CompiledSubgraph compile_for_device(const Graph& graph, DeviceKind device,
                                     const CompileOptions& options,
-                                    const DeviceCostParams& params);
+                                    const DeviceCostParams& params,
+                                    const GraphFingerprint* fingerprint = nullptr);
 
 }  // namespace duet

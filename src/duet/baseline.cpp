@@ -25,14 +25,16 @@ DeviceKind baseline_device(BaselineKind kind) {
              : DeviceKind::kGpu;
 }
 
-Baseline::Baseline(const Graph& model, BaselineKind kind, DevicePair& devices)
+Baseline::Baseline(const Graph& model, BaselineKind kind, DevicePair& devices,
+                   const GraphFingerprint* fingerprint)
     : kind_(kind), devices_(devices) {
   const DeviceKind dev = baseline_device(kind);
   const bool framework = kind == BaselineKind::kFrameworkCpu ||
                          kind == BaselineKind::kFrameworkGpu;
   const CompileOptions options = framework ? CompileOptions::framework()
                                            : CompileOptions::compiler_defaults();
-  compiled_ = compile_for_device(model, dev, options, devices.device(dev).params());
+  compiled_ = compile_for_device(model, dev, options,
+                                 devices.device(dev).params(), fingerprint);
   // Pass pipelines preserve input order; build the parent->compiled feed map.
   parent_inputs_ = model.input_ids();
   compiled_inputs_ = compiled_.graph().input_ids();

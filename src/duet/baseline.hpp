@@ -21,7 +21,10 @@ DeviceKind baseline_device(BaselineKind kind);
 
 class Baseline {
  public:
-  Baseline(const Graph& model, BaselineKind kind, DevicePair& devices);
+  // `fingerprint`, when given, is the caller's fingerprint_graph(model); the
+  // compile-cache lookup then skips hashing the model again.
+  Baseline(const Graph& model, BaselineKind kind, DevicePair& devices,
+           const GraphFingerprint* fingerprint = nullptr);
 
   BaselineKind kind() const { return kind_; }
   const CompiledSubgraph& compiled() const { return compiled_; }

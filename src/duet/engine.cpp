@@ -49,6 +49,13 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
   telemetry::ScopedSpan pipeline_span(
       telemetry_on ? "duet-pipeline" : std::string(), "engine", model_.name());
 
+  // Every constant payload is hashed once per engine: the profiler's
+  // subgraph fingerprints and the whole-model fingerprint share this memo,
+  // and the fingerprints are handed down to the compile-cache lookups. The
+  // memo lives only in this constructor, while model_ and partition_ keep
+  // alive every buffer it has seen.
+  PayloadDigestMemo digests;
+
   // (1) Coarse-grained phased partitioning.
   {
     telemetry::ScopedSpan span(telemetry_on ? "partition" : std::string(),
@@ -72,8 +79,8 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
           calibration_fingerprint(devices_));
     }
     Profiler profiler(devices_);
-    report_.profiles =
-        profiler.profile_partition(partition_, model_, options_.profile);
+    report_.profiles = profiler.profile_partition(partition_, model_,
+                                                  options_.profile, &digests);
     if (!options_.profile_cache_dir.empty()) {
       ProfileCache::instance().flush();
     }
@@ -103,11 +110,12 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
   report_.est_hetero_s = report_.schedule.est_latency_s;
 
   // (4) Fallback decision against the single-device baselines.
+  const GraphFingerprint model_fingerprint = fingerprint_graph(model_, &digests);
   {
     telemetry::ScopedSpan span(telemetry_on ? "baseline-estimate" : std::string(),
                                "engine", model_.name());
-    Baseline cpu(model_, BaselineKind::kTvmCpu, devices_);
-    Baseline gpu(model_, BaselineKind::kTvmGpu, devices_);
+    Baseline cpu(model_, BaselineKind::kTvmCpu, devices_, &model_fingerprint);
+    Baseline gpu(model_, BaselineKind::kTvmGpu, devices_, &model_fingerprint);
     report_.est_single_cpu_s = cpu.latency(false);
     report_.est_single_gpu_s = gpu.latency(false);
   }
@@ -129,7 +137,7 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
         model_,
         report_.fallback_device == DeviceKind::kCpu ? BaselineKind::kTvmCpu
                                                     : BaselineKind::kTvmGpu,
-        devices_);
+        devices_, &model_fingerprint);
   }
 
   // (5) Build the execution plan for the chosen placement, checked before
@@ -174,8 +182,14 @@ ExecutionPlan DuetEngine::build_plan_for(const Placement& placement) const {
     verify_placement(placement, partition_)
         .throw_if_failed("placement for \"" + model_.name() + "\" is invalid");
   }
+  std::vector<GraphFingerprint> fingerprints;
+  fingerprints.reserve(report_.profiles.size());
+  for (const SubgraphProfile& p : report_.profiles) {
+    fingerprints.push_back(p.fingerprint);
+  }
   ExecutionPlan plan = ExecutionPlan::build(model_, partition_, placement,
-                                            devices_, options_.compile);
+                                            devices_, options_.compile,
+                                            fingerprints);
   lint::check_plan(plan,
                    "execution plan for \"" + model_.name() + "\" is invalid");
   return plan;

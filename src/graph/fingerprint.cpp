@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace duet {
 namespace {
@@ -51,10 +52,21 @@ uint64_t hash_attr(const Attr& attr, uint64_t h) {
   }
 }
 
-uint64_t hash_tensor_payload(const Tensor& t, uint64_t h) {
+// hash_bytes over a constant payload, counted: graph.fingerprint.payload_bytes
+// is the number of payload bytes actually hashed (memo hits excluded).
+uint64_t hash_payload(const void* data, size_t n, uint64_t seed) {
+  static telemetry::Counter& bytes =
+      telemetry::counter("graph.fingerprint.payload_bytes");
+  bytes.add(n);
+  return hash_bytes(data, n, seed);
+}
+
+uint64_t hash_tensor_payload(const Tensor& t, uint64_t h,
+                             PayloadDigestMemo* digests) {
   if (!t.defined()) return hash_mix(h, 0);
   h = hash_mix(h, t.byte_size());
-  return hash_bytes(t.raw_data(), t.byte_size(), h);
+  return digests != nullptr ? digests->digest(t.raw_data(), t.byte_size(), h)
+                            : hash_payload(t.raw_data(), t.byte_size(), h);
 }
 
 }  // namespace
@@ -82,6 +94,21 @@ uint64_t hash_bytes(const void* data, size_t n, uint64_t seed) {
   return h;
 }
 
+size_t PayloadDigestMemo::KeyHash::operator()(const Key& k) const {
+  return static_cast<size_t>(hash_mix(
+      hash_mix(reinterpret_cast<uintptr_t>(k.data), k.n), k.seed));
+}
+
+uint64_t PayloadDigestMemo::digest(const void* data, size_t n, uint64_t seed) {
+  const auto [it, inserted] = digests_.try_emplace(Key{data, n, seed}, 0);
+  if (inserted) {
+    it->second = hash_payload(data, n, seed);
+  } else {
+    ++hits_;
+  }
+  return it->second;
+}
+
 std::string fingerprint_hex(uint64_t fp) {
   static const char* digits = "0123456789abcdef";
   std::string out(16, '0');
@@ -98,7 +125,8 @@ uint64_t fingerprint_names(const Graph& graph) {
   return h;
 }
 
-GraphFingerprint fingerprint_graph(const Graph& graph) {
+GraphFingerprint fingerprint_graph(const Graph& graph,
+                                   PayloadDigestMemo* digests) {
   const size_t n = graph.num_nodes();
   // Per-node canonical hashes, structural and value-inclusive. nodes_ is
   // topological by construction (inputs must pre-exist), so every input hash
@@ -135,7 +163,7 @@ GraphFingerprint fingerprint_graph(const Graph& graph) {
       v = hash_mix(v, hv[static_cast<size_t>(in)]);
     }
     if (node.is_constant()) {
-      v = hash_tensor_payload(node.value, v);
+      v = hash_tensor_payload(node.value, v, digests);
     }
     hs[i] = h;
     hv[i] = v;

@@ -18,10 +18,16 @@
 // attrs, output shape/dtype and the hashes of its inputs *positionally*, so
 // add(a, a) and add(a, b) differ. kInput nodes mix in their ordinal in
 // input_ids() order — the graph's signature — instead of their name.
+//
+// Hashing constant payloads is the whole cost of a fingerprint of a
+// paper-size model. A PayloadDigestMemo shared across the fingerprints of a
+// model and of the subgraphs partitioned out of it (whose constants alias
+// the model's buffers) hashes each payload once.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 
 #include "graph/graph.hpp"
 
@@ -36,7 +42,41 @@ struct GraphFingerprint {
   }
 };
 
-GraphFingerprint fingerprint_graph(const Graph& graph);
+// Digests of constant payloads, keyed by (payload address, byte size,
+// seed). The seed is the constant node's own hash; a constant has no inputs,
+// so the seed is the same in a whole model and in every subgraph that
+// aliases its buffer, and a hit returns exactly what hash_bytes would.
+//
+// The memo does not own the payloads: its owner must keep every buffer it
+// has seen alive while the memo lives, or a freed address could come back
+// holding different bytes. DuetEngine's constructor owns one; the model and
+// its partition keep the buffers alive. Not thread-safe.
+class PayloadDigestMemo {
+ public:
+  // hash_bytes(data, n, seed), computed at most once per (data, n, seed).
+  uint64_t digest(const void* data, size_t n, uint64_t seed);
+
+  size_t size() const { return digests_.size(); }
+  uint64_t hits() const { return hits_; }
+
+ private:
+  struct Key {
+    const void* data = nullptr;
+    size_t n = 0;
+    uint64_t seed = 0;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
+  std::unordered_map<Key, uint64_t, KeyHash> digests_;
+  uint64_t hits_ = 0;
+};
+
+// `digests`, when given, serves repeated payloads from the memo; the result
+// is bit-identical either way.
+GraphFingerprint fingerprint_graph(const Graph& graph,
+                                   PayloadDigestMemo* digests = nullptr);
 
 // Positional hash of every node name (in stored order) plus the output list.
 // Names are deliberately excluded from the two fingerprints above, but a

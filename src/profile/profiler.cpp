@@ -34,7 +34,8 @@ DeviceProfile Profiler::profile_one(const Graph& graph, const GraphFingerprint& 
   if (precompiled != nullptr) {
     prof.compiled = *precompiled;
   } else {
-    prof.compiled = compile_for_device(graph, kind, options.compile, dev.params());
+    prof.compiled =
+        compile_for_device(graph, kind, options.compile, dev.params(), &fp);
     static telemetry::Counter& compiles = telemetry::counter("profile.compiles");
     compiles.add(1);
   }
@@ -59,33 +60,36 @@ DeviceProfile Profiler::profile_graph(const Graph& graph, DeviceKind kind,
 
 std::vector<SubgraphProfile> Profiler::profile_partition(
     const Partition& partition, const Graph& parent,
-    const ProfileOptions& options) const {
+    const ProfileOptions& options, PayloadDigestMemo* digests) const {
   telemetry::ScopedSpan span("profile-partition", "profile", parent.name());
   const size_t n = partition.subgraphs.size();
   ProfileCache& cache = ProfileCache::instance();
+
+  std::vector<GraphFingerprint> fps(n);
+  for (size_t i = 0; i < n; ++i) {
+    fps[i] = fingerprint_graph(partition.subgraphs[i].graph, digests);
+  }
 
   // Cache disabled (--no-cache): the pre-cache behavior, every subgraph
   // compiled and measured independently.
   if (!cache.enabled()) {
     std::vector<SubgraphProfile> out;
     out.reserve(n);
-    for (const Subgraph& sub : partition.subgraphs) {
+    for (size_t i = 0; i < n; ++i) {
+      const Subgraph& sub = partition.subgraphs[i];
       SubgraphProfile p;
       p.subgraph_id = sub.id;
-      p.per_device[static_cast<int>(DeviceKind::kCpu)] =
-          profile_graph(sub.graph, DeviceKind::kCpu, options);
-      p.per_device[static_cast<int>(DeviceKind::kGpu)] =
-          profile_graph(sub.graph, DeviceKind::kGpu, options);
+      p.fingerprint = fps[i];
+      for (int d = 0; d < kNumDeviceKinds; ++d) {
+        p.per_device[d] = profile_one(sub.graph, fps[i],
+                                      static_cast<DeviceKind>(d), options,
+                                      nullptr);
+      }
       p.input_bytes = sub.input_bytes(parent);
       p.output_bytes = sub.output_bytes(parent);
       out.push_back(std::move(p));
     }
     return out;
-  }
-
-  std::vector<GraphFingerprint> fps(n);
-  for (size_t i = 0; i < n; ++i) {
-    fps[i] = fingerprint_graph(partition.subgraphs[i].graph);
   }
 
   // Structural equivalence classes; the first member is the representative.
@@ -119,9 +123,9 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
     futures.reserve(tasks.size());
     for (const Task& t : tasks) {
       futures.push_back(global_thread_pool().submit([&, t] {
-        CompiledSubgraph compiled =
-            compile_for_device(partition.subgraphs[t.rep].graph, t.dev,
-                               options.compile, devices_.device(t.dev).params());
+        CompiledSubgraph compiled = compile_for_device(
+            partition.subgraphs[t.rep].graph, t.dev, options.compile,
+            devices_.device(t.dev).params(), &fps[t.rep]);
         std::lock_guard<std::mutex> lock(artifacts_mutex);
         artifacts.emplace(
             std::make_pair(fps[t.rep].structural, static_cast<int>(t.dev)),
@@ -141,6 +145,7 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
     const Subgraph& sub = partition.subgraphs[i];
     SubgraphProfile& p = out[i];
     p.subgraph_id = sub.id;
+    p.fingerprint = fps[i];
     const size_t rep = class_rep.at(fps[i].structural);
     if (rep == i) {
       for (int d = 0; d < kNumDeviceKinds; ++d) {

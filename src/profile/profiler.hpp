@@ -35,6 +35,9 @@ struct DeviceProfile {
 
 struct SubgraphProfile {
   int subgraph_id = -1;
+  // fingerprint_graph of the subgraph's graph: the plan build keys its
+  // compile-cache lookups on it instead of hashing the subgraph again.
+  GraphFingerprint fingerprint;
   DeviceProfile per_device[kNumDeviceKinds];  // indexed by DeviceKind
   uint64_t input_bytes = 0;
   uint64_t output_bytes = 0;
@@ -61,10 +64,13 @@ class Profiler {
  public:
   explicit Profiler(DevicePair& devices) : devices_(devices) {}
 
-  // Profiles every subgraph of the partition on both devices.
+  // Profiles every subgraph of the partition on both devices. `digests`,
+  // when given, memoizes the subgraphs' payload hashes for the caller (who
+  // keeps the partition's buffers alive while it lives).
   std::vector<SubgraphProfile> profile_partition(
       const Partition& partition, const Graph& parent,
-      const ProfileOptions& options = {}) const;
+      const ProfileOptions& options = {},
+      PayloadDigestMemo* digests = nullptr) const;
 
   // Profiles one standalone graph on one device.
   DeviceProfile profile_graph(const Graph& graph, DeviceKind kind,

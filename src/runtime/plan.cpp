@@ -35,10 +35,14 @@ const PlannedSubgraph& ExecutionPlan::subgraph(int id) const {
   return subgraphs_[static_cast<size_t>(id)];
 }
 
-ExecutionPlan ExecutionPlan::build(const Graph& parent, Partition partition,
-                                   Placement placement, const DevicePair& devices,
-                                   const CompileOptions& options) {
+ExecutionPlan ExecutionPlan::build(
+    const Graph& parent, Partition partition, Placement placement,
+    const DevicePair& devices, const CompileOptions& options,
+    std::span<const GraphFingerprint> subgraph_fingerprints) {
   DUET_CHECK_EQ(placement.size(), partition.subgraphs.size());
+  DUET_CHECK(subgraph_fingerprints.empty() ||
+             subgraph_fingerprints.size() == partition.subgraphs.size())
+      << "one fingerprint per subgraph";
   telemetry::ScopedSpan span("plan-build", "plan", parent.name());
   ExecutionPlan plan;
   plan.parent_ = parent;
@@ -53,8 +57,11 @@ ExecutionPlan ExecutionPlan::build(const Graph& parent, Partition partition,
     // compile_for_device is content-addressed: when the profiler already
     // compiled this subgraph for this device, this is a CompileCache hit and
     // the plan reuses that artifact instead of recompiling.
-    ps.compiled =
-        compile_for_device(sub.graph, ps.device, options, dev.params());
+    ps.compiled = compile_for_device(
+        sub.graph, ps.device, options, dev.params(),
+        subgraph_fingerprints.empty()
+            ? nullptr
+            : &subgraph_fingerprints[static_cast<size_t>(sub.id)]);
 
     // All optimization passes copy kInput nodes in id order, so the compiled
     // graph's inputs align positionally with the subgraph's boundary inputs.

@@ -16,6 +16,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "device/device.hpp"
@@ -107,9 +108,13 @@ class ExecutionPlan {
   void clear_memory_plan() { memory_plan_.reset(); }
 
   // Builds a plan by compiling every subgraph for its placed device.
-  static ExecutionPlan build(const Graph& parent, Partition partition,
-                             Placement placement, const DevicePair& devices,
-                             const CompileOptions& options);
+  // `subgraph_fingerprints`, when not empty, holds fingerprint_graph of each
+  // subgraph's graph (aligned with partition.subgraphs), so the compile-cache
+  // lookups do not hash the subgraphs again.
+  static ExecutionPlan build(
+      const Graph& parent, Partition partition, Placement placement,
+      const DevicePair& devices, const CompileOptions& options,
+      std::span<const GraphFingerprint> subgraph_fingerprints = {});
 
  private:
   Graph parent_;

@@ -28,6 +28,10 @@ std::vector<TenantClass> normalize_tenants(std::vector<TenantClass> tenants) {
 }  // namespace
 
 FleetServer::FleetServer(ModelRegistry& registry, FleetOptions options)
+    : FleetServer(registry, std::move(options), &telemetry::now_us) {}
+
+FleetServer::FleetServer(ModelRegistry& registry, FleetOptions options,
+                         Clock slo_clock)
     : registry_(registry),
       options_([&] {
         options.tenants = normalize_tenants(std::move(options.tenants));
@@ -39,6 +43,7 @@ FleetServer::FleetServer(ModelRegistry& registry, FleetOptions options)
       policy_(options_.tenants, options_.queue_capacity),
       counters_(options_.tenants.size()),
       batch_size_metric_(telemetry::histogram("fleet.batch_size")),
+      slo_clock_(slo_clock),
       slo_(kSloWindowS, kSloBuckets),
       dump_trigger_(options_.observability.trigger) {
   DUET_CHECK_GT(options_.workers, 0);
@@ -119,7 +124,7 @@ std::future<FleetResponse> FleetServer::submit(int model, int tenant,
       max_queue_depth_ = std::max(max_queue_depth_, policy_.size());
     }
   }
-  const double now_us = telemetry::now_us();
+  const double now_us = slo_clock_();
   slo_.record_offered(now_us);
   slo_.record_queue_depth(now_us, static_cast<double>(depth));
   if (accepted) {
@@ -204,7 +209,7 @@ void FleetServer::shed_request(Pending& pending, double pickup_s) {
   const double wait_s = pickup_s - pending.arrival_s;
   counters_[t].shed.fetch_add(1, std::memory_order_relaxed);
   tenant_metrics_[t].shed->add(1);
-  const double now_us = telemetry::now_us();
+  const double now_us = slo_clock_();
   slo_.record_queue_wait(now_us, wait_s * 1e6);
   slo_.record_shed(now_us);
   FlightRecorder::instance().record(FlightKind::kShed, pending.trace_id,
@@ -269,7 +274,7 @@ void FleetServer::worker_loop() {
     for (const Pending& p : batch_pending) feed_ptrs.push_back(&p.feeds);
     const std::map<NodeId, Tensor> stacked = stack_feeds(feed_ptrs);
 
-    const double pickup_us = telemetry::now_us();
+    const double pickup_us = slo_clock_();
     for (const Pending& p : batch_pending) {
       const double wait_us = (pickup_s - p.arrival_s) * 1e6;
       slo_.record_queue_wait(pickup_us, wait_us);
@@ -319,7 +324,7 @@ void FleetServer::worker_loop() {
         drift_[static_cast<size_t>(model)].record(result.timeline);
       }
     }
-    const double done_us = telemetry::now_us();
+    const double done_us = slo_clock_();
     for (size_t i = 0; i < batch_pending.size(); ++i) {
       Pending& p = batch_pending[i];
       const size_t t = static_cast<size_t>(p.tenant);
@@ -357,7 +362,7 @@ void FleetServer::swap_placement(int model, const Placement& placement) {
   const uint64_t version = registry_.model(model).apply_placement(placement);
   swaps_.fetch_add(1, std::memory_order_relaxed);
   telemetry::counter("serve.plan_swaps").add(1);
-  slo_.record_plan_version(telemetry::now_us(), version);
+  slo_.record_plan_version(slo_clock_(), version);
   FlightRecorder::instance().record(FlightKind::kSwap, 0, version);
 }
 
@@ -382,7 +387,7 @@ RecalibrationResult FleetServer::recalibrate_now(
     empty.placement = current;
     return empty;
   }
-  const telemetry::SloSnapshot slo = slo_.snapshot(telemetry::now_us());
+  const telemetry::SloSnapshot slo = slo_.snapshot(slo_clock_());
   if (slo.breaches > 0) {
     DUET_LOG_INFO << "recalibrating " << resident.name() << " with "
                   << slo.breaches << " SLO breaches in the last "
@@ -471,7 +476,7 @@ uint64_t FleetServer::plan_version() const {
 }
 
 telemetry::SloSnapshot FleetServer::slo_snapshot() const {
-  telemetry::SloSnapshot snap = slo_.snapshot(telemetry::now_us());
+  telemetry::SloSnapshot snap = slo_.snapshot(slo_clock_());
   // No swap landed inside the window: report the live plan version rather
   // than 0, so operators always see which plan is serving.
   if (snap.plan_version == 0) snap.plan_version = plan_version();

@@ -129,9 +129,16 @@ struct FleetServerStats {
 
 class FleetServer {
  public:
+  // Monotonic microseconds.
+  using Clock = double (*)();
+
   // The registry must outlive the server (it is the shared substrate many
   // servers / benches may front).
   FleetServer(ModelRegistry& registry, FleetOptions options = {});
+  // Same, with the clock the SLO window reads instead of telemetry::now_us:
+  // a test drives it to land traffic in, or move it out of, the window
+  // independently of how long the traffic really takes.
+  FleetServer(ModelRegistry& registry, FleetOptions options, Clock slo_clock);
   ~FleetServer();
 
   FleetServer(const FleetServer&) = delete;
@@ -247,7 +254,9 @@ class FleetServer {
   // Serializes recalibration and placement swaps.
   std::mutex recalibrate_mutex_;
 
-  // The monitor and trigger serialize internally.
+  // The monitor and trigger serialize internally. slo_clock_ is set once
+  // at construction and stamps every SloMonitor record and snapshot.
+  Clock slo_clock_;
   telemetry::SloMonitor slo_;
   telemetry::DumpTrigger dump_trigger_;
   std::atomic<uint64_t> slo_breaches_{0};

@@ -65,9 +65,15 @@ ResidentModel::ResidentModel(std::string name, BatchedGraphFactory factory,
                                 options_.max_buckets);
 
   // One scheduler run per bucket at its representative batch. Bucket 0's
-  // representative is batch 1, which is exactly the base engine.
+  // representative is batch 1, which is exactly the base engine. Each
+  // engine's plan is exactly what build_plan(rep, placement) would rebuild
+  // (same factory graph, partitioner, placement, compile options and device
+  // params), so it is published as the bucket's rep plan instead of being
+  // built again on first use.
   baseline_placement_ = engine_->report().schedule.placement;
   placements_.reserve(buckets_.size());
+  plans_.emplace(std::make_pair(int64_t{1}, true),
+                 std::make_shared<const ExecutionPlan>(engine_->plan()));
   for (const BatchBucket& bucket : buckets_) {
     if (bucket.rep() == 1) {
       placements_.push_back(baseline_placement_);
@@ -79,11 +85,9 @@ ResidentModel::ResidentModel(std::string name, BatchedGraphFactory factory,
         << "factory(" << bucket.rep()
         << ") partitions differently from factory(1) for model " << name_;
     placements_.push_back(placement);
+    plans_.emplace(std::make_pair(bucket.rep(), true),
+                   std::make_shared<const ExecutionPlan>(bucket_engine.plan()));
   }
-  // The base engine already built bucket 0's batch-1 plan: serve it from
-  // the first request on instead of building it again on a worker.
-  plans_.emplace(std::make_pair(int64_t{1}, true),
-                 std::make_shared<const ExecutionPlan>(engine_->plan()));
 }
 
 Placement ResidentModel::bucket_placement(size_t bucket) const {
@@ -216,21 +220,27 @@ double ResidentModel::probe_service_s(int64_t batch, bool bucketed) {
   DUET_CHECK_GE(batch, 1);
   DUET_CHECK_LE(batch, options_.max_batch);
   const std::pair<int64_t, bool> key{batch, bucketed};
+  std::shared_ptr<const ExecutionPlan> plan;
   Placement placement;
   uint64_t version = 0;
   {
     std::lock_guard<std::mutex> lock(plans_mutex_);
     const auto it = service_cache_.find(key);
     if (it != service_cache_.end()) return it->second;
+    const auto published = plans_.find(key);
+    if (published != plans_.end()) plan = published->second;
     placement = bucketed ? placements_[bucket_of(batch)] : baseline_placement_;
     version = plan_version_;
   }
-  // Throwaway plan: measured, never published. Racing probes duplicate a
-  // little work and agree on the (deterministic) answer; one that raced a
-  // swap is not memoized.
-  const ExecutionPlan plan = build_plan(batch, placement);
+  // A published plan is measured as is; otherwise a throwaway plan is built,
+  // measured and never published. Racing probes duplicate a little work and
+  // agree on the (deterministic) answer; one that raced a swap is not
+  // memoized.
+  if (plan == nullptr) {
+    plan = std::make_shared<const ExecutionPlan>(build_plan(batch, placement));
+  }
   SimExecutor executor(engine_->devices());
-  const double s = executor.run_latency_only(plan, /*with_noise=*/false);
+  const double s = executor.run_latency_only(*plan, /*with_noise=*/false);
   std::lock_guard<std::mutex> lock(plans_mutex_);
   if (version == plan_version_) service_cache_.emplace(key, s);
   return s;

@@ -15,7 +15,8 @@
 //      (analysis/symbolic/crossover.hpp) and runs the scheduler once per
 //      bucket at the bucket's representative batch, recording one placement
 //      per bucket — the "plan per bucket" the paper's batch-crossover data
-//      calls for;
+//      calls for. Each bucket engine's plan is published as the plan of
+//      the bucket's representative batch;
 //   3. lazily instantiates the concrete ExecutionPlan for each batch size a
 //      coalesced pickup actually forms, under the bucket's placement, and
 //      publishes it behind a shared_ptr snapshot: build outside the lock,
@@ -161,8 +162,9 @@ class ResidentModel {
   // factory(batch) compiled under `placement`; in checked mode it passes the
   // plan checker (lint::check_plan) before any caller publishes or runs it.
   ExecutionPlan build_plan(int64_t batch, const Placement& placement) const;
-  // Exact modeled makespan at `batch`; builds a throwaway plan on a cache
-  // miss and memoizes only the scalar.
+  // Exact modeled makespan at `batch`; on a cache miss it measures the
+  // published plan, or builds a throwaway one if none is, and memoizes only
+  // the scalar.
   double probe_service_s(int64_t batch, bool bucketed);
   double interpolated_service_s(int64_t batch, bool bucketed);
 

@@ -153,6 +153,80 @@ TEST(Fingerprint, InsertionOrderDoesNotMatter) {
   EXPECT_EQ(a.values, b.values);
 }
 
+// --- payload digest memo ----------------------------------------------------------
+
+// A shared memo changes the work, never the result: for every paper-size zoo
+// model and every subgraph of its phased partition (whose constants alias
+// the model's buffers), fingerprints with and without the memo are
+// bit-identical, and the whole model fingerprinted after its subgraphs finds
+// every payload in the memo.
+TEST(Fingerprint, SharedMemoIsBitIdenticalAcrossTheZoo) {
+  for (const std::string& name : models::zoo_model_names()) {
+    SCOPED_TRACE(name);
+    const Graph model = models::build_by_name(name);
+    const Partition partition = partition_phased(model, PartitionOptions{});
+    PayloadDigestMemo memo;
+    for (const Subgraph& sub : partition.subgraphs) {
+      const GraphFingerprint plain = fingerprint_graph(sub.graph);
+      const GraphFingerprint memoized = fingerprint_graph(sub.graph, &memo);
+      EXPECT_EQ(memoized.structural, plain.structural) << sub.label;
+      EXPECT_EQ(memoized.values, plain.values) << sub.label;
+    }
+    ASSERT_GT(memo.size(), 0u) << "no payload reached the memo";
+    const size_t digests = memo.size();
+    const uint64_t hits = memo.hits();
+    const GraphFingerprint whole = fingerprint_graph(model, &memo);
+    EXPECT_EQ(whole.structural, fingerprint_graph(model).structural);
+    EXPECT_EQ(whole.values, fingerprint_graph(model).values);
+    EXPECT_EQ(memo.size(), digests) << "the model holds a payload no subgraph has";
+    EXPECT_GE(memo.hits() - hits, digests);
+  }
+}
+
+TEST(Fingerprint, SharedMemoHitsAliasedPayloadsOnly) {
+  // Four constants: fc1's weight and bias, fc2's weight and bias.
+  const Graph a = mlp("a", /*seed=*/1, /*width=*/64, /*units=*/64);
+  const Graph alias = a;  // copies alias constant buffers
+  const Graph other = mlp("a", /*seed=*/2, 64, 64);
+  PayloadDigestMemo memo;
+  const GraphFingerprint fa = fingerprint_graph(a, &memo);
+  EXPECT_EQ(memo.size(), 4u);
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_EQ(fingerprint_graph(alias, &memo), fa);
+  EXPECT_EQ(memo.hits(), 4u) << "every aliased payload must hit";
+
+  // Same shapes, other buffers (different weights, equal zero biases): new
+  // digests, and different values.
+  const GraphFingerprint fo = fingerprint_graph(other, &memo);
+  EXPECT_EQ(memo.size(), 8u);
+  EXPECT_EQ(memo.hits(), 4u);
+  EXPECT_EQ(fo.structural, fa.structural);
+  EXPECT_NE(fo.values, fa.values);
+  EXPECT_EQ(fo, fingerprint_graph(other));
+
+  // The same buffer as a constant of the same shape in another graph hits;
+  // under another shape of the same byte size the seed (the constant's own
+  // hash) differs, so the memo must not serve the first digest.
+  Tensor fc1_weight;
+  for (const Node& node : a.nodes()) {
+    if (node.name == "a.fc1.w") fc1_weight = node.value;
+  }
+  ASSERT_TRUE(fc1_weight.defined());
+  const auto weight_as = [&](Shape shape) {
+    GraphBuilder b("view");
+    const NodeId x = b.input(Shape{1, shape.dim(0)}, "x");
+    const NodeId w = b.constant(fc1_weight.reshaped(shape), "w");
+    return b.finish({b.matmul(x, w)});
+  };
+  const Graph square = weight_as(Shape{64, 64});
+  const Graph wide = weight_as(Shape{32, 128});
+  EXPECT_EQ(fingerprint_graph(square, &memo), fingerprint_graph(square));
+  EXPECT_EQ(memo.hits(), 5u);
+  EXPECT_EQ(fingerprint_graph(wide, &memo), fingerprint_graph(wide));
+  EXPECT_EQ(memo.hits(), 5u) << "a payload under a new seed is a miss";
+  EXPECT_EQ(memo.size(), 9u);
+}
+
 // --- CompileCache ----------------------------------------------------------------
 
 TEST_F(CacheTest, CompileForDeviceHitsOnRecompile) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <map>
@@ -329,6 +330,7 @@ class FleetRegistryTest : public ::testing::Test {
     CompileCache::instance().reset_stats();
     CompileCache::instance().set_enabled(true);
   }
+  void TearDown() override { SetUp(); }
 
   static ModelRegistryOptions tiny_options(int64_t max_batch = 4) {
     ModelRegistryOptions o;
@@ -496,6 +498,96 @@ TEST_F(FleetRegistryTest, RegistrationBuildsEachDistinctBatchOnce) {
     EXPECT_EQ(m.bucket_placement(b), engine.report().schedule.placement)
         << "bucket " << b;
   }
+}
+
+// Each engine hashes each constant payload at most once. After a cold
+// registration has filled the caches, a warm registration of a multi-bucket
+// model hashes no more payload bytes than its engines' graphs hold:
+// factory(1), plus factory(rep) for each bucket whose rep is not 1.
+TEST_F(FleetRegistryTest, WarmRegistrationHashesEachPayloadOncePerEngine) {
+  const ModelRegistryOptions options = tiny_options(16);
+  const auto zoo = models::zoo_batched_factory("wide-deep", /*tiny=*/false);
+  ModelRegistry cold(options);
+  cold.register_model("wide-deep", zoo);
+
+  telemetry::ScopedTelemetry telemetry_on(true);
+  telemetry::Counter& hashed =
+      telemetry::counter("graph.fingerprint.payload_bytes");
+  const uint64_t before = hashed.value();
+  ModelRegistry warm(options);
+  const serve::ResidentModel& m = warm.model(warm.register_model("wide-deep", zoo));
+  const uint64_t bytes = hashed.value() - before;
+
+  std::vector<int64_t> engine_batches = {1};
+  for (const BatchBucket& bucket : m.buckets()) {
+    if (bucket.rep() != 1) engine_batches.push_back(bucket.rep());
+  }
+  ASSERT_GE(engine_batches.size(), 2u)
+      << "the model must register more than one bucket engine";
+  uint64_t bound = 0;
+  for (int64_t batch : engine_batches) {
+    const Graph graph = zoo(batch);
+    for (const Node& node : graph.nodes()) {
+      if (node.is_constant()) bound += node.value.byte_size();
+    }
+  }
+  EXPECT_GT(bytes, 0u);
+  EXPECT_LE(bytes, bound) << "a warm registration hashed a payload twice";
+}
+
+// Registration publishes each bucket engine's plan as its bucket's rep plan.
+// Looking one up, or probing its modeled service time, calls no factory and
+// makes no compile-cache lookup, and the plan matches a fresh build of
+// factory(rep) under the bucket's placement: same launch order, placement
+// and noise-free makespan, for every zoo model. The compile cache
+// is off, so no model's artifacts stay resident (tiny resnet101 alone would
+// hold about 3 GB) and every compile counts as a bypass.
+TEST_F(FleetRegistryTest, BucketRepPlansArePublishedAtRegistration) {
+  CompileCache::instance().set_enabled(false);
+  const ModelRegistryOptions options = tiny_options();
+  DevicePair devices = make_default_device_pair(42 ^ 0x5EEDFACEull);
+  SimExecutor executor(devices);
+  size_t batched_buckets = 0;
+  for (const std::string& name : models::zoo_model_names()) {
+    SCOPED_TRACE(name);
+    const auto zoo = models::zoo_batched_factory(name, /*tiny=*/true);
+    std::atomic<int> factory_calls{0};
+    ModelRegistry registry(options);
+    serve::ResidentModel& m = registry.model(
+        registry.register_model(name, [&](int64_t batch) {
+          factory_calls.fetch_add(1);
+          return zoo(batch);
+        }));
+    const int registration_calls = factory_calls.load();
+    for (size_t b = 0; b < m.buckets().size(); ++b) {
+      const int64_t rep = m.buckets()[b].rep();
+      batched_buckets += rep != 1;
+      const CompileCache::Stats before = CompileCache::instance().stats();
+      const std::shared_ptr<const ExecutionPlan> published = m.plan_for_batch(rep);
+      const CompileCache::Stats after = CompileCache::instance().stats();
+      EXPECT_EQ(after.hits + after.misses + after.bypasses,
+                before.hits + before.misses + before.bypasses)
+          << "bucket " << b << " (batch " << rep << ") was rebuilt";
+      // The rep is the bucket's lo, so its modeled service time measures
+      // the published plan alone.
+      const double modeled_s = m.modeled_service_s(rep);
+      EXPECT_EQ(factory_calls.load(), registration_calls)
+          << "bucket " << b << " (batch " << rep << ") called the factory";
+      EXPECT_EQ(modeled_s, executor.run_latency_only(*published, false))
+          << "bucket " << b;
+
+      const Graph graph = zoo(rep);
+      const ExecutionPlan fresh = ExecutionPlan::build(
+          graph, partition_phased(graph, options.engine.partition),
+          m.bucket_placement(b), devices, options.engine.compile);
+      EXPECT_EQ(published->step_order(), fresh.step_order()) << "bucket " << b;
+      EXPECT_EQ(published->placement(), fresh.placement()) << "bucket " << b;
+      EXPECT_EQ(executor.run_latency_only(*published, false),
+                executor.run_latency_only(fresh, false))
+          << "bucket " << b;
+    }
+  }
+  EXPECT_GT(batched_buckets, 0u) << "no bucket engine ran beyond batch 1";
 }
 
 TEST_F(FleetRegistryTest, RejectsDuplicateNamesAndUnknownIndices) {

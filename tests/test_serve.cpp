@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -283,6 +284,10 @@ serve::ModelRegistryOptions single_model_registry() {
   return o;
 }
 
+// The SLO clock the fake-clock tests drive, in microseconds.
+std::atomic<double> g_slo_now_us{0.0};
+double fake_slo_clock() { return g_slo_now_us.load(); }
+
 struct SingleModelServer {
   serve::ModelRegistry registry{single_model_registry()};
   const int index = registry.register_model(
@@ -291,6 +296,9 @@ struct SingleModelServer {
 
   explicit SingleModelServer(serve::FleetOptions options)
       : server(registry, std::move(options)) {}
+  SingleModelServer(serve::FleetOptions options,
+                    serve::FleetServer::Clock slo_clock)
+      : server(registry, std::move(options), slo_clock) {}
 
   serve::ResidentModel& model() { return registry.model(index); }
   std::map<NodeId, Tensor> feeds(uint64_t seed) {
@@ -604,7 +612,11 @@ TEST(ServeServer, ConcurrentRecordDuringSwapStress) {
 }
 
 TEST(ServeServer, SloSnapshotReflectsWindowedTraffic) {
-  SingleModelServer s(single_options(2));
+  // The SLO window reads a clock that stands still, so all six requests
+  // land in it however long they take (under ThreadSanitizer they can
+  // outlast the 10 s window on the real clock).
+  g_slo_now_us = 0.0;
+  SingleModelServer s(single_options(2), &fake_slo_clock);
   const auto feeds = s.feeds(20);
   std::vector<std::future<serve::FleetResponse>> futures;
   for (int i = 0; i < 6; ++i) futures.push_back(s.submit(feeds));
@@ -623,6 +635,42 @@ TEST(ServeServer, SloSnapshotReflectsWindowedTraffic) {
   EXPECT_LE(snap.latency_p50_us, snap.latency_p99_us);
   EXPECT_EQ(snap.plan_version, 1u)
       << "no swap in the window -> the live plan version";
+}
+
+// The window forgets with bucket granularity: 10 s in 1 s slots. Traffic
+// recorded at t = 0 stays visible until the clock reaches 10 s, then
+// expires as a whole; traffic after that is counted afresh.
+TEST(ServeServer, SloWindowExpiresRecordsOnceTheClockPassesIt) {
+  g_slo_now_us = 0.0;
+  SingleModelServer s(single_options(2), &fake_slo_clock);
+  const auto feeds = s.feeds(21);
+  const auto serve_n = [&](int n) {
+    std::vector<std::future<serve::FleetResponse>> futures;
+    for (int i = 0; i < n; ++i) futures.push_back(s.submit(feeds));
+    for (auto& f : futures) {
+      ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+    }
+  };
+  serve_n(3);
+
+  g_slo_now_us = 9.999e6;  // the last instant of the t = 0 slot's window
+  telemetry::SloSnapshot snap = s.server.slo_snapshot();
+  EXPECT_EQ(snap.offered, 3u);
+  EXPECT_EQ(snap.completed, 3u);
+  EXPECT_GT(snap.latency_p50_us, 0.0);
+
+  g_slo_now_us = 10e6;
+  snap = s.server.slo_snapshot();
+  EXPECT_EQ(snap.offered, 0u) << "the t = 0 slot must have rotated out";
+  EXPECT_EQ(snap.completed, 0u);
+  EXPECT_EQ(snap.latency_p50_us, 0.0);
+  EXPECT_EQ(snap.plan_version, 1u) << "an empty window reports the live plan";
+
+  serve_n(2);
+  snap = s.server.slo_snapshot();
+  EXPECT_EQ(snap.offered, 2u);
+  EXPECT_EQ(snap.completed, 2u);
+  s.server.drain();
 }
 
 // The incident acceptance scenario: a seeded deadline-miss storm must
