@@ -25,14 +25,12 @@ int main() {
       model, partition, Placement(partition.subgraphs.size(), DeviceKind::kGpu),
       devices, CompileOptions::compiler_defaults());
 
-  PipelinedRunner runner(devices);
-
   header("Throughput — pipelined query windows on Wide-and-Deep");
   TextTable t({"window", "DUET qps", "DUET mean lat", "GPU-only qps",
                "GPU-only mean lat"});
   for (int window : {1, 4, 16, 64}) {
-    const auto d = runner.run(duet_plan, window);
-    const auto g = runner.run(gpu_plan, window);
+    const auto d = run_pipelined(duet_plan, devices, window);
+    const auto g = run_pipelined(gpu_plan, devices, window);
     char c1[32], c2[32], c3[32], c4[32];
     std::snprintf(c1, sizeof(c1), "%.0f", d.throughput_qps);
     std::snprintf(c2, sizeof(c2), "%.2f ms", d.mean_latency_s * 1e3);
@@ -42,8 +40,8 @@ int main() {
   }
   std::printf("%s", t.render().c_str());
 
-  const auto d64 = runner.run(duet_plan, 64);
-  const auto g64 = runner.run(gpu_plan, 64);
+  const auto d64 = run_pipelined(duet_plan, devices, 64);
+  const auto g64 = run_pipelined(gpu_plan, devices, 64);
   std::printf(
       "steady state: DUET bottleneck device busy %.2f ms/query -> %.0f qps "
       "ceiling; gpu-only %.2f ms/query -> %.0f qps ceiling (%.2fx)\n",

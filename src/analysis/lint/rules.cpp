@@ -131,14 +131,15 @@ std::vector<RuleInfo> build_catalogue() {
        "src/serve/model_registry.cpp"},
       // --- serve-protocol model checker (analysis/model_check/) ------------
       {"mc-conservation", kError,
-       "at quiescence, offered == completed + shed + rejected",
-       "src/serve/admission.hpp"},
+       "at quiescence, offered == completed + shed + rejected + failed",
+       "src/serve/lifecycle.cpp"},
       {"mc-queue-accounting", kError,
-       "try_push is tri-state-correct: accepted iff actually enqueued",
-       "src/serve/fleet_policy.cpp"},
+       "admission is accepted iff actually enqueued, and every waiting "
+       "caller holds one in-flight request",
+       "src/serve/lifecycle.cpp"},
       {"mc-lost-wakeup", kError,
        "no consumer blocks forever across drain/shutdown",
-       "src/serve/fleet.cpp"},
+       "src/serve/lifecycle.hpp"},
       {"mc-snapshot-retired", kError,
        "no worker executes a plan snapshot retired by swap + grace",
        "src/serve/model_registry.cpp"},
@@ -163,6 +164,12 @@ std::vector<RuleInfo> build_catalogue() {
        "no metric family enumerates per-entity numeric ids (unbounded label "
        "cardinality leaks registry memory and blows up scrapes)",
        "src/telemetry/metrics.cpp"},
+      // Appended after the catalogue's first release: indices are SARIF
+      // ruleIndex values, so new rules go last whatever their family.
+      {"mc-drain-quiescence", kError,
+       "when drain()'s wait is satisfied, every accepted request's counts "
+       "and side effects are settled",
+       "src/serve/fleet.cpp"},
   };
 }
 

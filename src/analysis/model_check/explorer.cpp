@@ -11,12 +11,12 @@ namespace duet::mc {
 namespace {
 
 // Transition identity for sleep masks: (thread, branch) with branch < 2.
-uint32_t transition_bit(const Transition& t) {
+uint32_t transition_bit(const Step& t) {
   return 1u << (static_cast<uint32_t>(t.thread) * 2u +
                 static_cast<uint32_t>(t.branch));
 }
 
-bool independent(const Transition& a, const Transition& b) {
+bool independent(const Step& a, const Step& b) {
   if (a.thread == b.thread) return false;
   return (a.writes & (b.reads | b.writes)) == 0 &&
          (b.writes & (a.reads | a.writes)) == 0;
@@ -75,53 +75,44 @@ class Explorer {
     }
     if (depth > result_.max_depth_seen) result_.max_depth_seen = depth;
 
-    const std::vector<Transition> all = protocol_.enabled(state);
-    std::vector<const Transition*> runnable;
-    for (const Transition& t : all) {
-      if (!options_.sleep_sets || (transition_bit(t) & awake_mask) != 0) {
-        runnable.push_back(&t);
-      }
-    }
-    if (all.empty()) {
+    const bool at_bound = depth >= options_.max_depth;
+    std::vector<Step> steps = protocol_.steps(state, [&](const Step& t) {
+      return !at_bound &&
+             (!options_.sleep_sets || (transition_bit(t) & awake_mask) != 0);
+    });
+    if (steps.empty()) {
       std::vector<Violation> violations;
-      if (protocol_.all_terminated(state)) {
-        protocol_.check_terminal(state, &violations);
-      } else {
-        violations.push_back(
-            {"mc-lost-wakeup", "deadlock: " + protocol_.describe_blocked(state) +
-                                   " blocked with no enabled transition"});
-      }
+      protocol_.check_final(state, &violations);
       record(violations);
       return;
     }
-    if (depth >= options_.max_depth) {
+    if (at_bound) {
       result_.exhausted = false;
       return;
     }
 
     uint32_t explored = 0;  // siblings already expanded from this state
-    for (const Transition* t : runnable) {
-      std::vector<Violation> violations;
-      ProtocolState next = protocol_.apply(state, *t, &violations);
+    for (Step& t : steps) {
+      if (!t.next) continue;  // asleep
       ++result_.transitions_executed;
-      path_.push_back(t->label);
-      record(violations);
+      path_.push_back(t.label);
+      record(t.violations);
 
       uint32_t child_sleep = 0;
       if (options_.sleep_sets) {
         // A slept transition is always still enabled (independence preserves
         // enabledness), so scanning the enabled set finds every candidate;
         // dropping a bit we cannot match is sound — just less pruning.
-        const uint32_t candidates = (sleep | explored) & ~transition_bit(*t);
-        for (const Transition& u : all) {
-          if ((candidates & transition_bit(u)) != 0 && independent(*t, u)) {
+        const uint32_t candidates = (sleep | explored) & ~transition_bit(t);
+        for (const Step& u : steps) {
+          if ((candidates & transition_bit(u)) != 0 && independent(t, u)) {
             child_sleep |= transition_bit(u);
           }
         }
       }
-      dfs(next, depth + 1, child_sleep);
+      dfs(*t.next, depth + 1, child_sleep);
       path_.pop_back();
-      explored |= transition_bit(*t);
+      explored |= transition_bit(t);
     }
   }
 

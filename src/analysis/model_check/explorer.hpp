@@ -1,8 +1,8 @@
 #pragma once
 
-// Small-scope exhaustive interleaving explorer (ISSUE 6 tentpole, part 2):
-// bounded DFS over the abstract serve protocol (model_check/protocol.hpp)
-// with visited-state caching and sleep-set pruning (Godefroid) — two
+// Small-scope exhaustive interleaving explorer: bounded DFS over the
+// serve-protocol driver of the real request lifecycle
+// (model_check/protocol.hpp) with visited-state caching and sleep-set pruning (Godefroid) — two
 // enabled transitions whose shared-variable footprints do not conflict are
 // independent, and only one order of each independent pair is explored.
 //

@@ -1,327 +1,323 @@
 #include "analysis/model_check/protocol.hpp"
 
+#include <limits>
 #include <utility>
 
 namespace duet::mc {
 namespace {
 
 // Shared-variable bits for the independence relation. Enabledness reads are
-// included in `reads` (pop reads CLOSED+QUEUE, retire reads REFS, ...), which
+// included in `reads` (a pick reads DRAINING, retire reads REFS, ...), which
 // sleep-set soundness requires.
 enum : uint32_t {
-  kVarQueue = 1u << 0,  // queue_len + enqueued/dequeued ghosts
-  kVarClosed = 1u << 1,
-  kVarOffered = 1u << 2,
-  kVarAccepted = 1u << 3,
-  kVarRejected = 1u << 4,
-  kVarShed = 1u << 5,
-  kVarCompleted = 1u << 6,
-  kVarVersion = 1u << 7,
-  kVarRefs = 1u << 8,
-  kVarRetired = 1u << 9,
+  kVarQueue = 1u << 0,     // FleetQueue contents and WFQ clocks
+  kVarDraining = 1u << 1,
+  kVarInflight = 1u << 2,  // in flight + the awaiting ghost
+  kVarCounters = 1u << 3,  // admission counters + the picked ghost
+  kVarEffects = 1u << 4,
+  kVarVersion = 1u << 5,
+  kVarRefs = 1u << 6,
+  kVarRetired = 1u << 7,
 };
 
-// Producer program counters.
-enum : uint8_t { kProdOffer = 0, kProdOfferWrite = 1, kProdPush = 2 };
-// Consumer program counters.
-enum : uint8_t { kConsPop = 0, kConsDecide = 1, kConsRun = 2 };
-// Swapper program counters.
-enum : uint8_t { kSwapBump = 0, kSwapRetire = 1 };
+// Program counters. A producer submits at pc 0 until its requests run out.
+// A worker settles a request in two steps: its side effects, then
+// on_resolve (the other way round under kResolveBeforeSideEffects).
+enum : uint8_t { kWait = 0, kSettleFirst, kSettleSecond, kSnapshot, kRun };
+enum : uint8_t { kSwapBump = 0, kSwapRetire };
+enum : uint8_t { kClose = 0, kAwait };
 
-std::string thread_label(const ProtocolConfig& c, int thread) {
-  if (thread < c.producers) return "p" + std::to_string(thread);
-  if (thread < c.producers + c.consumers) {
-    return "c" + std::to_string(thread - c.producers);
-  }
-  return thread == c.producers + c.consumers ? "swap" : "drain";
+// Service seconds billed per execution; any positive value exercises WFQ.
+constexpr double kServiceS = 1.0;
+// A pick at this instant finds every deadlined request expired.
+constexpr double kLateS = std::numeric_limits<double>::infinity();
+
+// Accepted requests whose outcome is counted.
+uint64_t settled(const serve::AdmissionCounters& c) {
+  return c.completed + c.shed + c.failed;
+}
+
+std::string describe(const serve::AdmissionCounters& c) {
+  return "offered " + std::to_string(c.offered) + ", accepted " +
+         std::to_string(c.accepted) + ", completed " +
+         std::to_string(c.completed) + ", shed " + std::to_string(c.shed) +
+         ", rejected " + std::to_string(c.rejected) + ", failed " +
+         std::to_string(c.failed);
+}
+
+// After a pick, a settle or a run: settle what is left, then run the
+// batch, then wait again.
+uint8_t worker_next(const ProtocolState::Thread& t) {
+  if (t.b > 0) return kSettleFirst;
+  return t.batch.empty() ? kWait : kSnapshot;
 }
 
 }  // namespace
 
 const char* variant_name(Variant v) {
-  switch (v) {
-    case Variant::kCorrect:
-      return "correct";
-    case Variant::kNonAtomicCounter:
-      return "non-atomic-counter";
-    case Variant::kSilentDropOnFull:
-      return "silent-drop-on-full";
-    case Variant::kMissedCloseWakeup:
-      return "missed-close-wakeup";
-    case Variant::kUnrefSnapshot:
-      return "unref-snapshot";
-  }
-  return "unknown";
+  static const char* const kNames[] = {
+      "correct",        "silent-drop-on-full",
+      "missed-close-wakeup", "unref-snapshot",
+      "resolve-before-side-effects", "uncounted-failure"};
+  return kNames[static_cast<int>(v)];
 }
 
 std::string ProtocolState::encode() const {
   std::string out;
-  out.reserve(16 + refs.size() + threads.size() * 3);
-  const uint8_t scalars[] = {queue_len, closed,    offered,  accepted,
-                             rejected,  shed,      completed, enqueued,
-                             dequeued,  version,   retired};
-  out.append(reinterpret_cast<const char*>(scalars), sizeof(scalars));
-  out.append(reinterpret_cast<const char*>(refs.data()), refs.size());
+  life.append_state(&out);
+  out += {static_cast<char>(effects), static_cast<char>(awaiting),
+          static_cast<char>(picked), static_cast<char>(version),
+          static_cast<char>(retired)};
+  out.append(refs.begin(), refs.end());
   for (const Thread& t : threads) {
-    out.push_back(static_cast<char>(t.pc));
-    out.push_back(static_cast<char>(t.a));
-    out.push_back(static_cast<char>(t.b));
+    out += {static_cast<char>(t.pc), static_cast<char>(t.a),
+            static_cast<char>(t.b), static_cast<char>(t.batch.size())};
+    for (const serve::FleetRequest& r : t.batch) out += static_cast<char>(r.id);
   }
   return out;
 }
 
-Protocol::Protocol(ProtocolConfig config) : config_(std::move(config)) {}
+Protocol::Protocol(ProtocolConfig config) : config_(std::move(config)) {
+  for (const serve::TenantClass& t : config_.tenants) {
+    deadlines_ = deadlines_ || t.deadline_s > 0.0;
+  }
+}
 
-int Protocol::num_threads() const {
-  return config_.producers + config_.consumers + 2;  // + swapper + closer
+std::string Protocol::label(int thread) const {
+  const int P = config_.producers;
+  const int W = config_.workers;
+  if (thread < P) return "p" + std::to_string(thread);
+  if (thread < P + W) return "w" + std::to_string(thread - P);
+  return thread == P + W ? "swap" : "drain";
 }
 
 ProtocolState Protocol::initial() const {
-  ProtocolState s;
+  ProtocolState s(serve::Lifecycle(config_.tenants, config_.queue_capacity));
   s.refs.assign(static_cast<size_t>(config_.swaps) + 1, 0);
-  s.threads.assign(static_cast<size_t>(num_threads()), {});
+  // Producers, workers, the swapper and the closer.
+  s.threads.resize(static_cast<size_t>(config_.producers + config_.workers) +
+                   2);
   for (int p = 0; p < config_.producers; ++p) {
-    s.threads[static_cast<size_t>(p)].a =
-        static_cast<uint8_t>(config_.requests_per_producer);
-    if (config_.requests_per_producer == 0) {
-      s.threads[static_cast<size_t>(p)].pc = ProtocolState::kDone;
-    }
+    s.threads[p].a = static_cast<uint8_t>(config_.requests_per_producer);
+    if (s.threads[p].a == 0) s.threads[p].pc = ProtocolState::kDone;
   }
-  ProtocolState::Thread& swapper =
-      s.threads[static_cast<size_t>(config_.producers + config_.consumers)];
+  ProtocolState::Thread& swapper = s.threads[s.threads.size() - 2];
   swapper.a = static_cast<uint8_t>(config_.swaps);
-  if (config_.swaps == 0) swapper.pc = ProtocolState::kDone;
+  if (swapper.a == 0) swapper.pc = ProtocolState::kDone;
   return s;
 }
 
-std::vector<Transition> Protocol::enabled(const ProtocolState& s) const {
-  std::vector<Transition> out;
-  const int P = config_.producers;
-  const int C = config_.consumers;
-  const auto add = [&](int thread, int branch, uint32_t reads, uint32_t writes,
-                       std::string op) {
-    out.push_back(Transition{thread, branch, reads, writes,
-                             thread_label(config_, thread) + "." +
-                                 std::move(op)});
+std::vector<Step> Protocol::steps(
+    const ProtocolState& s, const std::function<bool(const Step&)>& take) const {
+  std::vector<Step> out;
+  out.reserve(2 * s.threads.size());  // at most two branches per thread
+  // Records one enabled step of `thread` and returns the successor state
+  // to build, or null when the step is not taken.
+  const auto step = [&](int thread, int branch, uint32_t reads,
+                        uint32_t writes, const char* op) -> ProtocolState* {
+    Step& st = out.emplace_back();
+    st.thread = thread;
+    st.branch = branch;
+    st.reads = reads;
+    st.writes = writes;
+    if (!take(st)) return nullptr;
+    st.label = label(thread) + "." + op;
+    st.next.emplace(s);
+    return &*st.next;
   };
+  const auto violation = [&](const char* rule, const std::string& message) {
+    out.back().violations.push_back({rule, message});
+  };
+  const Variant variant = config_.variant;
+  const int P = config_.producers;
+  const int W = config_.workers;
+  const int swapper = P + W;
+  const int closer = P + W + 1;
 
   for (int p = 0; p < P; ++p) {
-    const ProtocolState::Thread& t = s.threads[static_cast<size_t>(p)];
-    switch (t.pc) {
-      case kProdOffer:
-        // Atomic fetch_add, or the load half of the seeded lost-update bug.
-        add(p, 0, kVarOffered, config_.variant == Variant::kNonAtomicCounter
-                                   ? 0
-                                   : kVarOffered,
-            "offer");
-        break;
-      case kProdOfferWrite:
-        add(p, 0, 0, kVarOffered, "offer-store");
-        break;
-      case kProdPush:
-        add(p, 0, kVarClosed | kVarQueue,
-            kVarQueue | kVarAccepted | kVarRejected, "push");
-        break;
-      default:
-        break;
-    }
+    if (s.threads[p].pc == ProtocolState::kDone) continue;
+    ProtocolState* n =
+        step(p, 0, kVarQueue | kVarDraining,
+             kVarQueue | kVarCounters | kVarInflight, "submit");
+    if (n == nullptr) continue;
+    // One tenant's requests are interchangeable to the lifecycle (same
+    // model, arrival and deadline), so they share an id: states that differ
+    // only in which of them is where are one state.
+    const int tenant = p % static_cast<int>(config_.tenants.size());
+    const bool accepted = n->life.on_arrival(n->life.request(
+        static_cast<uint64_t>(tenant), tenant, /*model=*/0, 0.0));
+    if (accepted || variant == Variant::kSilentDropOnFull) ++n->awaiting;
+    if (--n->threads[p].a == 0) n->threads[p].pc = ProtocolState::kDone;
   }
 
-  for (int c = 0; c < C; ++c) {
-    const int thread = P + c;
-    const ProtocolState::Thread& t = s.threads[static_cast<size_t>(thread)];
-    switch (t.pc) {
-      case kConsPop: {
-        // Blocking pop: enabled when the wait predicate holds. The seeded
-        // missed-wakeup variant waits on items alone, so closed+empty leaves
-        // the consumer permanently blocked (found as a deadlock).
-        const bool woken = config_.variant == Variant::kMissedCloseWakeup
-                               ? s.queue_len > 0
-                               : (s.queue_len > 0 || s.closed != 0);
-        if (woken) add(thread, 0, kVarClosed | kVarQueue, kVarQueue, "pop");
+  const bool reordered = variant == Variant::kResolveBeforeSideEffects;
+  for (int thread = P; thread < P + W; ++thread) {
+    switch (s.threads[thread].pc) {
+      case kWait: {
+        // The queue cv's wait predicate; the seeded bug waits for work alone
+        // and never sees the close.
+        if (variant == Variant::kMissedCloseWakeup ? s.life.queue().empty()
+                                                   : !s.life.wake()) {
+          break;
+        }
+        const bool late_differs = deadlines_ && !s.life.queue().empty();
+        for (int branch = 0; branch <= (late_differs ? 1 : 0); ++branch) {
+          ProtocolState* n = step(thread, branch, kVarQueue | kVarDraining,
+                                  kVarQueue | kVarCounters,
+                                  branch ? "pick-late" : "pick");
+          if (n == nullptr) continue;
+          ProtocolState::Thread& me = n->threads[thread];
+          if (n->life.queue().empty()) {
+            me.pc = ProtocolState::kDone;  // drained: the worker exits
+          } else {
+            serve::PickResult picked =
+                n->life.on_pick(branch ? kLateS : 0.0, config_.max_batch);
+            n->picked = static_cast<uint8_t>(n->picked + picked.shed.size() +
+                                             picked.batch.size());
+            me.b = static_cast<uint8_t>(picked.shed.size());
+            me.batch = std::move(picked.batch);
+            me.pc = worker_next(me);
+          }
+        }
         break;
       }
-      case kConsDecide:
-        add(thread, 0, 0, kVarShed, "shed");
-        add(thread, 1, kVarVersion, kVarRefs, "snapshot");
+      case kSettleFirst:
+      case kSettleSecond: {
+        const bool first = s.threads[thread].pc == kSettleFirst;
+        const bool effects = first != reordered;
+        ProtocolState* n = step(thread, 0, 0,
+                                effects ? kVarEffects : kVarInflight,
+                                effects ? "effects" : "resolve");
+        if (n == nullptr) break;
+        if (effects) {
+          ++n->effects;
+        } else {
+          n->life.on_resolve();
+          --n->awaiting;
+        }
+        ProtocolState::Thread& me = n->threads[thread];
+        if (first) {
+          me.pc = kSettleSecond;
+        } else {
+          --me.b;
+          me.pc = worker_next(me);
+        }
         break;
-      case kConsRun:
-        add(thread, 0, kVarRetired, kVarCompleted | kVarRefs, "run");
+      }
+      case kSnapshot:
+        if (ProtocolState* n =
+                step(thread, 0, kVarVersion, kVarRefs, "snapshot")) {
+          ProtocolState::Thread& me = n->threads[thread];
+          me.a = n->version;  // snapshot under plan_mutex_
+          if (variant != Variant::kUnrefSnapshot) ++n->refs[me.a];
+          me.pc = kRun;
+        }
+        break;
+      case kRun:
+        for (int branch = 0; branch <= 1; ++branch) {
+          ProtocolState* n = step(thread, branch, kVarRetired,
+                                  kVarRefs | kVarQueue | kVarCounters,
+                                  branch ? "run-fails" : "run");
+          if (n == nullptr) continue;
+          ProtocolState::Thread& me = n->threads[thread];
+          if ((n->retired >> me.a) & 1u) {
+            violation("mc-snapshot-retired",
+                      out.back().label + " runs plan version " +
+                          std::to_string(me.a) + " after it was retired");
+          }
+          if (branch == 0 || variant != Variant::kUncountedFailure) {
+            n->life.on_complete(me.batch,
+                                branch ? serve::RequestStatus::kFailed
+                                       : serve::RequestStatus::kOk,
+                                kServiceS, 0.0, 0.0);
+          }
+          if (variant != Variant::kUnrefSnapshot) --n->refs[me.a];
+          me.b = static_cast<uint8_t>(me.batch.size());
+          me.batch.clear();
+          me.pc = worker_next(me);
+        }
         break;
       default:
         break;
     }
   }
 
-  const int swapper = P + C;
-  const ProtocolState::Thread& sw = s.threads[static_cast<size_t>(swapper)];
+  const ProtocolState::Thread& sw = s.threads[swapper];
   if (sw.pc == kSwapBump) {
-    add(swapper, 0, kVarVersion, kVarVersion, "swap");
-  } else if (sw.pc == kSwapRetire) {
+    if (ProtocolState* n = step(swapper, 0, kVarVersion, kVarVersion, "swap")) {
+      n->threads[swapper] = {kSwapRetire, sw.a, n->version, {}};
+      ++n->version;  // retires the old version next
+    }
+  } else if (sw.pc == kSwapRetire && s.refs[sw.b] == 0) {
     // Grace window: retire only once no worker holds the old snapshot.
-    if (s.refs[sw.b] == 0) {
-      add(swapper, 0, kVarRefs, kVarRetired, "retire");
+    if (ProtocolState* n = step(swapper, 0, kVarRefs, kVarRetired, "retire")) {
+      n->retired = static_cast<uint8_t>(n->retired | (1u << sw.b));
+      ProtocolState::Thread& me = n->threads[swapper];
+      me.pc = --me.a == 0 ? ProtocolState::kDone : uint8_t{kSwapBump};
     }
   }
 
-  const int closer = P + C + 1;
-  if (s.threads[static_cast<size_t>(closer)].pc == 0) {
-    // drain() may race submits; close() is a single mutex-protected store.
-    add(closer, 0, 0, kVarClosed, "close");
+  const uint8_t close_pc = s.threads[closer].pc;
+  if (close_pc == kClose) {
+    if (ProtocolState* n = step(closer, 0, 0, kVarDraining, "close")) {
+      n->life.close();
+      n->threads[closer].pc = kAwait;
+    }
+  } else if (close_pc == kAwait && s.life.quiescent()) {
+    if (ProtocolState* n = step(closer, 0,
+                                kVarInflight | kVarCounters | kVarEffects, 0,
+                                "drained")) {
+      // drain() returns: everything accepted must be settled and visible.
+      const serve::AdmissionCounters total = n->life.total();
+      if (settled(total) != total.accepted || n->effects != total.accepted) {
+        violation("mc-drain-quiescence",
+                  "drain() returned at " + describe(total) + "; " +
+                      std::to_string(n->effects) + " side effects ran");
+      }
+      n->threads[closer].pc = ProtocolState::kDone;
+    }
+  }
+
+  // Queue accounting holds in every reachable state, not just at the end.
+  for (Step& st : out) {
+    if (!st.next) continue;
+    const ProtocolState& n = *st.next;
+    const uint64_t accepted = n.life.total().accepted;
+    const size_t queued = n.life.queue().size();
+    if (accepted != n.picked + queued || queued > config_.queue_capacity ||
+        n.awaiting != n.life.inflight()) {
+      st.violations.push_back(
+          {"mc-queue-accounting",
+           "after " + st.label + ": " + std::to_string(accepted) +
+               " accepted, " + std::to_string(n.picked) + " picked, " +
+               std::to_string(queued) + " queued, " +
+               std::to_string(n.life.inflight()) + " in flight, " +
+               std::to_string(n.awaiting) + " callers waiting"});
+    }
   }
   return out;
 }
 
-ProtocolState Protocol::apply(const ProtocolState& s, const Transition& t,
-                              std::vector<Violation>* violations) const {
-  ProtocolState n = s;
-  ProtocolState::Thread& th = n.threads[static_cast<size_t>(t.thread)];
-  const int P = config_.producers;
-  const int C = config_.consumers;
-
-  if (t.thread < P) {
-    switch (th.pc) {
-      case kProdOffer:
-        if (config_.variant == Variant::kNonAtomicCounter) {
-          th.b = n.offered;  // load...
-          th.pc = kProdOfferWrite;
-        } else {
-          ++n.offered;  // fetch_add
-          th.pc = kProdPush;
-        }
-        break;
-      case kProdOfferWrite:
-        n.offered = static_cast<uint8_t>(th.b + 1);  // ...store: lost update
-        th.pc = kProdPush;
-        break;
-      case kProdPush:
-        if (n.closed != 0) {
-          ++n.rejected;  // try_push -> kClosed
-        } else if (n.queue_len >= config_.queue_capacity) {
-          if (config_.variant == Variant::kSilentDropOnFull) {
-            ++n.accepted;  // counted accepted, never enqueued
-          } else {
-            ++n.rejected;  // try_push -> kFull
-          }
-        } else {
-          ++n.queue_len;  // try_push -> kAccepted
-          ++n.enqueued;
-          ++n.accepted;
-        }
-        --th.a;
-        th.pc = th.a == 0 ? ProtocolState::kDone : kProdOffer;
-        break;
-      default:
-        break;
-    }
-  } else if (t.thread < P + C) {
-    switch (th.pc) {
-      case kConsPop:
-        if (n.queue_len > 0) {
-          --n.queue_len;
-          ++n.dequeued;
-          th.pc = kConsDecide;
-        } else {
-          th.pc = ProtocolState::kDone;  // closed+empty: worker exits
-        }
-        break;
-      case kConsDecide:
-        if (t.branch == 0) {
-          ++n.shed;  // deadline already missed: drop without executing
-          th.pc = kConsPop;
-        } else {
-          th.a = n.version;  // snapshot under plan_mutex_
-          if (config_.variant != Variant::kUnrefSnapshot) ++n.refs[th.a];
-          th.pc = kConsRun;
-        }
-        break;
-      case kConsRun:
-        if ((n.retired >> th.a) & 1u) {
-          if (violations != nullptr) {
-            violations->push_back(
-                {"mc-snapshot-retired",
-                 t.label + " executes plan version " + std::to_string(th.a) +
-                     " after swap + grace retired it"});
-          }
-        }
-        ++n.completed;
-        if (config_.variant != Variant::kUnrefSnapshot) --n.refs[th.a];
-        th.pc = kConsPop;
-        break;
-      default:
-        break;
-    }
-  } else if (t.thread == P + C) {
-    if (th.pc == kSwapBump) {
-      th.b = n.version;  // the plan this swap retires
-      ++n.version;
-      th.pc = kSwapRetire;
-    } else {
-      n.retired = static_cast<uint8_t>(n.retired | (1u << th.b));
-      --th.a;
-      th.pc = th.a == 0 ? ProtocolState::kDone : kSwapBump;
-    }
-  } else {
-    n.closed = 1;
-    th.pc = ProtocolState::kDone;
-  }
-
-  // Queue accounting holds in every reachable state, not just at the end:
-  // try_push is tri-state-correct iff accepted counts exactly the enqueues.
-  if (violations != nullptr) {
-    if (n.accepted != n.enqueued) {
-      violations->push_back(
-          {"mc-queue-accounting",
-           "after " + t.label + ": accepted=" + std::to_string(n.accepted) +
-               " but enqueued=" + std::to_string(n.enqueued)});
-    }
-    if (n.enqueued != n.dequeued + n.queue_len) {
-      violations->push_back(
-          {"mc-queue-accounting",
-           "after " + t.label + ": enqueued=" + std::to_string(n.enqueued) +
-               " != dequeued " + std::to_string(n.dequeued) + " + queue " +
-               std::to_string(n.queue_len)});
-    }
-    if (n.queue_len > config_.queue_capacity) {
-      violations->push_back(
-          {"mc-queue-accounting",
-           "after " + t.label + ": queue length " +
-               std::to_string(n.queue_len) + " exceeds capacity " +
-               std::to_string(config_.queue_capacity)});
-    }
-  }
-  return n;
-}
-
-bool Protocol::all_terminated(const ProtocolState& s) const {
-  for (const ProtocolState::Thread& t : s.threads) {
-    if (t.pc != ProtocolState::kDone) return false;
-  }
-  return true;
-}
-
-void Protocol::check_terminal(const ProtocolState& s,
-                              std::vector<Violation>* violations) const {
-  const int settled = s.completed + s.shed + s.rejected;
-  if (s.offered != settled) {
-    violations->push_back(
-        {"mc-conservation",
-         "at quiescence offered=" + std::to_string(s.offered) +
-             " but completed+shed+rejected=" + std::to_string(settled) +
-             " (completed=" + std::to_string(s.completed) +
-             " shed=" + std::to_string(s.shed) +
-             " rejected=" + std::to_string(s.rejected) + ")"});
-  }
-}
-
-std::string Protocol::describe_blocked(const ProtocolState& s) const {
-  std::string out;
+void Protocol::check_final(const ProtocolState& s,
+                           std::vector<Violation>* violations) const {
+  std::string blocked;
   for (size_t i = 0; i < s.threads.size(); ++i) {
     if (s.threads[i].pc == ProtocolState::kDone) continue;
-    if (!out.empty()) out += ", ";
-    out += thread_label(config_, static_cast<int>(i));
+    blocked += (blocked.empty() ? "" : ", ") + label(static_cast<int>(i));
   }
-  return out;
+  if (!blocked.empty()) {
+    violations->push_back(
+        {"mc-lost-wakeup", "deadlock: " + blocked + " blocked forever"});
+    return;
+  }
+  for (const serve::FleetTenantStats& t : s.life.tenant_stats()) {
+    const serve::AdmissionCounters& c = t.admission;
+    if (c.offered != settled(c) + c.rejected) {
+      violations->push_back({"mc-conservation", "at quiescence tenant " +
+                                                    t.name + ": " +
+                                                    describe(c)});
+    }
+  }
 }
 
 }  // namespace duet::mc

@@ -1,92 +1,96 @@
 #pragma once
 
-// Small-scope abstraction of the serving runtime's concurrency protocol
-// (ISSUE 6 tentpole, part 2). The shipped protocol is FleetServer's
-// (serve/fleet.cpp): submit() admits into the bounded FleetQueue
-// (serve/fleet_policy.cpp — push accepts iff it enqueued, refuses at
-// capacity), workers block on the queue condition variable and pick
-// (shed an expired request, or snapshot the model's plan and run it),
-// ResidentModel::apply_placement publishes a new plan snapshot
-// (serve/model_registry.cpp) while executions holding the old one finish
-// on it, and drain() stops admission and waits for every accepted request
-// to resolve. The abstraction models a single-model server (one tenant,
-// max_batch 1, so a pick takes the queue head) as a handful of
-// interleavable atomic steps per thread, small enough for exhaustive
-// exploration:
+// The serve-protocol model checker's driver of the real request lifecycle
+// (serve/lifecycle.hpp): the calls FleetServer makes, from abstract
+// threads, one atomic step per queue-mutex section or side effect, so the
+// explorer (model_check/explorer.hpp) can run every interleaving of a small
+// scope. Producers submit (on_arrival). Workers wait on Lifecycle::wake(),
+// pick on time or late (a late pick sheds every deadlined request), settle
+// each shed request, snapshot the plan, run (on_complete kOk, or kFailed
+// when it throws) and settle each member; settling is the request's side
+// effects, then on_resolve. The swapper publishes plan versions and
+// retires the old one once no worker holds it (ResidentModel state, kept
+// here). The closer drains: close, then wait for quiescent().
 //
-//   producers  submit(): offered++  ->  push -> accepted++/rejected++
-//   consumers  worker_loop(): pick -> shed | (snapshot plan, run, release)
-//   swapper    apply_placement(): version++ ; retire old once unreferenced
-//   closer     drain(): stop admission at any point (races with submits)
+// Invariants, by catalogue rule (analysis/lint/rules.cpp):
+//   mc-conservation      per tenant, offered == completed + shed + rejected
+//                        + failed once every thread has finished
+//   mc-queue-accounting  accepted == picked + queued within capacity, and
+//                        every waiting caller holds one in-flight request
+//   mc-lost-wakeup       no thread blocks forever
+//   mc-snapshot-retired  no worker runs a plan retired by swap + grace
+//   mc-drain-quiescence  when drain()'s wait is satisfied, every accepted
+//                        request's counts and side effects are settled
 //
-// The explorer (model_check/explorer.hpp) drives this machine through every
-// interleaving (bounded, sleep-set pruned) and checks four invariants:
-//
-//   mc-conservation     offered == completed + shed + rejected at quiescence
-//   mc-queue-accounting accepted == enqueued == dequeued + queue length,
-//                       length never exceeds capacity (push refuses at
-//                       capacity or while draining, never drops)
-//   mc-lost-wakeup      no thread blocks forever across drain/shutdown
-//   mc-snapshot-retired no worker runs a plan retired by swap + grace
-//
-// Variants other than kCorrect re-introduce one known-bad implementation
-// each; the negative tests prove the checker finds all of them.
+// Variants other than kCorrect mutate this driver (skip a call, reorder
+// two calls or ignore a return), never the lifecycle.
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "serve/lifecycle.hpp"
 
 namespace duet::mc {
 
 enum class Variant : uint8_t {
   kCorrect = 0,
-  // offered++ as separate load and store — the lost-update bug an atomic
-  // fetch_add exists to prevent. Breaks conservation.
-  kNonAtomicCounter,
-  // push reports accepted on a full queue without enqueueing — the
-  // caller's request silently vanishes. Breaks queue accounting.
+  // Ignores on_arrival's return: a refused request is handed a future that
+  // nothing will resolve, so it silently vanishes. Breaks queue accounting.
   kSilentDropOnFull,
-  // the worker's wait predicate ignores draining — a consumer that finds
-  // the queue empty after drain() sleeps forever. Breaks drain/shutdown.
+  // Workers wait for work alone instead of on wake(): a worker waiting on
+  // an empty queue never sees the close. Breaks drain/shutdown.
   kMissedCloseWakeup,
-  // A worker snapshots the plan without taking a reference — the swapper's
-  // grace period sees no holders and retires the plan under the worker.
+  // A worker snapshots the plan without taking a reference, so the swapper
+  // retires the plan under it.
   kUnrefSnapshot,
+  // Resolves each request before its side effects: drain() can return
+  // with effects still pending. Breaks drain quiescence.
+  kResolveBeforeSideEffects,
+  // A failed execution skips on_complete: its members resolve uncounted.
+  // Breaks conservation.
+  kUncountedFailure,
 };
 
 const char* variant_name(Variant v);
 
 struct ProtocolConfig {
   int producers = 2;
-  int consumers = 2;
+  int workers = 2;
+  // Producer p submits to tenant p mod tenants.size().
   int requests_per_producer = 2;
-  int queue_capacity = 2;
+  // The lifecycle's scope. The default tenant's 1 s deadline lets a late
+  // pick shed.
+  std::vector<serve::TenantClass> tenants = {{"default", 1.0, 1.0}};
+  size_t queue_capacity = 2;
+  int64_t max_batch = 1;
   int swaps = 1;
   Variant variant = Variant::kCorrect;
 };
 
-// Flat, byte-encodable global state. Thread locals: producers use `a` for
-// remaining requests and `b` for the non-atomic load; consumers use `a` for
-// the held plan version; the swapper uses `a` for remaining swaps and `b`
-// for the version being retired.
 struct ProtocolState {
-  uint8_t queue_len = 0;
-  uint8_t closed = 0;
-  uint8_t offered = 0;
-  uint8_t accepted = 0;
-  uint8_t rejected = 0;
-  uint8_t shed = 0;
-  uint8_t completed = 0;
-  uint8_t enqueued = 0;   // ghost: successful push count
-  uint8_t dequeued = 0;   // ghost: successful pop count
-  uint8_t version = 0;    // current plan version
-  uint8_t retired = 0;    // bitmask over versions
+  explicit ProtocolState(serve::Lifecycle lifecycle)
+      : life(std::move(lifecycle)) {}
+
+  serve::Lifecycle life;
+  uint8_t effects = 0;   // ghost: requests whose side effects ran
+  uint8_t awaiting = 0;  // ghost: callers waiting on a queued request
+  uint8_t picked = 0;    // ghost: requests on_pick returned
+  uint8_t version = 0;   // current plan version
+  uint8_t retired = 0;   // bitmask over versions
   std::vector<uint8_t> refs;  // per-version snapshot holders
 
+  // Producers: `a` = requests left. Workers: `a` = held plan version, `b` =
+  // requests left to settle, `batch` = the picked batch until it runs.
+  // Swapper: `a` = swaps left, `b` = the version being retired.
   struct Thread {
     uint8_t pc = 0;  // kDone once terminated
     uint8_t a = 0;
     uint8_t b = 0;
+    std::vector<serve::FleetRequest> batch;
   };
   std::vector<Thread> threads;
 
@@ -95,21 +99,24 @@ struct ProtocolState {
   std::string encode() const;  // hashable byte string
 };
 
-// One interleavable step of one thread. `branch` disambiguates
-// nondeterministic choices (a consumer at the shed decision has two).
+struct Violation {
+  std::string rule;  // mc-conservation / mc-queue-accounting / ...
+  std::string message;
+};
+
+// One enabled step of one thread. `branch` tells nondeterministic choices
+// apart (an on-time or a late pick; a run that succeeds or throws).
 // `reads`/`writes` are shared-variable bitmasks for the independence
-// relation behind sleep-set pruning.
-struct Transition {
+// relation behind sleep-set pruning. Taken steps carry a label (e.g.
+// "w1.run-fails"), the successor state and the violations seen taking it.
+struct Step {
   int thread = -1;
   int branch = 0;
   uint32_t reads = 0;
   uint32_t writes = 0;
-  std::string label;  // e.g. "p0.push", "c1.run", "swap.retire"
-};
-
-struct Violation {
-  std::string rule;  // mc-conservation / mc-queue-accounting / ...
-  std::string message;
+  std::string label;
+  std::optional<ProtocolState> next;
+  std::vector<Violation> violations;
 };
 
 class Protocol {
@@ -117,25 +124,22 @@ class Protocol {
   explicit Protocol(ProtocolConfig config);
 
   const ProtocolConfig& config() const { return config_; }
-  int num_threads() const;
-
   ProtocolState initial() const;
-  std::vector<Transition> enabled(const ProtocolState& s) const;
 
-  // Applies `t` (must be enabled in `s`) and appends any invariant
-  // violations observable at this step to `violations`.
-  ProtocolState apply(const ProtocolState& s, const Transition& t,
-                      std::vector<Violation>* violations) const;
+  // Every step enabled in `s`; only those `take` accepts are taken.
+  std::vector<Step> steps(const ProtocolState& s,
+                          const std::function<bool(const Step&)>& take) const;
 
-  bool all_terminated(const ProtocolState& s) const;
-  // Quiescence checks (conservation identity).
-  void check_terminal(const ProtocolState& s,
-                      std::vector<Violation>* violations) const;
-  // Human-readable list of the threads stuck in a deadlocked state.
-  std::string describe_blocked(const ProtocolState& s) const;
+  // `s` has no enabled step: a deadlock (mc-lost-wakeup) unless every
+  // thread finished, when conservation is checked.
+  void check_final(const ProtocolState& s,
+                   std::vector<Violation>* violations) const;
 
  private:
+  std::string label(int thread) const;
+
   ProtocolConfig config_;
+  bool deadlines_ = false;  // some tenant sheds: a late pick differs
 };
 
 }  // namespace duet::mc

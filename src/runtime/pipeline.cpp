@@ -8,9 +8,9 @@
 
 namespace duet {
 
-PipelinedRunner::ThroughputResult PipelinedRunner::run(const ExecutionPlan& plan,
-                                                       int num_queries,
-                                                       bool with_noise) {
+ThroughputResult run_pipelined(const ExecutionPlan& plan, DevicePair& devices,
+                               int num_queries, const LaneConfig& lanes,
+                               bool with_noise) {
   DUET_CHECK_GT(num_queries, 0);
   const size_t n = plan.subgraphs().size();
   const double dispatch = executor_dispatch_overhead();
@@ -19,16 +19,16 @@ PipelinedRunner::ThroughputResult PipelinedRunner::run(const ExecutionPlan& plan
   // prefer the older query (FIFO fairness).
   std::vector<double> completion;
   list_schedule(
-      plan.flow().repeated(num_queries), lanes_,
+      plan.flow().repeated(num_queries), lanes,
       [&](int t) { return plan.subgraphs()[static_cast<size_t>(t) % n].device; },
       [&](int t, DeviceKind device, double, double) {
-        return devices_.device(device).modeled_time(
+        return devices.device(device).modeled_time(
                    plan.subgraphs()[static_cast<size_t>(t) % n].compiled,
                    with_noise) +
                dispatch;
       },
       [&](TransferKind, int, DeviceKind, uint64_t bytes, double) {
-        return devices_.link->transfer_time(bytes, with_noise);
+        return devices.link->transfer_time(bytes, with_noise);
       },
       &completion);
 

@@ -14,30 +14,21 @@
 
 namespace duet {
 
-class PipelinedRunner {
- public:
-  explicit PipelinedRunner(DevicePair& devices,
-                           const LaneConfig& lanes = LaneConfig::single())
-      : devices_(devices), lanes_(lanes) {}
-
-  struct ThroughputResult {
-    int queries = 0;
-    double makespan_s = 0.0;         // first arrival to last completion
-    double throughput_qps = 0.0;     // queries / makespan
-    double mean_latency_s = 0.0;     // mean per-query completion time
-    double bottleneck_busy_s = 0.0;  // busiest device's busy time / query
-    std::vector<double> query_latency_s;
-  };
-
-  // Simulates `num_queries` back-to-back queries (all arrive at t=0).
-  // Timing-only: numeric execution of a pipelined window is identical per
-  // query to SimExecutor::run and is validated there.
-  ThroughputResult run(const ExecutionPlan& plan, int num_queries,
-                       bool with_noise = false);
-
- private:
-  DevicePair& devices_;
-  LaneConfig lanes_;
+struct ThroughputResult {
+  int queries = 0;
+  double makespan_s = 0.0;         // first arrival to last completion
+  double throughput_qps = 0.0;     // queries / makespan
+  double mean_latency_s = 0.0;     // mean per-query completion time
+  double bottleneck_busy_s = 0.0;  // busiest device's busy time / query
+  std::vector<double> query_latency_s;
 };
+
+// Simulates `num_queries` back-to-back queries (all arrive at t=0) on
+// `devices` with `lanes`. Timing-only: numeric execution of a pipelined
+// window is identical per query to SimExecutor::run and is validated there.
+ThroughputResult run_pipelined(const ExecutionPlan& plan, DevicePair& devices,
+                               int num_queries,
+                               const LaneConfig& lanes = LaneConfig::single(),
+                               bool with_noise = false);
 
 }  // namespace duet

@@ -4,7 +4,7 @@
 // correction step of Algorithm 1 measures a placement with it
 // (LatencyEvaluator::evaluate), the simulated executor runs a plan on it
 // (SimExecutor), and the throughput runner streams a window of queries
-// through it (PipelinedRunner). The policy is the executor's (paper §IV-D):
+// through it (run_pipelined). The policy is the executor's (paper §IV-D):
 //
 //   * a task is ready once every producer has finished, plus the link
 //     transfer for each producer on the other device, plus the h2d of its

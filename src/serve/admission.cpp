@@ -19,15 +19,15 @@ std::vector<TenantClass> default_tenant_classes(int count,
   return tenants;
 }
 
-AdmissionCounters::Snapshot AdmissionCounters::snapshot() const {
-  Snapshot s;
-  s.offered = offered.load(std::memory_order_relaxed);
-  s.accepted = accepted.load(std::memory_order_relaxed);
-  s.rejected = rejected.load(std::memory_order_relaxed);
-  s.shed = shed.load(std::memory_order_relaxed);
-  s.completed = completed.load(std::memory_order_relaxed);
-  s.completed_late = completed_late.load(std::memory_order_relaxed);
-  return s;
+AdmissionCounters& AdmissionCounters::operator+=(const AdmissionCounters& o) {
+  offered += o.offered;
+  accepted += o.accepted;
+  rejected += o.rejected;
+  shed += o.shed;
+  completed += o.completed;
+  completed_late += o.completed_late;
+  failed += o.failed;
+  return *this;
 }
 
 }  // namespace duet::serve

@@ -1,8 +1,9 @@
 #pragma once
 
-// Admission accounting for the serving runtime. FleetServer (fleet.hpp)
-// and its virtual-time twin simulate_fleet (simulator.hpp) apply the same
-// two policies, both implemented once in FleetQueue (fleet_policy.hpp):
+// Admission accounting for the serving runtime. Every driver of the
+// request lifecycle (lifecycle.hpp: FleetServer, simulate_fleet and the
+// serve-protocol model checker) applies the same two policies, implemented
+// once in FleetQueue (fleet_policy.hpp) and counted once in Lifecycle:
 //
 //   * reject-on-full      — an arrival finding the bounded queue at
 //     capacity is refused immediately. Open-loop traffic cannot be made to
@@ -15,9 +16,10 @@
 //
 // Completed-but-late requests (started before the deadline, finished after)
 // are delivered and counted separately: the expensive part is already paid
-// by then, and `completed_late` makes the lateness visible.
+// by then, and `completed_late` makes the lateness visible. An execution
+// that throws fails every request of its batch (`failed`); the server
+// keeps serving.
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,37 +45,30 @@ struct TenantClass {
 std::vector<TenantClass> default_tenant_classes(int count,
                                                 double deadline_s = 0.0);
 
-// Tally of every admission decision. Safe for concurrent recording;
-// snapshot() gives a consistent-enough view for reports (counters are
-// monotonic and read after the traffic they describe has drained).
+// Tally of every admission decision for one tenant class (or a sum of
+// them). Lifecycle (lifecycle.hpp) counts under its driver's
+// serialization, so these are plain integers. Once every accepted request
+// has resolved: offered = completed + shed + rejected + failed.
 struct AdmissionCounters {
-  std::atomic<uint64_t> offered{0};
-  std::atomic<uint64_t> accepted{0};
-  std::atomic<uint64_t> rejected{0};
-  std::atomic<uint64_t> shed{0};
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> completed_late{0};
+  uint64_t offered = 0;
+  uint64_t accepted = 0;
+  uint64_t rejected = 0;
+  uint64_t shed = 0;
+  uint64_t completed = 0;
+  uint64_t completed_late = 0;
+  uint64_t failed = 0;  // executions that threw; every member of the batch
 
-  struct Snapshot {
-    uint64_t offered = 0;
-    uint64_t accepted = 0;
-    uint64_t rejected = 0;
-    uint64_t shed = 0;
-    uint64_t completed = 0;
-    uint64_t completed_late = 0;
-
-    double shed_rate() const {
-      return offered > 0
-                 ? static_cast<double>(shed) / static_cast<double>(offered)
-                 : 0.0;
-    }
-    double reject_rate() const {
-      return offered > 0
-                 ? static_cast<double>(rejected) / static_cast<double>(offered)
-                 : 0.0;
-    }
-  };
-  Snapshot snapshot() const;
+  AdmissionCounters& operator+=(const AdmissionCounters& o);
+  double shed_rate() const {
+    return offered > 0
+               ? static_cast<double>(shed) / static_cast<double>(offered)
+               : 0.0;
+  }
+  double reject_rate() const {
+    return offered > 0
+               ? static_cast<double>(rejected) / static_cast<double>(offered)
+               : 0.0;
+  }
 };
 
 }  // namespace duet::serve

@@ -20,9 +20,10 @@ namespace {
 constexpr double kSloWindowS = 10.0;
 constexpr int kSloBuckets = 10;
 
-std::vector<TenantClass> normalize_tenants(std::vector<TenantClass> tenants) {
-  if (tenants.empty()) tenants.push_back(TenantClass{});
-  return tenants;
+FleetResponse response_with(RequestStatus status) {
+  FleetResponse response;
+  response.status = status;
+  return response;
 }
 
 }  // namespace
@@ -34,14 +35,13 @@ FleetServer::FleetServer(ModelRegistry& registry, FleetOptions options,
                          Clock slo_clock)
     : registry_(registry),
       options_([&] {
-        options.tenants = normalize_tenants(std::move(options.tenants));
+        if (options.tenants.empty()) options.tenants.push_back(TenantClass{});
         options.max_batch =
             std::min(options.max_batch, registry.options().max_batch);
         return std::move(options);
       }()),
       paused_(options_.start_paused),
-      policy_(options_.tenants, options_.queue_capacity),
-      counters_(options_.tenants.size()),
+      lifecycle_(options_.tenants, options_.queue_capacity),
       batch_size_metric_(telemetry::histogram("fleet.batch_size")),
       slo_clock_(slo_clock),
       slo_(kSloWindowS, kSloBuckets),
@@ -56,6 +56,7 @@ FleetServer::FleetServer(ModelRegistry& registry, FleetOptions options,
     m.rejected = &telemetry::counter("fleet.rejected." + tenant.name);
     m.shed = &telemetry::counter("fleet.shed." + tenant.name);
     m.completed = &telemetry::counter("fleet.completed." + tenant.name);
+    m.failed = &telemetry::counter("fleet.failed." + tenant.name);
     tenant_metrics_.push_back(m);
   }
   drift_.reserve(registry_.size());
@@ -80,50 +81,31 @@ std::future<FleetResponse> FleetServer::submit(int model, int tenant,
                                                double deadline_s) {
   DUET_CHECK_GE(model, 0);
   DUET_CHECK_LT(static_cast<size_t>(model), registry_.size());
-  DUET_CHECK_GE(tenant, 0);
-  DUET_CHECK_LT(static_cast<size_t>(tenant), options_.tenants.size());
   // Bad input fails this request on the caller's thread, before anything is
   // counted — it must never reach a worker.
   registry_.model(model).check_feeds(feeds);
 
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   const double arrival_s = clock_.elapsed();
-  const size_t t = static_cast<size_t>(tenant);
-  const double rel = deadline_s < 0.0 ? options_.tenants[t].deadline_s
-                                      : deadline_s;
-
+  const FleetRequest request =
+      lifecycle_.request(id, tenant, model, arrival_s, deadline_s);
   Pending pending;
-  pending.trace_id = id;
-  pending.tenant = tenant;
-  pending.arrival_s = arrival_s;
-  pending.deadline_s = rel > 0.0 ? arrival_s + rel : 0.0;
   pending.feeds = std::move(feeds);
   std::future<FleetResponse> future = pending.promise.get_future();
-
-  FleetRequest request;
-  request.id = id;
-  request.tenant = tenant;
-  request.model = model;
-  request.arrival_s = arrival_s;
-  request.deadline_s = pending.deadline_s;
-
-  counters_[t].offered.fetch_add(1, std::memory_order_relaxed);
 
   bool accepted = false;
   uint64_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    depth = policy_.size();
-    if (!draining_ && policy_.push(request)) {
-      accepted = true;
+    depth = lifecycle_.queue().size();
+    accepted = lifecycle_.on_arrival(request);
+    if (accepted) {
       // Admission effects land before any worker can pick the request.
-      counters_[t].accepted.fetch_add(1, std::memory_order_relaxed);
       FlightRecorder::instance().record(FlightKind::kEnqueue, id, depth);
       pending_.emplace(id, std::move(pending));
-      ++inflight_;
-      max_queue_depth_ = std::max(max_queue_depth_, policy_.size());
     }
   }
+  const size_t t = static_cast<size_t>(tenant);
   const double now_us = slo_clock_();
   slo_.record_offered(now_us);
   slo_.record_queue_depth(now_us, static_cast<double>(depth));
@@ -135,7 +117,6 @@ std::future<FleetResponse> FleetServer::submit(int model, int tenant,
 
   // Refused (full or draining): every side effect, then the caller's future
   // resolves immediately.
-  counters_[t].rejected.fetch_add(1, std::memory_order_relaxed);
   tenant_metrics_[t].rejected->add(1);
   slo_.record_rejected(now_us);
   FlightRecorder::instance().record(FlightKind::kReject, id, depth);
@@ -157,12 +138,12 @@ void FleetServer::resume() {
 void FleetServer::drain() {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    draining_ = true;
+    lifecycle_.close();
   }
   resume();  // a paused server can never drain its backlog
   queue_cv_.notify_all();
   std::unique_lock<std::mutex> lock(queue_mutex_);
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+  inflight_cv_.wait(lock, [this] { return lifecycle_.quiescent(); });
 }
 
 void FleetServer::shutdown() {
@@ -182,13 +163,38 @@ FleetServer::Pending FleetServer::take_pending(uint64_t id) {
   return out;
 }
 
-void FleetServer::resolve(Pending& pending, FleetResponse&& response) {
-  response.wall_latency_s = clock_.elapsed() - pending.arrival_s;
+void FleetServer::settle(const FleetRequest& request, Pending& pending,
+                         double pickup_s, double done_s,
+                         FleetResponse&& response) {
+  const TenantMetrics& metrics =
+      tenant_metrics_[static_cast<size_t>(request.tenant)];
+  const double now_us = slo_clock_();
+  if (response.status == RequestStatus::kOk) {
+    const double latency_us = (done_s - request.arrival_s) * 1e6;
+    const bool late = Lifecycle::late(request, done_s);
+    metrics.completed->add(1);
+    slo_.record_completed(now_us, latency_us, late);
+    on_outcome(/*shed=*/false, /*breach=*/late);
+    FlightRecorder::instance().record(FlightKind::kComplete, request.id,
+                                      static_cast<uint64_t>(response.batch),
+                                      static_cast<uint64_t>(latency_us));
+  } else if (response.status == RequestStatus::kShed) {
+    const double wait_us = (pickup_s - request.arrival_s) * 1e6;
+    metrics.shed->add(1);
+    slo_.record_queue_wait(now_us, wait_us);
+    slo_.record_shed(now_us);
+    FlightRecorder::instance().record(FlightKind::kShed, request.id,
+                                      static_cast<uint64_t>(wait_us));
+    on_outcome(/*shed=*/true, /*breach=*/true);
+  } else {
+    metrics.failed->add(1);
+  }
+  response.wall_wait_s = pickup_s - request.arrival_s;
+  response.wall_latency_s = clock_.elapsed() - request.arrival_s;
   pending.promise.set_value(std::move(response));
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    DUET_CHECK_GT(inflight_, 0u);
-    --inflight_;
+    lifecycle_.on_resolve();
   }
   inflight_cv_.notify_all();
 }
@@ -202,23 +208,6 @@ void FleetServer::on_outcome(bool shed, bool breach) {
     }
   }
   if (dump_trigger_.on_outcome(shed)) maybe_flight_dump("shed-rate");
-}
-
-void FleetServer::shed_request(Pending& pending, double pickup_s) {
-  const size_t t = static_cast<size_t>(pending.tenant);
-  const double wait_s = pickup_s - pending.arrival_s;
-  counters_[t].shed.fetch_add(1, std::memory_order_relaxed);
-  tenant_metrics_[t].shed->add(1);
-  const double now_us = slo_clock_();
-  slo_.record_queue_wait(now_us, wait_s * 1e6);
-  slo_.record_shed(now_us);
-  FlightRecorder::instance().record(FlightKind::kShed, pending.trace_id,
-                                    static_cast<uint64_t>(wait_s * 1e6));
-  on_outcome(/*shed=*/true, /*breach=*/true);
-  FleetResponse response;
-  response.status = RequestStatus::kShed;
-  response.wall_wait_s = wait_s;
-  resolve(pending, std::move(response));
 }
 
 void FleetServer::worker_loop() {
@@ -244,13 +233,10 @@ void FleetServer::worker_loop() {
     double pickup_s = 0.0;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return draining_ || !policy_.empty(); });
-      if (policy_.empty()) {
-        if (draining_) return;
-        continue;
-      }
+      queue_cv_.wait(lock, [this] { return lifecycle_.wake(); });
+      if (lifecycle_.queue().empty()) return;  // woken by drain()
       pickup_s = clock_.elapsed();
-      picked = policy_.pick(pickup_s, options_.max_batch);
+      picked = lifecycle_.on_pick(pickup_s, options_.max_batch);
       shed_pending.reserve(picked.shed.size());
       for (const FleetRequest& r : picked.shed) {
         shed_pending.push_back(take_pending(r.id));
@@ -261,94 +247,87 @@ void FleetServer::worker_loop() {
       }
     }
 
-    for (Pending& p : shed_pending) shed_request(p, pickup_s);
+    for (size_t i = 0; i < picked.shed.size(); ++i) {
+      settle(picked.shed[i], shed_pending[i], pickup_s, pickup_s,
+             response_with(RequestStatus::kShed));
+    }
     if (picked.batch.empty()) continue;
 
     const int model = picked.batch.front().model;
     const int64_t batch = static_cast<int64_t>(picked.batch.size());
     ResidentModel& resident = registry_.model(model);
-    const ServingPlan serving = resident.serving_plan(batch);
-
-    std::vector<const std::map<NodeId, Tensor>*> feed_ptrs;
-    feed_ptrs.reserve(batch_pending.size());
-    for (const Pending& p : batch_pending) feed_ptrs.push_back(&p.feeds);
-    const std::map<NodeId, Tensor> stacked = stack_feeds(feed_ptrs);
 
     const double pickup_us = slo_clock_();
-    for (const Pending& p : batch_pending) {
-      const double wait_us = (pickup_s - p.arrival_s) * 1e6;
+    for (const FleetRequest& r : picked.batch) {
+      const double wait_us = (pickup_s - r.arrival_s) * 1e6;
       slo_.record_queue_wait(pickup_us, wait_us);
-      FlightRecorder::instance().record(FlightKind::kPickup, p.trace_id,
+      FlightRecorder::instance().record(FlightKind::kPickup, r.id,
                                         static_cast<uint64_t>(wait_us));
     }
     if (batch > 1) {
       FlightRecorder::instance().record(FlightKind::kCoalesce,
-                                        batch_pending.front().trace_id,
+                                        picked.batch.front().id,
                                         static_cast<uint64_t>(batch),
                                         static_cast<uint64_t>(model));
     }
 
+    ServingPlan serving;
     ExecutionResult result;
-    {
+    std::vector<std::vector<Tensor>> rows;
+    try {
+      serving = resident.serving_plan(batch);
+      std::vector<const std::map<NodeId, Tensor>*> feed_ptrs;
+      feed_ptrs.reserve(batch_pending.size());
+      for (const Pending& p : batch_pending) feed_ptrs.push_back(&p.feeds);
+      const std::map<NodeId, Tensor> stacked = stack_feeds(feed_ptrs);
       // Request context: the request span, and the timeline events, flight
       // launch/transfer records and spans inside run(), carry this id.
-      telemetry::TraceScope trace(batch_pending.front().trace_id);
+      telemetry::TraceScope trace(picked.batch.front().id);
       telemetry::ScopedSpan span("request", "serve", resident.name());
       result = executor.run(*serving.plan, stacked, options_.with_noise);
-    }
-    std::vector<std::vector<Tensor>> rows =
-        split_outputs(result.outputs, batch_pending.size());
-
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      for (const FleetRequest& r : picked.batch) {
-        policy_.charge(r.tenant,
-                       result.latency_s / static_cast<double>(batch));
+      rows = split_outputs(result.outputs, batch_pending.size());
+    } catch (const std::exception& e) {
+      // The execution failed, not the server: fail every member and go on.
+      DUET_LOG_WARN << "a batch of " << batch << " on " << resident.name()
+                    << " failed: " << e.what();
+      {
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        lifecycle_.on_complete(picked.batch, RequestStatus::kFailed, 0.0,
+                               pickup_s, clock_.elapsed());
       }
+      for (size_t i = 0; i < picked.batch.size(); ++i) {
+        settle(picked.batch[i], batch_pending[i], pickup_s, 0.0,
+               response_with(RequestStatus::kFailed));
+      }
+      continue;
     }
 
     const double done_s = clock_.elapsed();
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      lifecycle_.on_complete(picked.batch, RequestStatus::kOk,
+                             result.latency_s, pickup_s, done_s);
+    }
     batch_size_metric_.observe(static_cast<double>(batch));
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++batches_;
-      served_ += static_cast<uint64_t>(batch);
-      if (batch > 1) coalesced_ += static_cast<uint64_t>(batch);
-      ++batch_histogram_[batch];
-      for (const Pending& p : batch_pending) {
+      for (size_t i = 0; i < picked.batch.size(); ++i) {
         modeled_latency_.add(result.latency_s);
-        wall_wait_.add(pickup_s - p.arrival_s);
       }
       // Recalibration learns bucket 0's costs from batch-1 timelines.
       if (batch == 1) {
         drift_[static_cast<size_t>(model)].record(result.timeline);
       }
     }
-    const double done_us = slo_clock_();
-    for (size_t i = 0; i < batch_pending.size(); ++i) {
-      Pending& p = batch_pending[i];
-      const size_t t = static_cast<size_t>(p.tenant);
-      const double latency_s = done_s - p.arrival_s;
-      const bool late = p.deadline_s > 0.0 && done_s > p.deadline_s;
-      counters_[t].completed.fetch_add(1, std::memory_order_relaxed);
-      if (late) {
-        counters_[t].completed_late.fetch_add(1, std::memory_order_relaxed);
-      }
-      tenant_metrics_[t].completed->add(1);
-      slo_.record_completed(done_us, latency_s * 1e6, late);
-      on_outcome(/*shed=*/false, /*breach=*/late);
-      FlightRecorder::instance().record(
-          FlightKind::kComplete, p.trace_id, static_cast<uint64_t>(batch),
-          static_cast<uint64_t>(latency_s * 1e6));
-      FleetResponse response;
-      response.status = RequestStatus::kOk;
+    for (size_t i = 0; i < picked.batch.size(); ++i) {
+      FleetResponse response = response_with(RequestStatus::kOk);
       response.outputs = std::move(rows[i]);
       response.modeled_latency_s = result.latency_s;
       response.batch = batch;
       response.bucket = serving.bucket;
       response.plan_version = serving.version;
-      response.wall_wait_s = pickup_s - p.arrival_s;
-      resolve(p, std::move(response));
+      settle(picked.batch[i], batch_pending[i], pickup_s, done_s,
+             std::move(response));
     }
   }
 }
@@ -426,38 +405,25 @@ void FleetServer::maybe_flight_dump(const std::string& reason) {
 
 FleetServerStats FleetServer::stats() const {
   FleetServerStats s;
-  AdmissionCounters total;
-  for (size_t t = 0; t < options_.tenants.size(); ++t) {
-    FleetTenantStats ts;
-    ts.name = options_.tenants[t].name;
-    ts.admission = counters_[t].snapshot();
-    total.offered += ts.admission.offered;
-    total.accepted += ts.admission.accepted;
-    total.rejected += ts.admission.rejected;
-    total.shed += ts.admission.shed;
-    total.completed += ts.admission.completed;
-    total.completed_late += ts.admission.completed_late;
-    s.tenants.push_back(std::move(ts));
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    s.tenants = lifecycle_.tenant_stats();
+    s.total = lifecycle_.total();
+    const BatchTallies& tallies = lifecycle_.tallies();
+    s.batches = tallies.batches;
+    s.coalesced_requests = tallies.coalesced;
+    s.mean_batch = tallies.mean_batch();
+    s.batch_histogram = tallies.histogram;
+    s.wall_wait = tallies.queue_wait.summarize();
+    s.max_queue_depth = tallies.max_queue_depth;
   }
-  s.total = total.snapshot();
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    s.batches = batches_;
-    s.coalesced_requests = coalesced_;
-    s.mean_batch = batches_ > 0 ? static_cast<double>(served_) /
-                                      static_cast<double>(batches_)
-                                : 0.0;
-    s.batch_histogram = batch_histogram_;
     s.modeled_latency = modeled_latency_.summarize();
-    s.wall_wait = wall_wait_.summarize();
     s.recalibrations = recalibrations_;
     for (const DriftAccumulator& drift : drift_) {
       s.drift_samples += drift.total_samples();
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    s.max_queue_depth = max_queue_depth_;
   }
   s.slo_breaches = slo_breaches_.load(std::memory_order_relaxed);
   s.flight_dumps = flight_dumps_.load(std::memory_order_relaxed);

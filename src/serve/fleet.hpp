@@ -1,52 +1,46 @@
 #pragma once
 
-// FleetServer — the serving runtime. It fronts a ModelRegistry of resident
-// models with the WFQ + EDF + coalescing pickup policy of
-// serve/fleet_policy.hpp:
+// FleetServer — the serving runtime, the threaded driver of the request
+// lifecycle (serve/lifecycle.hpp: admission, WFQ + EDF + coalescing pick,
+// completion, resolution, drain). Lifecycle calls run inside the
+// queue-mutex sections; stacking, execution, splitting, drift, SLO, flight
+// and metrics calls and promises run outside that lock.
 //
 //   * submit() names a registered model and a tenant class. Feeds are
 //     checked against the model's batch-1 input signature on the caller's
 //     thread (a bad request throws there; it never reaches a worker).
-//     Admission is reject-on-full, counted per tenant — the conservation
-//     identity offered = completed + shed + rejected holds for every tenant
-//     class separately (tested).
-//   * workers pick with the shared FleetQueue policy: the least-served
-//     backlogged tenant's most urgent request fixes the model, then up to
-//     max_batch compatible requests coalesce into ONE batched execution
-//     under the batch's bucket plan. Outputs are split back per request —
-//     bit-identical to the requests having run alone (the batching
-//     correctness gate). Each worker owns a full device-pair replica, so
-//     with noise off outputs are bit-identical however many workers race.
-//   * every served request bills its own tenant virtual time, so a
-//     coalesced batch spanning tenants charges each fairly.
+//     Admission is reject-on-full; per tenant, offered = completed + shed +
+//     rejected + failed (tested).
+//   * a pick's head fixes the model; up to max_batch compatible requests
+//     coalesce into ONE execution under the batch's bucket plan, and the
+//     outputs split back per request, bit-identical to running alone. Each
+//     worker owns a device-pair replica, so with noise off outputs do not
+//     depend on which worker served them. Every member bills its own
+//     tenant's virtual time.
+//   * an execution that throws (an out-of-range embedding index passes the
+//     shape check) fails its batch: every member resolves kFailed and the
+//     worker keeps serving.
 //
 // A single-model server is a configuration, not a second code path: a
-// one-model registry, max_batch 1 and one tenant. With one tenant and a
-// uniform relative deadline, EDF is FIFO.
+// one-model registry, max_batch 1 and one tenant (EDF under a uniform
+// relative deadline is FIFO).
 //
-// Online recalibration closes the compiler-runtime loop: every batch-1
-// execution feeds the model's DriftAccumulator, and recalibrate_now()
-// re-runs the scheduler against the observed costs, swapping bucket 0's
-// placement (apply_placement) when the predicted makespan improves by the
-// threshold. In-flight executions keep their plan snapshot; the swap shows
-// only in `plan_version` — placement never changes numerics.
+// Online recalibration: every batch-1 execution feeds the model's
+// DriftAccumulator, and recalibrate_now() re-runs the scheduler against the
+// observed costs, swapping bucket 0's placement when the predicted makespan
+// improves by the threshold. In-flight executions keep their plan
+// snapshot; placement never changes numerics.
 //
-// Observability: one windowed SloMonitor per server (slo_snapshot()), the
-// always-on flight recorder fed with every admission/pickup/outcome event,
-// and a fire-once DumpTrigger that writes a post-mortem flight dump on a
-// deadline-miss burst or shed-rate incident.
+// Observability: one windowed SloMonitor (slo_snapshot()), the flight
+// recorder fed with every admission/pickup/outcome event, and a fire-once
+// DumpTrigger that writes a flight dump on a deadline-miss burst or a
+// shed-rate incident. Every per-request side effect happens before the
+// request resolves, so once drain() returns every effect is visible (the
+// model checker's mc-drain-quiescence).
 //
-// Every per-request side effect — counters, SLO records, drift, trigger
-// evaluation and the dump — happens before the request's future resolves,
-// so once drain() returns every request's effects are visible.
-//
-// Lifecycle: construct (optionally start_paused for deterministic tests) →
-// submit() from any thread → drain() to stop accepting and wait for every
-// accepted request to resolve → shutdown() (idempotent, run by the
-// destructor) to join the workers.
-//
-// The same policy object drives the virtual-time twin simulate_fleet
-// (serve/simulator.hpp); CI's tail-latency and fairness gates run there.
+// Use: construct (optionally start_paused for deterministic tests) →
+// submit() from any thread → drain() → shutdown() (idempotent, run by the
+// destructor) joins the workers.
 
 #include <atomic>
 #include <condition_variable>
@@ -62,6 +56,7 @@
 #include "common/stats.hpp"
 #include "common/timer.hpp"
 #include "serve/fleet_policy.hpp"
+#include "serve/lifecycle.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/recalibration.hpp"
 #include "serve/simulator.hpp"
@@ -70,8 +65,6 @@
 #include "telemetry/slo_monitor.hpp"
 
 namespace duet::serve {
-
-enum class RequestStatus { kOk, kRejected, kShed };
 
 // Incident dumps. The flight recorder itself is process-global and always
 // on; a fired trigger dumps its rings into `dump_dir` once. "" disables
@@ -110,14 +103,14 @@ struct FleetResponse {
 
 struct FleetServerStats {
   std::vector<FleetTenantStats> tenants;
-  AdmissionCounters::Snapshot total;
+  AdmissionCounters total;
   uint64_t batches = 0;
   uint64_t coalesced_requests = 0;
   double mean_batch = 0.0;
   // Executions by batch size — the coalescing histogram.
   std::map<int64_t, uint64_t> batch_histogram;
   SummaryStats modeled_latency;  // per completed request
-  SummaryStats wall_wait;
+  SummaryStats wall_wait;        // arrival -> pickup, per completed request
   size_t max_queue_depth = 0;
   uint64_t slo_breaches = 0;    // sheds + late completions
   uint64_t flight_dumps = 0;    // trigger-driven post-mortem dumps written
@@ -152,7 +145,7 @@ class FleetServer {
   // (duet::Error, nothing counted) when `feeds` does not match the model's
   // input signature. Otherwise the future resolves with kRejected
   // immediately when the queue is full or the server is draining, and
-  // later with kOk or kShed.
+  // later with kOk, kShed or kFailed.
   std::future<FleetResponse> submit(int model, int tenant,
                                     std::map<NodeId, Tensor> feeds,
                                     double deadline_s = -1.0);
@@ -181,12 +174,8 @@ class FleetServer {
   telemetry::SloSnapshot slo_snapshot() const;
 
  private:
+  // What the lifecycle does not carry: the payload and the caller's promise.
   struct Pending {
-    uint64_t trace_id = 0;  // minted at admission; flows through the flight
-                            // recorder, executor timeline and Chrome flows
-    int tenant = 0;
-    double arrival_s = 0.0;
-    double deadline_s = 0.0;  // absolute
     std::map<NodeId, Tensor> feeds;
     std::promise<FleetResponse> promise;
   };
@@ -197,14 +186,16 @@ class FleetServer {
     telemetry::Counter* rejected = nullptr;
     telemetry::Counter* shed = nullptr;
     telemetry::Counter* completed = nullptr;
+    telemetry::Counter* failed = nullptr;
   };
 
   void worker_loop();
-  // Sheds one picked request: every side effect, then resolve().
-  void shed_request(Pending& pending, double pickup_s);
-  // Resolves + inflight bookkeeping; must run after every side effect of
-  // the request. Caller must not hold queue_mutex_.
-  void resolve(Pending& pending, FleetResponse&& response);
+  // Every side effect of the request's outcome (status kShed, kOk or
+  // kFailed; `done_s` matters for kOk), then its promise, then
+  // Lifecycle::on_resolve — so drain() sees every effect. Caller must not
+  // hold queue_mutex_.
+  void settle(const FleetRequest& request, Pending& pending, double pickup_s,
+              double done_s, FleetResponse&& response);
   Pending take_pending(uint64_t id);
   // Records one outcome: counts an SLO breach (a shed or a late
   // completion) and evaluates the dump triggers.
@@ -225,29 +216,19 @@ class FleetServer {
   std::condition_variable pause_cv_;
   bool paused_ = false;
 
-  // Policy queue + request payloads + lifecycle, one lock: pickups must see
-  // a consistent queue/payload pair.
+  // Lifecycle + request payloads, one lock: pickups must see a consistent
+  // queue/payload pair.
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  FleetQueue policy_;
+  Lifecycle lifecycle_;
   std::unordered_map<uint64_t, Pending> pending_;
-  bool draining_ = false;
-  uint64_t inflight_ = 0;
-  size_t max_queue_depth_ = 0;
   std::condition_variable inflight_cv_;
 
-  // Per-tenant admission counters (atomics; index = tenant class).
-  std::vector<AdmissionCounters> counters_;
   std::vector<TenantMetrics> tenant_metrics_;
   telemetry::SharedHistogram& batch_size_metric_;
 
   mutable std::mutex stats_mutex_;
   LatencyRecorder modeled_latency_;
-  LatencyRecorder wall_wait_;
-  uint64_t batches_ = 0;
-  uint64_t served_ = 0;
-  uint64_t coalesced_ = 0;
-  std::map<int64_t, uint64_t> batch_histogram_;
   std::vector<DriftAccumulator> drift_;  // per model, batch-1 executions
   uint64_t recalibrations_ = 0;
 

@@ -122,10 +122,17 @@ double FleetQueue::earliest_arrival() const {
   return earliest;
 }
 
-double FleetQueue::virtual_time(int tenant) const {
-  DUET_CHECK_GE(tenant, 0);
-  DUET_CHECK_LT(static_cast<size_t>(tenant), tenants_.size());
-  return vtime_[tenant];
+void FleetQueue::append_state(std::string* out) const {
+  // FleetRequest is 8 + 4 + 4 + 8 + 8 bytes: no padding.
+  const auto put = [out](const auto& v) {
+    out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  for (size_t t = 0; t < queues_.size(); ++t) {
+    put(queues_[t].size());
+    for (const FleetRequest& r : queues_[t]) put(r);
+    put(vtime_[t]);
+  }
+  put(virtual_now_);
 }
 
 }  // namespace duet::serve

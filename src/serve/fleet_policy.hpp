@@ -2,11 +2,12 @@
 
 // The multi-tenant pickup policy (ISSUE 10): weighted fair queueing across
 // tenant classes, earliest-deadline-first within each tenant, and same-model
-// request coalescing — one deterministic data structure shared verbatim by
-// the real-threaded FleetServer (serve/fleet.hpp) and the virtual-time
-// fleet simulator (serve/simulator.hpp). It is also the single source of
-// the admission policies (admission.hpp): reject-on-full in push(),
-// shed-on-deadline-miss in pick().
+// request coalescing — one deterministic data structure, owned by the
+// request lifecycle (serve/lifecycle.hpp) that the real-threaded
+// FleetServer, the virtual-time fleet simulator and the model checker all
+// drive. It is also the single source of the admission policies
+// (admission.hpp): reject-on-full in push(), shed-on-deadline-miss in
+// pick().
 //
 // WFQ: each tenant carries a virtual finish time. A pickup chooses the
 // backlogged tenant with the smallest virtual time (ties break on the
@@ -29,10 +30,11 @@
 // already expired are shed as they are encountered, never executed.
 //
 // The structure itself is not thread-safe: the server serializes access
-// under its queue mutex; the simulator is single-threaded.
+// under its queue mutex; the simulator and the checker are single-threaded.
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "serve/admission.hpp"
@@ -62,7 +64,6 @@ class FleetQueue {
                       size_t queue_capacity);
 
   const std::vector<TenantClass>& tenants() const { return tenants_; }
-  size_t capacity() const { return capacity_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -82,7 +83,9 @@ class FleetQueue {
   // infinity when empty.
   double earliest_arrival() const;
 
-  double virtual_time(int tenant) const;
+  // Canonical bytes of the queue's contents and WFQ clocks (Lifecycle::
+  // append_state).
+  void append_state(std::string* out) const;
 
  private:
   // Ordered EDF position for `request` in tenant queue `q` (deadline, then

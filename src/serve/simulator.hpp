@@ -8,23 +8,23 @@
 // exact, reproducible numbers, the same way every benchmark in this repo
 // reports modeled time rather than the wall clock of the build machine.
 //
-// Pickups use the FleetServer's policy object verbatim (FleetQueue,
+// The event loop drives FleetServer's request lifecycle verbatim
+// (Lifecycle, lifecycle.hpp, over the FleetQueue policy of
 // fleet_policy.hpp): weighted fair queueing across tenants, EDF within,
-// same-model coalescing up to max_batch, reject-on-full and
-// shed-on-deadline-miss. A single-model server is the degenerate
-// configuration — one tenant, max_batch 1 — where EDF under a uniform
-// relative deadline is FIFO. Service time is per execution, which is what
+// same-model coalescing up to max_batch, reject-on-full,
+// shed-on-deadline-miss, and the same admission counters and batch
+// tallies. Simulated executions never fail. A single-model server is the
+// degenerate configuration — one tenant, max_batch 1 — where EDF under a
+// uniform relative deadline is FIFO. Service time is per execution, which is what
 // makes the plan-per-bucket efficacy CI gate machine-independent: feed it
 // ResidentModel::modeled_service_s for the bucketed run and
 // baseline_service_s for the single-plan baseline and compare.
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "serve/admission.hpp"
-#include "serve/fleet_policy.hpp"
+#include "serve/lifecycle.hpp"
 
 namespace duet::serve {
 
@@ -48,16 +48,11 @@ struct FleetSimConfig {
   int64_t max_batch = 8;
 };
 
-struct FleetTenantStats {
-  std::string name;
-  AdmissionCounters::Snapshot admission;
-};
-
 struct FleetSimStats {
   // Per-tenant conservation holds classwise:
-  // offered = completed + shed + rejected.
+  // offered = completed + shed + rejected + failed (failed is always 0).
   std::vector<FleetTenantStats> tenants;
-  AdmissionCounters::Snapshot total;
+  AdmissionCounters total;
   double makespan_s = 0.0;
   double throughput_qps = 0.0;
   SummaryStats sojourn;

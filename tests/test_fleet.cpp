@@ -624,7 +624,8 @@ TEST(FleetSim, ConservationPerTenant) {
   uint64_t offered = 0;
   for (const serve::FleetTenantStats& t : stats.tenants) {
     EXPECT_EQ(t.admission.offered, t.admission.completed + t.admission.shed +
-                                       t.admission.rejected)
+                                       t.admission.rejected +
+                                       t.admission.failed)
         << "conservation violated for tenant " << t.name;
     offered += t.admission.offered;
   }
@@ -789,7 +790,8 @@ TEST_F(FleetServerTest, PerTenantConservationAndRejects) {
   uint64_t offered = 0;
   for (const serve::FleetTenantStats& t : stats.tenants) {
     EXPECT_EQ(t.admission.offered, t.admission.completed + t.admission.shed +
-                                       t.admission.rejected)
+                                       t.admission.rejected +
+                                       t.admission.failed)
         << "conservation violated for tenant " << t.name;
     offered += t.admission.offered;
   }
@@ -884,7 +886,50 @@ TEST_F(FleetServerTest, BadFeedsThrowOnSubmitAndServerKeepsServing) {
   const serve::FleetServerStats stats = server.stats();
   EXPECT_EQ(stats.total.offered, 1u);
   EXPECT_EQ(stats.total.offered,
-            stats.total.completed + stats.total.shed + stats.total.rejected);
+            stats.total.completed + stats.total.shed + stats.total.rejected +
+                stats.total.failed);
+}
+
+TEST_F(FleetServerTest, WorkerExceptionFailsItsBatchAndServerKeepsServing) {
+  // submit() checks shapes and dtypes only, so an out-of-range embedding
+  // index passes admission and throws inside the worker's execution. That
+  // fails its batch, not the process.
+  ModelRegistry registry(tiny_options(1));
+  const int idx = registry.register_model(
+      "dlrm", models::zoo_batched_factory("dlrm", /*tiny=*/true));
+  serve::FleetOptions options;
+  options.workers = 1;
+  options.max_batch = 1;
+  serve::FleetServer server(registry, options);
+  Rng rng(17);
+  const auto feeds =
+      models::make_random_feeds(registry.model(idx).engine().model(), rng);
+  auto bad = feeds;
+  bool poisoned = false;
+  for (auto& [id, tensor] : bad) {
+    if (tensor.dtype() != DType::kInt32) continue;
+    tensor = tensor.clone();  // `feeds` keeps its valid indices
+    tensor.data<int32_t>()[0] = 1 << 30;
+    poisoned = true;
+    break;
+  }
+  ASSERT_TRUE(poisoned) << "dlrm has an int32 index input";
+
+  const serve::FleetResponse failed = server.submit(idx, 0, bad).get();
+  EXPECT_EQ(failed.status, serve::RequestStatus::kFailed);
+  EXPECT_TRUE(failed.outputs.empty());
+  EXPECT_EQ(server.submit(idx, 0, feeds).get().status,
+            serve::RequestStatus::kOk);
+  server.drain();
+
+  const serve::FleetServerStats stats = server.stats();
+  EXPECT_EQ(stats.total.offered, 2u);
+  EXPECT_EQ(stats.total.failed, 1u);
+  EXPECT_EQ(stats.total.completed, 1u);
+  EXPECT_EQ(stats.batches, 1u) << "a failed execution is not a served batch";
+  EXPECT_EQ(stats.total.offered,
+            stats.total.completed + stats.total.shed + stats.total.rejected +
+                stats.total.failed);
 }
 
 }  // namespace

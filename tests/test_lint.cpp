@@ -391,7 +391,7 @@ TEST(RuleCatalogue, CoversEveryEmittedRule) {
   for (const char* rule :
        {"unreachable-step", "unbounded-dim",
         "mc-conservation", "mc-queue-accounting", "mc-lost-wakeup",
-        "mc-snapshot-retired", "mc-depth-bound"}) {
+        "mc-snapshot-retired", "mc-depth-bound", "mc-drain-quiescence"}) {
     EXPECT_NE(lint::find_rule(rule), nullptr) << rule;
   }
 }
@@ -401,8 +401,8 @@ TEST(RuleCatalogue, AppendOnlyTailKeepsSarifRuleIndicesStable) {
   // ruleIndex, so a new rule may only be added at the end. Pin the tail.
   const std::vector<lint::RuleInfo>& rules = lint::rule_catalogue();
   ASSERT_FALSE(rules.empty());
-  EXPECT_EQ(std::string(rules.back().id), "telemetry-unbounded-series");
-  EXPECT_EQ(rules.back().severity, Diagnostic::Severity::kWarning);
+  EXPECT_EQ(std::string(rules.back().id), "mc-drain-quiescence");
+  EXPECT_EQ(rules.back().severity, Diagnostic::Severity::kError);
   // Indices of long-standing rules must not have shifted.
   const auto index_of = [&rules](const std::string& id) {
     for (std::size_t i = 0; i < rules.size(); ++i) {
@@ -413,6 +413,8 @@ TEST(RuleCatalogue, AppendOnlyTailKeepsSarifRuleIndicesStable) {
   };
   EXPECT_LT(index_of("boundary-type"), index_of("mc-conservation"));
   EXPECT_LT(index_of("mc-depth-bound"), index_of("telemetry-unbounded-series"));
+  EXPECT_LT(index_of("telemetry-unbounded-series"),
+            index_of("mc-drain-quiescence"));
 }
 
 // --- SARIF ----------------------------------------------------------------------

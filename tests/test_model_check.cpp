@@ -1,10 +1,14 @@
 // Tests for the small-scope serve-protocol model checker
-// (src/analysis/model_check): the correct protocol passes all four
-// invariants exhaustively, each seeded-bad variant is caught under its
-// expected mc-* rule, and sleep-set pruning shrinks the search without
-// changing the verdict.
+// (src/analysis/model_check), which drives the real request lifecycle
+// (serve/lifecycle.hpp): the correct driver passes all five invariants
+// exhaustively, at one tenant and at two tenants with coalescing; each
+// seeded-bad driver mutation is caught under its expected mc-* rule; and
+// sleep-set pruning shrinks the search without changing the verdict.
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "analysis/model_check/explorer.hpp"
 
@@ -19,8 +23,9 @@ bool has_rule(const VerifyResult& r, const std::string& rule) {
 }
 
 TEST(ModelCheck, CorrectProtocolIsExhaustivelyClean) {
-  // The acceptance configuration: 2 producers x 2 requests, 2 consumers,
-  // queue capacity 2, 1 plan swap, plus the drain/close thread.
+  // The acceptance configuration: 2 producers x 2 requests, 2 workers, one
+  // tenant, queue capacity 2, max_batch 1, 1 plan swap, plus the drain
+  // thread.
   const ExploreResult r = explore(ProtocolConfig{});
   EXPECT_TRUE(r.ok) << r.findings.to_string();
   EXPECT_TRUE(r.exhausted) << r.summary();
@@ -29,19 +34,6 @@ TEST(ModelCheck, CorrectProtocolIsExhaustivelyClean) {
   // Sanity: this is a real interleaving space, not a trivial chain.
   EXPECT_GT(r.states_visited, 1000u) << r.summary();
   EXPECT_GT(r.max_depth_seen, 10);
-}
-
-TEST(ModelCheck, NonAtomicCounterBreaksConservation) {
-  ProtocolConfig config;
-  config.variant = Variant::kNonAtomicCounter;
-  const ExploreResult r = explore(config);
-  EXPECT_FALSE(r.ok) << r.summary();
-  EXPECT_TRUE(r.exhausted) << r.summary();
-  EXPECT_TRUE(r.findings.has_error("mc-conservation"))
-      << r.findings.to_string();
-  ASSERT_FALSE(r.counterexamples.empty());
-  EXPECT_NE(r.counterexamples.front().find("mc-conservation"),
-            std::string::npos);
 }
 
 TEST(ModelCheck, SilentDropOnFullBreaksQueueAccounting) {
@@ -74,6 +66,64 @@ TEST(ModelCheck, UnrefSnapshotRunsRetiredPlan) {
   EXPECT_FALSE(r.counterexamples.empty());
 }
 
+TEST(ModelCheck, ResolveBeforeSideEffectsBreaksDrainQuiescence) {
+  ProtocolConfig config;
+  config.variant = Variant::kResolveBeforeSideEffects;
+  const ExploreResult r = explore(config);
+  EXPECT_FALSE(r.ok) << r.summary();
+  EXPECT_TRUE(r.exhausted) << r.summary();
+  EXPECT_TRUE(r.findings.has_error("mc-drain-quiescence"))
+      << r.findings.to_string();
+  EXPECT_FALSE(r.counterexamples.empty());
+}
+
+TEST(ModelCheck, UncountedFailureBreaksConservation) {
+  ProtocolConfig config;
+  config.variant = Variant::kUncountedFailure;
+  const ExploreResult r = explore(config);
+  EXPECT_FALSE(r.ok) << r.summary();
+  EXPECT_TRUE(r.exhausted) << r.summary();
+  EXPECT_TRUE(r.findings.has_error("mc-conservation"))
+      << r.findings.to_string();
+  ASSERT_FALSE(r.counterexamples.empty());
+  bool traced = false;
+  for (const std::string& trace : r.counterexamples) {
+    if (trace.find("mc-conservation") == std::string::npos) continue;
+    traced = true;
+    EXPECT_NE(trace.find("run-fails"), std::string::npos) << trace;
+  }
+  EXPECT_TRUE(traced);
+}
+
+// Two tenants (WFQ weights 2:1, only the first sheds) and max_batch 2, so
+// picks coalesce across tenants and a late pick can shed one member while
+// running the other. The plan swapper is left out: its protocol does not
+// touch the queue, and the one-tenant scope covers it.
+ProtocolConfig two_tenant_scope() {
+  ProtocolConfig config;
+  config.tenants = {{"gold", 2.0, 1.0}, {"silver", 1.0, 0.0}};
+  config.max_batch = 2;
+  config.swaps = 0;
+  return config;
+}
+
+TEST(ModelCheck, TwoTenantCoalescingScopeIsExhaustivelyClean) {
+  const ExploreResult r = explore(two_tenant_scope());
+  EXPECT_TRUE(r.ok) << r.findings.to_string();
+  EXPECT_TRUE(r.exhausted) << r.summary();
+  EXPECT_EQ(r.findings.diagnostics().size(), 0u) << r.findings.to_string();
+  EXPECT_GT(r.states_visited, 1000u) << r.summary();
+}
+
+TEST(ModelCheck, TwoTenantScopeCatchesResolveBeforeSideEffects) {
+  ProtocolConfig config = two_tenant_scope();
+  config.variant = Variant::kResolveBeforeSideEffects;
+  const ExploreResult r = explore(config);
+  EXPECT_TRUE(r.exhausted) << r.summary();
+  EXPECT_TRUE(r.findings.has_error("mc-drain-quiescence"))
+      << r.findings.to_string();
+}
+
 TEST(ModelCheck, FindingsCarryVariantArtifactAndContext) {
   ProtocolConfig config;
   config.variant = Variant::kSilentDropOnFull;
@@ -102,7 +152,7 @@ TEST(ModelCheck, SleepSetsPruneWithoutChangingVerdict) {
       << pruned.summary() << " vs " << full.summary() << ")";
   // Bad variant: pruning must not mask the violation.
   ProtocolConfig bad;
-  bad.variant = Variant::kNonAtomicCounter;
+  bad.variant = Variant::kUncountedFailure;
   const ExploreResult bad_pruned = explore(bad, with);
   const ExploreResult bad_full = explore(bad, without);
   EXPECT_TRUE(bad_pruned.findings.has_error("mc-conservation"));
@@ -145,7 +195,7 @@ TEST(ModelCheck, SmallerScopeStillExercisesSwapRetire) {
   // the unref variant is caught even at minimal scope.
   ProtocolConfig config;
   config.producers = 1;
-  config.consumers = 1;
+  config.workers = 1;
   config.requests_per_producer = 1;
   config.queue_capacity = 1;
   config.variant = Variant::kUnrefSnapshot;
@@ -156,12 +206,15 @@ TEST(ModelCheck, SmallerScopeStillExercisesSwapRetire) {
 }
 
 TEST(ModelCheck, VariantNamesAreDistinct) {
-  EXPECT_STRNE(variant_name(Variant::kCorrect),
-               variant_name(Variant::kNonAtomicCounter));
-  EXPECT_STRNE(variant_name(Variant::kSilentDropOnFull),
-               variant_name(Variant::kMissedCloseWakeup));
-  EXPECT_STRNE(variant_name(Variant::kMissedCloseWakeup),
-               variant_name(Variant::kUnrefSnapshot));
+  const Variant variants[] = {
+      Variant::kCorrect,         Variant::kSilentDropOnFull,
+      Variant::kMissedCloseWakeup, Variant::kUnrefSnapshot,
+      Variant::kResolveBeforeSideEffects, Variant::kUncountedFailure};
+  std::set<std::string> names;
+  for (const Variant v : variants) {
+    EXPECT_TRUE(names.insert(variant_name(v)).second) << variant_name(v);
+    EXPECT_STRNE(variant_name(v), "unknown");
+  }
 }
 
 }  // namespace

@@ -53,9 +53,8 @@ TEST(Pipeline, SingleQueryMatchesSimExecutor) {
       const ExecutionPlan plan = bench.plan(placement);
       for (const LaneConfig& lanes :
            {LaneConfig::single(), LaneConfig::gpu_streams(3)}) {
-        PipelinedRunner runner(bench.devices, lanes);
         SimExecutor executor(bench.devices, lanes);
-        const auto r = runner.run(plan, 1, false);
+        const auto r = run_pipelined(plan, bench.devices, 1, lanes);
         EXPECT_EQ(r.queries, 1);
         EXPECT_EQ(r.makespan_s, executor.run_latency_only(plan, false));
       }
@@ -85,9 +84,8 @@ TEST(Pipeline, CrossDeviceEdgeChargesOnlyTheValuesRead) {
   placement.set(0, DeviceKind::kGpu);
   const ExecutionPlan plan = bench.plan(placement);
 
-  PipelinedRunner runner(bench.devices);
   SimExecutor executor(bench.devices);
-  EXPECT_EQ(runner.run(plan, 1, false).makespan_s,
+  EXPECT_EQ(run_pipelined(plan, bench.devices, 1).makespan_s,
             executor.run_latency_only(plan, false));
 }
 
@@ -97,7 +95,7 @@ TEST(Pipeline, CrossDeviceChainPipelines) {
   // pipeline sustains one query per max(stage) — classic software
   // pipelining. (Wide-and-Deep itself gains no extra throughput from
   // pipelining: its bottleneck device is already 100% busy within one
-  // query, which PipelinedRunner must — and does — respect.)
+  // query, which run_pipelined must — and does — respect.)
   GraphBuilder b("pipe-chain");
   NodeId x = b.input(Shape{1, 512});
   for (int i = 0; i < 8; ++i) x = b.dense(x, 512);
@@ -116,9 +114,8 @@ TEST(Pipeline, CrossDeviceChainPipelines) {
   }
   ExecutionPlan plan = ExecutionPlan::build(g, partition, placement, devices,
                                             CompileOptions::compiler_defaults());
-  PipelinedRunner runner(devices);
-  const auto one = runner.run(plan, 1, false);
-  const auto many = runner.run(plan, 64, false);
+  const auto one = run_pipelined(plan, devices, 1);
+  const auto many = run_pipelined(plan, devices, 64);
   EXPECT_GT(many.throughput_qps, (1.0 / one.makespan_s) * 1.4);
   // And can never beat the bottleneck-device bound.
   EXPECT_LE(many.throughput_qps, 1.0 / many.bottleneck_busy_s * 1.05);
@@ -131,9 +128,8 @@ TEST(Pipeline, DuetPlacementOutperformsGpuOnlyThroughput) {
   ExecutionPlan gpu_plan =
       bench.plan(Placement(bench.partition.subgraphs.size(), DeviceKind::kGpu));
 
-  PipelinedRunner runner(bench.devices);
-  const auto d = runner.run(duet_plan, 32, false);
-  const auto g = runner.run(gpu_plan, 32, false);
+  const auto d = run_pipelined(duet_plan, bench.devices, 32);
+  const auto g = run_pipelined(gpu_plan, bench.devices, 32);
   EXPECT_GT(d.throughput_qps, g.throughput_qps);
 }
 
@@ -141,8 +137,7 @@ TEST(Pipeline, LatenciesMonotoneInQueueDepth) {
   PipeBench bench(models::build_siamese());
   ExecutionPlan plan =
       bench.plan(Placement(bench.partition.subgraphs.size(), DeviceKind::kCpu));
-  PipelinedRunner runner(bench.devices);
-  const auto r = runner.run(plan, 8, false);
+  const auto r = run_pipelined(plan, bench.devices, 8);
   ASSERT_EQ(r.query_latency_s.size(), 8u);
   for (size_t q = 1; q < 8; ++q) {
     EXPECT_GE(r.query_latency_s[q], r.query_latency_s[q - 1] - 1e-12)

@@ -4,7 +4,7 @@
 // configuration, online recalibration, and the real-threaded server
 // (determinism under concurrency, deadline shedding, reject-on-full,
 // graceful drain, plan-swap equivalence, SLO window, incident dumps), plus
-// PipelinedRunner determinism the serving stack leans on.
+// run_pipelined determinism the serving stack leans on.
 
 #include <gtest/gtest.h>
 
@@ -107,7 +107,8 @@ TEST(ServeSim, AdmissionAccountingConserves) {
       requests, one_ms, single_model(1, 16, /*deadline_s=*/5e-3));
   EXPECT_EQ(s.total.offered, 1000u);
   EXPECT_EQ(s.total.offered,
-            s.total.completed + s.total.shed + s.total.rejected);
+            s.total.completed + s.total.shed + s.total.rejected +
+                s.total.failed);
   EXPECT_GT(s.total.rejected, 0u) << "4x overload on a 16-deep queue";
   EXPECT_GT(s.total.shed, 0u) << "5 ms deadline at 4x overload";
   EXPECT_LE(s.total.completed_late, s.total.completed);
@@ -321,7 +322,8 @@ serve::FleetOptions single_options(int workers, size_t queue_capacity = 64) {
 
 void expect_conserved(const serve::FleetServerStats& stats) {
   EXPECT_EQ(stats.total.offered,
-            stats.total.completed + stats.total.shed + stats.total.rejected);
+            stats.total.completed + stats.total.shed + stats.total.rejected +
+                stats.total.failed);
 }
 
 // Stress knobs for the threaded-server tests. The defaults keep CI fast;
@@ -764,15 +766,14 @@ TEST(ServeServer, UnwritableDumpDirCountsNoFlightDump) {
 }
 
 // ---------------------------------------------------------------------------
-// PipelinedRunner properties the serving stack relies on
+// run_pipelined properties the serving stack relies on
 
 TEST(ServePipeline, NoiseFreeRunsAreIdentical) {
   DuetOptions eopts;
   eopts.enable_fallback = false;
   DuetEngine engine(tiny_model(), eopts);
-  PipelinedRunner runner(engine.devices());
-  const auto a = runner.run(engine.plan(), 16, false);
-  const auto b = runner.run(engine.plan(), 16, false);
+  const auto a = run_pipelined(engine.plan(), engine.devices(), 16);
+  const auto b = run_pipelined(engine.plan(), engine.devices(), 16);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
   EXPECT_DOUBLE_EQ(a.throughput_qps, b.throughput_qps);
   ASSERT_EQ(a.query_latency_s.size(), 16u);
@@ -783,8 +784,7 @@ TEST(ServePipeline, ThroughputBoundedByBottleneckDevice) {
   DuetOptions eopts;
   eopts.enable_fallback = false;
   DuetEngine engine(tiny_model(), eopts);
-  PipelinedRunner runner(engine.devices());
-  const auto r = runner.run(engine.plan(), 32, false);
+  const auto r = run_pipelined(engine.plan(), engine.devices(), 32);
   ASSERT_GT(r.bottleneck_busy_s, 0.0);
   // Steady state: at most one query per bottleneck-busy interval (small
   // slack for the pipeline fill/drain ramps).

@@ -1099,6 +1099,7 @@ std::string fleet_tenant_json(const duet::serve::FleetTenantStats& t) {
   out += "\"completed\":" + std::to_string(t.admission.completed) + ",";
   out += "\"shed\":" + std::to_string(t.admission.shed) + ",";
   out += "\"rejected\":" + std::to_string(t.admission.rejected) + ",";
+  out += "\"failed\":" + std::to_string(t.admission.failed) + ",";
   out += "\"completed_late\":" + std::to_string(t.admission.completed_late) + ",";
   out += "\"shed_rate\":" + json_number(t.admission.shed_rate()) + "}";
   return out;
@@ -1259,6 +1260,7 @@ bool fleet_bench(const std::vector<std::string>& names,
     doc += "\"completed\":" + std::to_string(sstats.total.completed) + ",";
     doc += "\"shed\":" + std::to_string(sstats.total.shed) + ",";
     doc += "\"rejected\":" + std::to_string(sstats.total.rejected) + ",";
+    doc += "\"failed\":" + std::to_string(sstats.total.failed) + ",";
     doc += "\"batches\":" + std::to_string(sstats.batches) + ",";
     doc += "\"mean_batch\":" + json_number(sstats.mean_batch) + ",";
     doc += "\"coalesced_requests\":" +
