@@ -26,6 +26,10 @@
 namespace duet {
 
 inline constexpr size_t kNormalBlock = 128;
+// Bumped whenever a change to the generator changes any element it writes:
+// recipe-backed tensors (tensor/tensor.hpp) are identified by their recipe,
+// which names this version, instead of by their bytes.
+inline constexpr uint32_t kNormalGeneratorVersion = 1;
 
 // One generator stream: the key derived from (seed, stream ordinal).
 struct NormalStream {

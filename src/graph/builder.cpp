@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/counter_normal.hpp"
 #include "common/error.hpp"
 
 namespace duet {
@@ -29,10 +28,11 @@ NodeId GraphBuilder::weight(Shape shape, const std::string& name) {
 }
 
 Tensor GraphBuilder::init_normal(Shape shape, float stddev) {
-  Tensor t = Tensor::uninitialized(std::move(shape));
-  fill_normal(t.data<float>(), static_cast<size_t>(t.numel()),
-              NormalStream(seed_, next_stream_++), stddev);
-  return t;
+  TensorRecipe recipe;
+  recipe.seed = seed_;
+  recipe.stream = next_stream_++;
+  recipe.stddev = stddev;
+  return Tensor::from_recipe(std::move(shape), recipe);
 }
 
 int64_t GraphBuilder::last_dim(NodeId x) const {

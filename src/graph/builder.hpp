@@ -5,7 +5,8 @@
 // counter-based generator (common/counter_normal.hpp): element i of the k-th
 // random tensor a builder creates under seed s depends only on (s, k, i), so
 // every run of an experiment sees identical parameters whatever the thread
-// count or instruction set.
+// count or instruction set. They are recipe-backed tensors: building a graph
+// generates no weight bytes; the first read of each weight does.
 
 #include <string>
 #include <vector>
@@ -67,8 +68,8 @@ class GraphBuilder {
 
  private:
   int64_t last_dim(NodeId x) const;
-  // Normal(0, stddev) tensor from the builder's next weight stream — the one
-  // path weight(), conv2d() and embedding() share.
+  // Recipe-backed normal(0, stddev) tensor on the builder's next weight
+  // stream — the one path weight(), conv2d() and embedding() share.
   Tensor init_normal(Shape shape, float stddev);
 
   Graph graph_;

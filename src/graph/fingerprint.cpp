@@ -9,6 +9,10 @@ namespace duet {
 namespace {
 
 constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+// Domain tags of the three kinds of constant content (content_key).
+constexpr uint64_t kPayloadTag = 0x5041594C4F414421ull;  // "PAYLOAD!"
+constexpr uint64_t kRecipeTag = 0x5245434950452121ull;   // "RECIPE!!"
+constexpr uint64_t kDerivedTag = 0x4445524956454421ull;  // "DERIVED!"
 
 uint64_t splitmix(uint64_t x) {
   x += kGolden;
@@ -61,15 +65,57 @@ uint64_t hash_payload(const void* data, size_t n, uint64_t seed) {
   return hash_bytes(data, n, seed);
 }
 
-uint64_t hash_tensor_payload(const Tensor& t, uint64_t h,
-                             PayloadDigestMemo* digests) {
+// A constant's content: a lazy tensor's key, or its payload's bytes.
+uint64_t hash_constant(const Tensor& t, uint64_t h, PayloadDigestMemo* digests) {
   if (!t.defined()) return hash_mix(h, 0);
-  h = hash_mix(h, t.byte_size());
+  if (t.lazy()) return hash_mix(h, content_key(t));
+  h = hash_mix(hash_mix(h, kPayloadTag), t.byte_size());
   return digests != nullptr ? digests->digest(t.raw_data(), t.byte_size(), h)
                             : hash_payload(t.raw_data(), t.byte_size(), h);
 }
 
+// A node's own hash: op, input ordinal (kInput only), attributes, output
+// shape and dtype.
+uint64_t hash_node(const Node& node, int input_ordinal) {
+  uint64_t h = hash_mix(0x5343484544554554ull, static_cast<uint64_t>(node.op));
+  if (node.is_input()) h = hash_mix(h, static_cast<uint64_t>(input_ordinal));
+  for (const auto& [key, attr] : node.attrs.raw()) {
+    h = hash_string(key, h);
+    h = hash_attr(attr, h);
+  }
+  h = hash_shape(node.out_shape, h);
+  return hash_mix(h, static_cast<uint64_t>(node.out_dtype));
+}
+
 }  // namespace
+
+uint64_t content_key(const Tensor& t) {
+  DUET_CHECK(t.defined()) << "content key of an undefined tensor";
+  const uint64_t typed = hash_shape(
+      t.shape(), hash_mix(0, static_cast<uint64_t>(t.dtype())));
+  if (const TensorRecipe* r = t.recipe()) {
+    uint32_t stddev_bits = 0;
+    std::memcpy(&stddev_bits, &r->stddev, sizeof(stddev_bits));
+    uint64_t h = hash_mix(kRecipeTag, r->version);
+    h = hash_mix(h, r->seed);
+    h = hash_mix(h, r->stream);
+    h = hash_mix(h, stddev_bits);
+    return hash_mix(h, typed);
+  }
+  if (t.lazy()) return t.derivation_key();
+  return hash_bytes(t.raw_data(), t.byte_size(), hash_mix(kPayloadTag, typed));
+}
+
+uint64_t derivation_key(uint64_t derivation, const std::vector<Tensor>& inputs) {
+  uint64_t h = hash_mix(hash_mix(kDerivedTag, derivation), inputs.size());
+  for (const Tensor& in : inputs) h = hash_mix(h, content_key(in));
+  // A deferred tensor's key must be nonzero.
+  return h != 0 ? h : kDerivedTag;
+}
+
+uint64_t derivation_key(const Node& node, const std::vector<Tensor>& inputs) {
+  return derivation_key(hash_node(node, -1), inputs);
+}
 
 uint64_t hash_mix(uint64_t h, uint64_t v) {
   // boost::hash_combine's 64-bit shape with a splitmix-strengthened operand:
@@ -145,16 +191,7 @@ GraphFingerprint fingerprint_graph(const Graph& graph,
 
   for (const Node& node : graph.nodes()) {
     const size_t i = static_cast<size_t>(node.id);
-    uint64_t h = hash_mix(0x5343484544554554ull, static_cast<uint64_t>(node.op));
-    if (node.is_input()) {
-      h = hash_mix(h, static_cast<uint64_t>(input_ordinal[i]));
-    }
-    for (const auto& [key, attr] : node.attrs.raw()) {
-      h = hash_string(key, h);
-      h = hash_attr(attr, h);
-    }
-    h = hash_shape(node.out_shape, h);
-    h = hash_mix(h, static_cast<uint64_t>(node.out_dtype));
+    uint64_t h = hash_node(node, input_ordinal[i]);
     uint64_t v = h;
     for (NodeId in : node.inputs) {
       DUET_CHECK_GE(in, 0);
@@ -162,9 +199,7 @@ GraphFingerprint fingerprint_graph(const Graph& graph,
       h = hash_mix(h, hs[static_cast<size_t>(in)]);
       v = hash_mix(v, hv[static_cast<size_t>(in)]);
     }
-    if (node.is_constant()) {
-      v = hash_tensor_payload(node.value, v, digests);
-    }
+    if (node.is_constant()) v = hash_constant(node.value, v, digests);
     hs[i] = h;
     hv[i] = v;
   }

@@ -8,8 +8,11 @@
 //    same computation hash identically. This keys everything whose result
 //    depends only on the *shape* of the computation: modeled per-kernel
 //    costs, and therefore profiling statistics.
-//  * `values` — `structural` plus the payload bytes of every constant.
-//    This keys numerically-executable artifacts (CompiledSubgraph embeds the
+//  * `values` — `structural` plus the content of every constant: a
+//    recipe-backed constant's recipe and a deferred constant's derivation key
+//    (tensor/tensor.hpp), each under its own domain tag and without reading
+//    a byte, or a payload-backed constant's bytes under a third tag. This
+//    keys numerically-executable artifacts (CompiledSubgraph embeds the
 //    weight tensors), where two structurally identical subgraphs with
 //    different weights must not share a cache entry.
 //
@@ -19,15 +22,16 @@
 // add(a, a) and add(a, b) differ. kInput nodes mix in their ordinal in
 // input_ids() order — the graph's signature — instead of their name.
 //
-// Hashing constant payloads is the whole cost of a fingerprint of a
-// paper-size model. A PayloadDigestMemo shared across the fingerprints of a
-// model and of the subgraphs partitioned out of it (whose constants alias
-// the model's buffers) hashes each payload once.
+// Hashing constant payloads is the whole cost of a fingerprint of a model
+// whose weights are payloads (a Relay import). A PayloadDigestMemo shared
+// across the fingerprints of a model and of the subgraphs partitioned out of
+// it (whose constants alias the model's buffers) hashes each payload once.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -84,6 +88,21 @@ GraphFingerprint fingerprint_graph(const Graph& graph,
 // compile cache folds this in on top of `values`: renamed twins miss the
 // compile cache yet still share profiling stats.
 uint64_t fingerprint_names(const Graph& graph);
+
+// Identity of a tensor's bytes: a recipe-backed tensor's recipe (generator
+// version, seed, stream, stddev) with its shape and dtype under the recipe
+// tag, a deferred tensor's derivation key, or a plain tensor's bytes under
+// the payload tag. Reads bytes only for a plain tensor, and counts none of
+// them in graph.fingerprint.payload_bytes.
+uint64_t content_key(const Tensor& t);
+
+// Key of a deferred constant: `derivation`, a hash naming what a pass
+// computes, mixed under the derivation tag with the content keys of the
+// tensors it is computed from, positionally.
+uint64_t derivation_key(uint64_t derivation, const std::vector<Tensor>& inputs);
+// The same with `node`'s op, attributes, output shape and dtype as the
+// derivation: the key of evaluating `node` on constant `inputs`.
+uint64_t derivation_key(const Node& node, const std::vector<Tensor>& inputs);
 
 // 64-bit combine / bytes hash shared by the cache-key builders.
 uint64_t hash_mix(uint64_t h, uint64_t v);

@@ -107,10 +107,12 @@ std::future<FleetResponse> FleetServer::submit(int model, int tenant,
   }
   const size_t t = static_cast<size_t>(tenant);
   const double now_us = slo_clock_();
+  // Every arrival is offered, accepted or not, as AdmissionCounters counts
+  // it: offered = completed + shed + rejected + failed.
+  tenant_metrics_[t].offered->add(1);
   slo_.record_offered(now_us);
   slo_.record_queue_depth(now_us, static_cast<double>(depth));
   if (accepted) {
-    tenant_metrics_[t].offered->add(1);
     queue_cv_.notify_one();
     return future;
   }

@@ -1,9 +1,114 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <mutex>
+#include <new>
+
+#include "telemetry/metrics.hpp"
 
 namespace duet {
+
+// The shared state of a lazy tensor and all its aliases. `make` runs once,
+// under `once`, on whichever thread first reads the bytes. A recipe fill
+// started on a global-pool worker runs fill_normal's parallel_for inline
+// there; one started elsewhere fans out over the pool, so pool tasks must
+// not wait on a lazy tensor another thread may be filling. None does:
+// kernels read their operands' bytes before they fan out.
+struct alignas(64) Tensor::Lazy {
+  // Read on every access once made. The alignment keeps these lines apart
+  // from the reference counts that every copy of the tensor writes.
+  std::atomic<bool> made{false};
+  Tensor value;  // plain, once made
+  std::once_flag once;
+  std::function<void(Tensor&)> make;
+  Shape shape;  // as declared; an alias may be reshaped
+  DType dtype = DType::kFloat32;
+  TensorRecipe recipe;  // recipe-backed when key == 0
+  uint64_t key = 0;     // deferred: the derivation key
+};
+
+namespace {
+
+// A buffer for a lazy tensor's bytes: whole cache lines of its own. A
+// weight is made on whichever thread first reads it, typically a serving
+// worker, whose heap also holds every request's temporaries; sharing a line
+// with their allocator metadata would make each write there evict the
+// weight from every core that is reading it.
+constexpr size_t kLine = 64;
+
+std::shared_ptr<uint8_t[]> line_aligned_buffer(size_t bytes) {
+  const size_t rounded = std::max<size_t>((bytes + kLine - 1) / kLine, 1) * kLine;
+  return std::shared_ptr<uint8_t[]>(
+      new (std::align_val_t{kLine}) uint8_t[rounded],
+      [](uint8_t* p) { ::operator delete[](p, std::align_val_t{kLine}); });
+}
+
+}  // namespace
+
+Tensor Tensor::from_recipe(Shape shape, TensorRecipe recipe) {
+  Tensor out;
+  out.shape_ = std::move(shape);
+  out.dtype_ = DType::kFloat32;
+  out.lazy_ = std::make_shared<Lazy>();
+  out.lazy_->shape = out.shape_;
+  out.lazy_->recipe = recipe;
+  out.lazy_->make = [recipe](Tensor& t) {
+    DUET_CHECK_EQ(recipe.version, kNormalGeneratorVersion)
+        << "recipe of another weight generator version";
+    fill_normal(t.data<float>(), static_cast<size_t>(t.numel()),
+                NormalStream(recipe.seed, recipe.stream), recipe.stddev);
+  };
+  return out;
+}
+
+Tensor Tensor::deferred(Shape shape, DType dtype, uint64_t key,
+                        std::function<void(Tensor&)> derive) {
+  DUET_CHECK_NE(key, 0u) << "a deferred tensor needs a nonzero key";
+  Tensor out;
+  out.shape_ = std::move(shape);
+  out.dtype_ = dtype;
+  out.lazy_ = std::make_shared<Lazy>();
+  out.lazy_->shape = out.shape_;
+  out.lazy_->dtype = dtype;
+  out.lazy_->key = key;
+  out.lazy_->make = std::move(derive);
+  return out;
+}
+
+bool Tensor::materialized() const {
+  return lazy_ == nullptr || lazy_->made.load(std::memory_order_acquire);
+}
+
+const TensorRecipe* Tensor::recipe() const {
+  return lazy_ != nullptr && lazy_->key == 0 ? &lazy_->recipe : nullptr;
+}
+
+uint64_t Tensor::derivation_key() const {
+  return lazy_ != nullptr ? lazy_->key : 0;
+}
+
+const uint8_t* Tensor::lazy_bytes() const {
+  Lazy& lazy = *lazy_;
+  // Made already: one acquire load, without call_once's per-call set-up.
+  if (lazy.made.load(std::memory_order_acquire)) return lazy.value.buffer_.get();
+  std::call_once(lazy.once, [&] {
+    // tensor.materialized_bytes: bytes filled by recipes and derivations.
+    static telemetry::Counter& bytes =
+        telemetry::counter("tensor.materialized_bytes");
+    Tensor v;
+    v.shape_ = lazy.shape;
+    v.dtype_ = lazy.dtype;
+    v.buffer_ = line_aligned_buffer(v.byte_size());
+    lazy.make(v);
+    lazy.value = std::move(v);
+    lazy.make = nullptr;
+    bytes.add(lazy.value.byte_size());
+    lazy.made.store(true, std::memory_order_release);
+  });
+  return lazy.value.buffer_.get();
+}
 
 Tensor::Tensor(Shape shape, DType dtype)
     : shape_(std::move(shape)),
@@ -48,6 +153,7 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   out.dtype_ = dtype_;
   out.buffer_ = buffer_;
   out.offset_ = offset_;
+  out.lazy_ = lazy_;
   return out;
 }
 

@@ -183,11 +183,22 @@ TEST(Fingerprint, SharedMemoIsBitIdenticalAcrossTheZoo) {
   }
 }
 
+// `g` with every constant a plain copy of its bytes — what a Relay import
+// holds, and what every builder weight was before weights became recipes.
+Graph with_payload_constants(Graph g) {
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    Node& node = g.mutable_node(static_cast<NodeId>(i));
+    if (node.is_constant()) node.value = node.value.clone();
+  }
+  return g;
+}
+
 TEST(Fingerprint, SharedMemoHitsAliasedPayloadsOnly) {
-  // Four constants: fc1's weight and bias, fc2's weight and bias.
-  const Graph a = mlp("a", /*seed=*/1, /*width=*/64, /*units=*/64);
+  // Four payload constants: fc1's weight and bias, fc2's weight and bias.
+  const Graph a =
+      with_payload_constants(mlp("a", /*seed=*/1, /*width=*/64, /*units=*/64));
   const Graph alias = a;  // copies alias constant buffers
-  const Graph other = mlp("a", /*seed=*/2, 64, 64);
+  const Graph other = with_payload_constants(mlp("a", /*seed=*/2, 64, 64));
   PayloadDigestMemo memo;
   const GraphFingerprint fa = fingerprint_graph(a, &memo);
   EXPECT_EQ(memo.size(), 4u);
@@ -225,6 +236,17 @@ TEST(Fingerprint, SharedMemoHitsAliasedPayloadsOnly) {
   EXPECT_EQ(fingerprint_graph(wide, &memo), fingerprint_graph(wide));
   EXPECT_EQ(memo.hits(), 5u) << "a payload under a new seed is a miss";
   EXPECT_EQ(memo.size(), 9u);
+}
+
+// Pins the payload path: a constant held as plain bytes (a Relay import, a
+// hand-built Tensor::from_vector) hashes its bytes under the payload tag.
+TEST(Fingerprint, PayloadConstantIsPinned) {
+  GraphBuilder b("payload");
+  const NodeId x = b.input(Shape{1, 4}, "x");
+  const NodeId w = b.constant(
+      Tensor::from_vector(Shape{4, 2}, {1, -2, 3, -4, 0.5f, 0.25f, 8, 16}), "w");
+  const Graph g = b.finish({b.matmul(x, w)});
+  EXPECT_EQ(fingerprint_graph(g).values, 0xD18E64B5DDD17350ull);
 }
 
 // --- CompileCache ----------------------------------------------------------------

@@ -535,6 +535,79 @@ TEST_F(FleetRegistryTest, WarmRegistrationHashesEachPayloadOncePerEngine) {
   EXPECT_LE(bytes, bound) << "a warm registration hashed a payload twice";
 }
 
+// Weights are recipes and folds are deferred, so a registration over warm
+// caches makes no weight bytes, and hashes only the payload-backed
+// bias/scale vectors, once per engine. The first numeric request then makes
+// the bytes its plan reads, and returns the same bytes as a plan built over
+// plain copies of the same weights, which is what every registration held
+// before weights became recipes.
+TEST_F(FleetRegistryTest, WarmRegistrationMakesAndHashesNoWeightBytes) {
+  const ModelRegistryOptions options = tiny_options();
+  const std::vector<std::string> names = {"wide-deep", "siamese", "mtdnn"};
+  ModelRegistry cold(options);
+  for (const std::string& name : names) {
+    cold.register_model(name, models::zoo_batched_factory(name, /*tiny=*/true));
+  }
+
+  telemetry::ScopedTelemetry telemetry_on(true);
+  telemetry::Counter& made = telemetry::counter("tensor.materialized_bytes");
+  telemetry::Counter& hashed =
+      telemetry::counter("graph.fingerprint.payload_bytes");
+  const uint64_t made_before = made.value();
+  const uint64_t hashed_before = hashed.value();
+  ModelRegistry warm(options);
+  uint64_t payload_bytes = 0;
+  uint64_t recipe_bytes = 0;
+  for (const std::string& name : names) {
+    const auto zoo = models::zoo_batched_factory(name, /*tiny=*/true);
+    const serve::ResidentModel& m =
+        warm.model(warm.register_model(name, zoo));
+    std::vector<int64_t> engine_batches = {1};
+    for (const BatchBucket& bucket : m.buckets()) {
+      if (bucket.rep() != 1) engine_batches.push_back(bucket.rep());
+    }
+    for (const int64_t batch : engine_batches) {
+      const Graph graph = zoo(batch);
+      for (const Node& node : graph.nodes()) {
+        if (!node.is_constant()) continue;
+        (node.value.lazy() ? recipe_bytes : payload_bytes) +=
+            node.value.byte_size();
+      }
+    }
+  }
+  EXPECT_EQ(made.value() - made_before, 0u) << "a warm registration made bytes";
+  EXPECT_GT(recipe_bytes, 0u);
+  EXPECT_EQ(hashed.value() - hashed_before, payload_bytes)
+      << "a warm registration hashed recipe bytes or a payload twice";
+
+  serve::ResidentModel& m = warm.model(0);
+  Rng rng(3);
+  const auto feeds = models::make_random_feeds(m.engine().model(), rng);
+  DevicePair devices = make_default_device_pair(42 ^ 0x5EEDFACEull);
+  SimExecutor executor(devices);
+  const ExecutionResult served = executor.run(*m.plan_for_batch(1), feeds);
+  EXPECT_GT(made.value() - made_before, 0u) << "the request made no bytes";
+
+  Graph plain = models::zoo_batched_factory(names[0], /*tiny=*/true)(1);
+  for (size_t i = 0; i < plain.num_nodes(); ++i) {
+    Node& node = plain.mutable_node(static_cast<NodeId>(i));
+    if (node.is_constant()) node.value = node.value.clone();
+  }
+  const ExecutionPlan reference = ExecutionPlan::build(
+      plain, partition_phased(plain, options.engine.partition),
+      m.bucket_placement(0), devices, options.engine.compile);
+  const ExecutionResult expected = executor.run(reference, feeds);
+  ASSERT_EQ(served.outputs.size(), expected.outputs.size());
+  for (size_t o = 0; o < served.outputs.size(); ++o) {
+    ASSERT_EQ(served.outputs[o].byte_size(), expected.outputs[o].byte_size());
+    EXPECT_EQ(std::memcmp(served.outputs[o].raw_data(),
+                          expected.outputs[o].raw_data(),
+                          served.outputs[o].byte_size()),
+              0)
+        << "output " << o;
+  }
+}
+
 // Registration publishes each bucket engine's plan as its bucket's rep plan.
 // Looking one up, or probing its modeled service time, calls no factory and
 // makes no compile-cache lookup, and the plan matches a fresh build of
@@ -798,6 +871,54 @@ TEST_F(FleetServerTest, PerTenantConservationAndRejects) {
   EXPECT_EQ(offered, 6u);
   EXPECT_EQ(stats.total.rejected, 2u);
   EXPECT_EQ(stats.total.completed, 4u);
+}
+
+// The per-tenant telemetry series conserve like the admission counters:
+// fleet.offered.<tenant> counts every arrival, rejected ones included, so it
+// equals completed + shed + rejected + failed once the server has drained.
+TEST_F(FleetServerTest, TelemetrySeriesConserveWithRejections) {
+  ModelRegistry registry(tiny_options());
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
+  serve::FleetOptions options;
+  options.workers = 1;
+  options.queue_capacity = 3;
+  options.tenants = serve::default_tenant_classes(2);
+  options.start_paused = true;  // the queue fills: later arrivals are rejected
+
+  telemetry::ScopedTelemetry telemetry_on(true);
+  const auto series = [&](const std::string& what, const std::string& tenant) {
+    return telemetry::counter("fleet." + what + "." + tenant).value();
+  };
+  const std::vector<std::string> kinds = {"offered", "completed", "shed",
+                                          "rejected", "failed"};
+  std::map<std::string, uint64_t> before;
+  for (const TenantClass& t : options.tenants) {
+    for (const std::string& k : kinds) before[k + t.name] = series(k, t.name);
+  }
+  {
+    serve::FleetServer server(registry, options);
+    Rng rng(8);
+    const auto feeds =
+        models::make_random_feeds(registry.model(idx).engine().model(), rng);
+    std::vector<std::future<serve::FleetResponse>> futures;
+    for (int i = 0; i < 7; ++i) {
+      futures.push_back(server.submit(idx, i % 2, feeds));
+    }
+    server.resume();
+    server.drain();
+    for (auto& f : futures) f.get();
+    EXPECT_EQ(server.stats().total.rejected, 4u);
+  }
+  uint64_t rejected = 0;
+  for (const TenantClass& t : options.tenants) {
+    std::map<std::string, uint64_t> d;
+    for (const std::string& k : kinds) d[k] = series(k, t.name) - before[k + t.name];
+    EXPECT_EQ(d["offered"], d["completed"] + d["shed"] + d["rejected"] + d["failed"])
+        << "tenant " << t.name;
+    rejected += d["rejected"];
+  }
+  EXPECT_EQ(rejected, 4u);
 }
 
 TEST_F(FleetServerTest, ServesMultipleResidentModels) {

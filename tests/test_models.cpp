@@ -207,12 +207,26 @@ TEST(ModelZoo, BatchedFactoryConstantsAreBitwiseEqual) {
   }
 }
 
-// Pins the generated weights: a change to the generator, its stream keys or
-// the builder's tensor ordinals moves this value and must update it on
-// purpose.
+// Pins the weights' identity: the builder's recipes (generator version,
+// seed, stream ordinals, stddevs) and the bias/scale payloads. A change to
+// any of them moves this value and must update it on purpose; a change to
+// the generator's output that keeps its version does not, which the next
+// test catches.
 TEST(ModelZoo, WideDeepWeightsFingerprintIsPinned) {
   EXPECT_EQ(fingerprint_graph(build_by_name("wide-deep", 42)).values,
-            0x662B5E2BD8C47BBBull);
+            0xC7928BE80E3163DFull);
+}
+
+// Pins the generated bytes: the same graph with every constant copied out
+// to a plain payload, so the fingerprint hashes the bytes the recipes make.
+// A generator change that moves this must bump kNormalGeneratorVersion.
+TEST(ModelZoo, WideDeepWeightBytesArePinned) {
+  Graph g = build_by_name("wide-deep", 42);
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    Node& node = g.mutable_node(static_cast<NodeId>(i));
+    if (node.is_constant()) node.value = node.value.clone();
+  }
+  EXPECT_EQ(fingerprint_graph(g).values, 0x3BD14C4441290918ull);
 }
 
 TEST(ModelZoo, RandomFeedsMatchEveryInput) {
