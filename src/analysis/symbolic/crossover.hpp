@@ -30,7 +30,7 @@ struct CrossoverOptions {
   DeviceCostParams cpu = xeon_gold_6152();
   DeviceCostParams gpu = titan_v();
   TransferParams link = pcie3_x16();
-  CompileOptions compile;  // defaults: compiled mode, converged tuning
+  CompileOptions compile;  // defaults: compiled mode
 };
 
 // Maximal batch interval [lo, hi] with one constant preferred device.

@@ -23,15 +23,9 @@ uint64_t hash_op_class(uint64_t h, const OpClassCost& c) {
 }  // namespace
 
 uint64_t compile_options_key(const CompileOptions& options) {
-  if (options.schedule_quality) return kUncacheableOptionsKey;
-  uint64_t bits = 0;
-  bits |= options.enable_fusion ? 1u : 0u;
-  bits |= options.enable_constant_fold ? 2u : 0u;
-  bits |= options.enable_cse ? 4u : 0u;
-  bits |= options.enable_dce ? 8u : 0u;
-  bits |= options.enable_layout_transform ? 16u : 0u;
-  bits |= options.framework_mode ? 32u : 0u;
-  return hash_mix(0x434F4D50494C4F50ull, bits);
+  // Persisted profile caches are keyed with these two values (five pass bits
+  // set, or the framework bit alone); changing them turns every one cold.
+  return hash_mix(0x434F4D50494C4F50ull, options.framework_mode ? 32u : 31u);
 }
 
 uint64_t device_params_key(const DeviceCostParams& params) {

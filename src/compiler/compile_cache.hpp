@@ -13,8 +13,7 @@
 // the compiled graph's input names) mixed with the target device,
 // a CompileOptions key, and a DeviceCostParams key (the hardware-sensitivity
 // sweeps recompile under varied params — stale costs would be silently
-// wrong). Options carrying a schedule_quality hook are uncacheable: the
-// std::function has no identity to hash, so those compiles bypass.
+// wrong). Every compile is cacheable; only a disabled cache bypasses.
 //
 // Entries are shared_ptr<const CompiledSubgraph>; a hit returns a by-value
 // copy, which is cheap because Graph/Tensor copies alias their buffers.
@@ -29,9 +28,6 @@
 #include "graph/fingerprint.hpp"
 
 namespace duet {
-
-// Sentinel options key: this compile cannot be cached (schedule_quality set).
-inline constexpr uint64_t kUncacheableOptionsKey = ~0ull;
 
 uint64_t compile_options_key(const CompileOptions& options);
 uint64_t device_params_key(const DeviceCostParams& params);

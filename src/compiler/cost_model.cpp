@@ -57,8 +57,7 @@ NodeCostQuantities node_cost_quantities(const Graph& graph, const Node& node) {
 
 double node_time_from_quantities(const NodeCostQuantities& q,
                                  const DeviceCostParams& params,
-                                 const CompileOptions& options,
-                                 const Node* node) {
+                                 const CompileOptions& options) {
   if (q.metadata) return 0.0;
 
   const OpClassCost& cls = class_of(params, q.op);
@@ -80,9 +79,6 @@ double node_time_from_quantities(const NodeCostQuantities& q,
   if (q.layout_tagged) util *= params.layout_bonus;
 
   if (options.framework_mode) util *= params.framework_eff;
-  if (options.schedule_quality && node != nullptr) {
-    util *= options.schedule_quality(*node, static_cast<int>(params.kind));
-  }
   DUET_CHECK_GT(util, 0.0) << "non-positive utilization for " << op_name(q.op);
 
   const double compute_s = q.flops / (params.peak_gflops * 1e9 * util);
@@ -99,7 +95,7 @@ double node_time_seconds(const Graph& graph, const Node& node,
                          const DeviceCostParams& params,
                          const CompileOptions& options) {
   return node_time_from_quantities(node_cost_quantities(graph, node), params,
-                                   options, &node);
+                                   options);
 }
 
 }  // namespace duet

@@ -79,13 +79,10 @@ struct NodeCostQuantities {
 // Extracts the quantities for one concrete node.
 NodeCostQuantities node_cost_quantities(const Graph& graph, const Node& node);
 
-// Roofline evaluation shared by the concrete and symbolic paths. `node` is
-// optional and only consulted by options.schedule_quality (the symbolic
-// crossover solver has no Node and passes nullptr).
+// Roofline evaluation shared by the concrete and symbolic paths.
 double node_time_from_quantities(const NodeCostQuantities& q,
                                  const DeviceCostParams& params,
-                                 const CompileOptions& options,
-                                 const Node* node = nullptr);
+                                 const CompileOptions& options);
 
 // Modeled execution time of one node. Returns 0 for pure-metadata ops
 // (reshape/flatten/identity) and terminals.

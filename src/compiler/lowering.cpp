@@ -67,8 +67,7 @@ CompiledSubgraph compile_for_device(const Graph& graph, DeviceKind device,
                                     const GraphFingerprint* fingerprint) {
   DUET_CHECK(params.kind == device) << "cost params are for the wrong device";
   CompileCache& cache = CompileCache::instance();
-  const uint64_t options_key = compile_options_key(options);
-  if (!cache.enabled() || options_key == kUncacheableOptionsKey) {
+  if (!cache.enabled()) {
     cache.count_bypass();
     return compile_uncached(graph, device, options, params);
   }
@@ -79,7 +78,8 @@ CompiledSubgraph compile_for_device(const Graph& graph, DeviceKind device,
   const GraphFingerprint fp =
       fingerprint != nullptr ? *fingerprint : fingerprint_graph(graph);
   const uint64_t key = hash_mix(
-      CompileCache::make_key(fp, device, options_key, device_params_key(params)),
+      CompileCache::make_key(fp, device, compile_options_key(options),
+                             device_params_key(params)),
       fingerprint_names(graph));
   if (std::shared_ptr<const CompiledSubgraph> hit = cache.lookup(key)) {
     return *hit;

@@ -14,34 +14,16 @@
 
 namespace duet {
 
-// What the "compiler" is asked to do. framework_mode models the PyTorch/
-// TensorFlow baselines of the paper: no graph-level optimization and
-// per-operator interpreter dispatch overhead at runtime.
+// What the "compiler" is asked to do: the whole graph-level pipeline, or
+// (framework_mode) none of it. framework_mode models the PyTorch/TensorFlow
+// baselines of the paper: no graph-level optimization and per-operator
+// interpreter dispatch overhead at runtime. The cost model assumes converged
+// low-level schedules, as the calibration does.
 struct CompileOptions {
-  bool enable_fusion = true;
-  bool enable_constant_fold = true;
-  bool enable_cse = true;
-  bool enable_dce = true;
-  bool enable_layout_transform = true;
   bool framework_mode = false;
 
-  // Low-level schedule quality hook. When set, the cost model multiplies a
-  // node's achieved utilization by this factor (in (0, 1]); the tuning
-  // subsystem (src/tuning) provides an adapter bound to a TuningDatabase.
-  // Unset means "converged tuning" — the calibration's assumption.
-  std::function<double(const Node& node, int device_kind)> schedule_quality;
-
   static CompileOptions compiler_defaults() { return {}; }
-  static CompileOptions framework() {
-    CompileOptions o;
-    o.enable_fusion = false;
-    o.enable_constant_fold = false;
-    o.enable_cse = false;
-    o.enable_dce = false;
-    o.enable_layout_transform = false;
-    o.framework_mode = true;
-    return o;
-  }
+  static CompileOptions framework() { return {.framework_mode = true}; }
 };
 
 using Pass = std::function<Graph(const Graph&)>;

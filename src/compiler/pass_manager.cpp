@@ -39,13 +39,14 @@ void copy_outputs(const Graph& src, Graph& dst, const std::vector<NodeId>& remap
 
 PassManager PassManager::standard(const CompileOptions& options) {
   PassManager pm;
-  if (options.enable_constant_fold) pm.add("constant_fold", fold_constants);
-  if (options.enable_fusion) pm.add("simplify_shape_ops", simplify_shape_ops);
-  if (options.enable_fusion) pm.add("fold_batch_norm", fold_batch_norm);
-  if (options.enable_fusion) pm.add("fusion", fuse_operators);
-  if (options.enable_cse) pm.add("cse", eliminate_common_subexpressions);
-  if (options.enable_dce) pm.add("dce", eliminate_dead_code);
-  if (options.enable_layout_transform) pm.add("layout", transform_layout);
+  if (options.framework_mode) return pm;
+  pm.add("constant_fold", fold_constants);
+  pm.add("simplify_shape_ops", simplify_shape_ops);
+  pm.add("fold_batch_norm", fold_batch_norm);
+  pm.add("fusion", fuse_operators);
+  pm.add("cse", eliminate_common_subexpressions);
+  pm.add("dce", eliminate_dead_code);
+  pm.add("layout", transform_layout);
   return pm;
 }
 

@@ -296,20 +296,14 @@ TEST_F(CacheTest, RenamedTwinMissesCompileCacheButSharesProfileKey) {
                               devices.cpu->params(), devices.cpu->noise_sigma()));
 }
 
-TEST_F(CacheTest, ScheduleQualityHookBypassesCache) {
-  const Graph g = mlp("hook");
-  DevicePair devices = make_default_device_pair(3);
-  CompileOptions options = CompileOptions::compiler_defaults();
-  options.schedule_quality = [](const Node&, int) { return 1.0; };
-  EXPECT_EQ(compile_options_key(options), kUncacheableOptionsKey);
-
-  compile_for_device(g, DeviceKind::kCpu, options, devices.cpu->params());
-  compile_for_device(g, DeviceKind::kCpu, options, devices.cpu->params());
-  const CompileCache::Stats s = CompileCache::instance().stats();
-  EXPECT_EQ(s.bypasses, 2u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
-  EXPECT_EQ(s.entries, 0u);
+TEST_F(CacheTest, CompileOptionsKeysMatchPersistedValues) {
+  // Persisted profile_cache files key on these two values; a change here
+  // turns every warm disk cache cold.
+  const uint64_t compiled = compile_options_key(CompileOptions::compiler_defaults());
+  const uint64_t framework = compile_options_key(CompileOptions::framework());
+  EXPECT_EQ(compiled, hash_mix(0x434F4D50494C4F50ull, 31));
+  EXPECT_EQ(framework, hash_mix(0x434F4D50494C4F50ull, 32));
+  EXPECT_NE(compiled, framework);
 }
 
 // --- ProfileCache disk persistence ----------------------------------------------

@@ -1,8 +1,12 @@
 // Tests for the graph-level compiler passes: each pass's specific rewrite,
-// and the property that the full pipeline preserves semantics on every zoo
-// model (optimized graph computes the same outputs).
+// the standard pipeline's contents, and the property that the full pipeline
+// preserves semantics on every zoo model (optimized graph computes the same
+// outputs).
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "compiler/lowering.hpp"
 #include "compiler/pass.hpp"
@@ -287,6 +291,22 @@ TEST(Layout, TagsConvs) {
       EXPECT_EQ(n.attrs.get_string("layout"), "NCHWc");
     }
   }
+}
+
+// --- pipeline ----------------------------------------------------------------------
+
+TEST(PassManager, StandardPipelineIsAllOrNothing) {
+  const auto names = [](const CompileOptions& options) {
+    const PassManager pm = PassManager::standard(options);
+    std::vector<std::string> out;
+    for (const NamedPass& p : pm.passes()) out.push_back(p.name);
+    return out;
+  };
+  EXPECT_EQ(names(CompileOptions::compiler_defaults()),
+            (std::vector<std::string>{"constant_fold", "simplify_shape_ops",
+                                      "fold_batch_norm", "fusion", "cse", "dce",
+                                      "layout"}));
+  EXPECT_TRUE(names(CompileOptions::framework()).empty());
 }
 
 // --- full pipeline semantics (property over the zoo) -------------------------------

@@ -1,6 +1,5 @@
-// Cross-cutting integration tests: engine determinism, option plumbing
-// (including the tuning hook end to end), execution-plan structure, report
-// rendering, logging, and profiler statistics.
+// Cross-cutting integration tests: engine determinism, execution-plan
+// structure, report rendering, logging, and profiler statistics.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
 #include "duet/duet.hpp"
-#include "tuning/tuner.hpp"
 
 namespace duet {
 namespace {
@@ -36,35 +34,6 @@ TEST(Integration, DifferentSeedsSamePlacement) {
   DuetEngine a(models::build_wide_deep(), a_opts);
   DuetEngine b(models::build_wide_deep(), b_opts);
   EXPECT_EQ(a.report().schedule.placement, b.report().schedule.placement);
-}
-
-// --- tuning hook through the engine ------------------------------------------------
-
-TEST(Integration, UntunedEngineStillPlacesRnnOnCpu) {
-  // With an empty tuning database (everything at 45% of calibrated
-  // throughput) the absolute latencies change but the device *asymmetry*
-  // remains, so DUET still maps RNN->CPU / CNN->GPU and still wins.
-  tuning::TuningDatabase empty;
-  DuetOptions opts;
-  opts.compile.schedule_quality = tuning::make_schedule_quality_hook(empty, 0.45);
-  DuetEngine engine(models::build_wide_deep(), opts);
-
-  const DuetReport& r = engine.report();
-  EXPECT_FALSE(r.fell_back);
-  EXPECT_LT(r.est_hetero_s, r.est_single_gpu_s);
-  for (const Subgraph& sub : engine.partition().subgraphs) {
-    for (NodeId id : sub.parent_nodes) {
-      if (engine.model().node(id).op == OpType::kLSTM) {
-        EXPECT_EQ(r.schedule.placement.of(sub.id), DeviceKind::kCpu);
-      }
-      if (engine.model().node(id).op == OpType::kConv2d) {
-        EXPECT_EQ(r.schedule.placement.of(sub.id), DeviceKind::kGpu);
-      }
-    }
-  }
-  // And the untuned engine is slower end-to-end than the converged one.
-  DuetEngine tuned(models::build_wide_deep());
-  EXPECT_GT(r.est_hetero_s, tuned.report().est_hetero_s);
 }
 
 // --- execution plan structure --------------------------------------------------------

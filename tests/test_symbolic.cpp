@@ -193,7 +193,7 @@ void expect_specialization_matches(const Graph& g,
     EXPECT_EQ(got.layout_tagged, ref.layout_tagged)
         << context << " node " << n.id;
     for (const DeviceCostParams& dev : devices) {
-      EXPECT_EQ(node_time_from_quantities(got, dev, opts, &n),
+      EXPECT_EQ(node_time_from_quantities(got, dev, opts),
                 node_time_seconds(concrete, n, dev, opts))
           << context << " node " << n.id << " on " << dev.name;
     }
